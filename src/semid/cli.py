@@ -66,7 +66,10 @@ def _emit(text: str, output: str | None) -> None:
 
 def _default_max_set_size() -> int | None:
     env = os.environ.get("SEMID_MAX_SET_SIZE")
-    return int(env) if env else None
+    try:
+        return int(env) if env else None
+    except ValueError as exc:
+        raise InputError(f"SEMID_MAX_SET_SIZE={env!r} must be an integer") from exc
 
 
 def _add_common(parser: argparse.ArgumentParser, seed: bool = True) -> None:
@@ -174,10 +177,8 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     g = load_graph(args.graph)
-    report = identify.certify(
-        g, max_set_size=args.max_set_size, verify=False, seed=args.seed
-    )
-    identifiable = [c for c in report.certificates.values() if c.status == identify.IDENTIFIABLE]
+    # discovery order, so every certificate replays after its prerequisites
+    identifiable = list(identify.eid_tsid_identify(g, args.max_set_size).certificates.values())
     seeds = [args.seed + 7919 * i for i in range(args.seeds)]
     status = EXIT_OK
     try:
@@ -274,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("identify", help="certify every directed edge")
     p.add_argument("graph", help="graph JSON file or inline n:d:b code")
-    p.add_argument("--max-set-size", type=int, default=_default_max_set_size(),
+    p.add_argument("--max-set-size", type=int, default=None,
                    help="bound on |S| in the determinantal search (default: vertex count; env SEMID_MAX_SET_SIZE)")
     p.add_argument("--no-verify", action="store_true", help="skip the numeric replay of certificates")
     p.add_argument("--seeds", type=int, default=3, help="number of verification seeds")
@@ -311,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.add_argument("--seeds", type=int, default=100)
     p.add_argument("--tolerance", type=float, default=1e-6)
-    p.add_argument("--max-set-size", type=int, default=_default_max_set_size())
+    p.add_argument("--max-set-size", type=int, default=None)
     _add_common(p)
     p.set_defaults(func=cmd_verify)
 
@@ -319,19 +320,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("corpus", help="file with one n:d:b code per line, '#' comments")
     p.add_argument("--algorithms", default="htc,eid,tsid,eid+tsid",
                    help="comma-separated subset of: " + ", ".join(_ALGORITHMS))
-    p.add_argument("--max-set-size", type=int, default=_default_max_set_size())
+    p.add_argument("--max-set-size", type=int, default=None)
     _add_common(p, seed=False)
     p.set_defaults(func=cmd_corpus)
 
     return parser
 
 
+# Built on first use and reused: parse_args leaves the parser unchanged, and
+# main reads the SEMID_MAX_SET_SIZE default afresh on every call.
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         if getattr(args, "tolerance", 1.0) <= 0:
             raise InputError("tolerance must be positive")
+        if "max_set_size" in args and args.max_set_size is None:
+            args.max_set_size = _default_max_set_size()
         max_set_size = getattr(args, "max_set_size", None)
         if max_set_size is not None and max_set_size < 1:
             raise InputError("max-set-size must be at least 1")

@@ -5,30 +5,32 @@ The flow graph of a mixed graph has one left copy 1..n and one right copy
 and arc has capacity one, so integral flows from sources S to sinks T' are
 systems of treks from S to T with no sided intersection, and the max-flow
 value equals the generic rank of the covariance submatrix over rows S and
-columns T.
+columns T.  A max flow's path witness is decomposed only when it is read.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
-from typing import Iterable
+from dataclasses import dataclass, field
+from functools import cached_property, partial
+from typing import Callable, Iterable
 
 from .graph import DirectedEdge, MixedGraph, require_valid
-
-_INF = 1 << 30
 
 
 @dataclass(frozen=True)
 class FlowWitness:
-    """An integral max flow together with its unit-path decomposition.
+    """An integral max flow; its unit-path decomposition is built on first access.
 
     Each path is a node sequence from a source to a sink; paths are pairwise
-    vertex-disjoint on capacity-one nodes.
+    vertex-disjoint.  Searches that only need ``value`` never pay for them.
     """
 
     value: int
-    paths: tuple[tuple[int, ...], ...]
+    _decompose: Callable[[], tuple[tuple[int, ...], ...]] = field(repr=False, compare=False)
+
+    @cached_property
+    def paths(self) -> tuple[tuple[int, ...], ...]:
+        return self._decompose()
 
     def endpoints(self) -> frozenset[tuple[int, int]]:
         return frozenset((p[0], p[-1]) for p in self.paths)
@@ -36,31 +38,42 @@ class FlowWitness:
 
 @dataclass(frozen=True)
 class FlowNetwork:
-    """Immutable unit-capacity network template.
+    """Immutable network on nodes 1..n_nodes with unit node and arc capacities.
 
-    Nodes are 1..n_nodes; nodes in ``unit_nodes`` have throughput capacity
-    one (enforced internally by node splitting), all others are unbounded.
     For doubled graphs, ``n_base`` is the size of the underlying vertex set
-    and ``primed(v) == n_base + v``.  Each max_flow call owns its residual
-    state, so concurrent queries on one template are safe.
+    and ``primed(v) == n_base + v``.  The residual graph is compiled once:
+    node x splits into in-node 2x and out-node 2x + 1, arc 2k is the k-th
+    forward arc and 2k + 1 its reverse.  Source and sink arcs are implicit.
+    Each query works on its own copy of the capacities, so concurrent queries
+    on one network are safe.
     """
 
     n_nodes: int
     arcs: tuple[DirectedEdge, ...]
-    unit_nodes: frozenset[int]
     n_base: int
 
-    def __init__(self, n_nodes: int, arcs: Iterable[DirectedEdge],
-                 unit_nodes: Iterable[int] | None = None, n_base: int | None = None):
+    def __init__(self, n_nodes: int, arcs: Iterable[DirectedEdge], n_base: int | None = None):
         arcs = tuple(sorted(set(arcs)))
         for u, w in arcs:
             if not (1 <= u <= n_nodes and 1 <= w <= n_nodes):
                 raise ValueError(f"arc ({u},{w}) references a node outside 1..{n_nodes}")
-        unit = frozenset(range(1, n_nodes + 1)) if unit_nodes is None else frozenset(unit_nodes)
         object.__setattr__(self, "n_nodes", n_nodes)
         object.__setattr__(self, "arcs", arcs)
-        object.__setattr__(self, "unit_nodes", unit)
         object.__setattr__(self, "n_base", n_nodes // 2 if n_base is None else n_base)
+        # Per split node, its residual arcs in a fixed order: the split arc
+        # first, then the template arcs sorted by their other end.
+        to: list[int] = []
+        adj: list[list[int]] = [[] for _ in range(2 * n_nodes + 2)]
+        for u, w in [(2 * x, 2 * x + 1) for x in range(1, n_nodes + 1)] + [
+            (2 * u + 1, 2 * w) for u, w in arcs
+        ]:
+            adj[u].append(len(to))
+            to.append(w)
+            adj[w].append(len(to))
+            to.append(u)
+        object.__setattr__(self, "_to", tuple(to))
+        object.__setattr__(self, "_adj", tuple(map(tuple, adj)))
+        object.__setattr__(self, "_cap", [1, 0] * (len(to) // 2))
 
     def primed(self, v: int) -> int:
         return self.n_base + v
@@ -68,7 +81,7 @@ class FlowNetwork:
     def max_flow(self, sources: Iterable[int], sinks: Iterable[int]) -> FlowWitness:
         """Integral max flow from ``sources`` to ``sinks``.
 
-        Breadth-first augmentation over sorted adjacency keeps the result
+        Breadth-first augmentation in a fixed arc order keeps the result
         (value, paths and the residual cut) deterministic in the inputs.
         """
         sources = sorted(set(sources))
@@ -78,9 +91,8 @@ class FlowNetwork:
         for x in sources + sinks:
             if not 1 <= x <= self.n_nodes:
                 raise ValueError(f"node {x} outside 1..{self.n_nodes}")
-        state = _ResidualState(self, sources, sinks)
-        state.run()
-        return FlowWitness(state.value, state.decompose())
+        value, *residual = self._saturate(sources, sinks)
+        return FlowWitness(value, partial(self._paths, sources, sinks, *residual))
 
     def min_cut_nodes(self, sources: Iterable[int], sinks: Iterable[int]) -> tuple[int, ...]:
         """Nodes owning the saturated arcs on the residual reachability frontier.
@@ -90,138 +102,95 @@ class FlowNetwork:
         """
         sources = sorted(set(sources))
         sinks = sorted(set(sinks))
-        state = _ResidualState(self, sources, sinks)
-        state.run()
-        return state.cut_nodes()
-
-
-class _ResidualState:
-    """Edmonds-Karp residual graph over the node-split expansion."""
-
-    def __init__(self, net: FlowNetwork, sources: list[int], sinks: list[int]):
-        self.net = net
-        self.sources = sources
-        self.sinks = sinks
-        # split node x -> (2x, 2x+1); 0 is the super source, 1 the super sink
-        self.size = 2 * net.n_nodes + 2
-        self.adj: list[list[list[int]]] = [[] for _ in range(self.size)]
-        for x in range(1, net.n_nodes + 1):
-            cap = 1 if x in net.unit_nodes else _INF
-            self._add(2 * x, 2 * x + 1, cap)
-        for u, w in net.arcs:
-            self._add(2 * u + 1, 2 * w, 1)
-        for s in sources:
-            self._add(0, 2 * s, 1 if s in net.unit_nodes else _INF)
-        for t in sinks:
-            self._add(2 * t + 1, 1, 1 if t in net.unit_nodes else _INF)
-        self.value = 0
-
-    def _add(self, u: int, w: int, cap: int) -> None:
-        # entries are [to, residual_cap, reverse_index, is_forward]
-        self.adj[u].append([w, cap, len(self.adj[w]), True])
-        self.adj[w].append([u, 0, len(self.adj[u]) - 1, False])
-
-    def run(self) -> None:
-        while True:
-            parent: list[tuple[int, int] | None] = [None] * self.size
-            parent[0] = (0, -1)
-            queue = deque([0])
-            while queue and parent[1] is None:
-                x = queue.popleft()
-                for i, (y, cap, _, _) in enumerate(self.adj[x]):
-                    if cap > 0 and parent[y] is None:
-                        parent[y] = (x, i)
-                        queue.append(y)
-            if parent[1] is None:
-                return
-            bottleneck = _INF
-            y = 1
-            while y != 0:
-                x, i = parent[y]
-                bottleneck = min(bottleneck, self.adj[x][i][1])
-                y = x
-            y = 1
-            while y != 0:
-                x, i = parent[y]
-                arc = self.adj[x][i]
-                arc[1] -= bottleneck
-                self.adj[arc[0]][arc[2]][1] += bottleneck
-                y = x
-            self.value += bottleneck
-
-    def _flow_on(self, x: int, i: int) -> int:
-        y, _, rev, _ = self.adj[x][i]
-        return self.adj[y][rev][1]  # residual capacity of the reverse arc
-
-    def decompose(self) -> tuple[tuple[int, ...], ...]:
-        # remaining[u][w] = unassigned flow units on original arc u -> w
-        remaining: dict[int, dict[int, int]] = {}
-        for u, w in self.net.arcs:
-            out = 2 * u + 1
-            for i, (y, _, _, fwd) in enumerate(self.adj[out]):
-                if fwd and y == 2 * w:
-                    f = self._flow_on(out, i)
-                    if f:
-                        remaining.setdefault(u, {})[w] = f
-        source_flow = {}
-        for i, (y, _, _, fwd) in enumerate(self.adj[0]):
-            if fwd:
-                f = self._flow_on(0, i)
-                if f:
-                    source_flow[y // 2] = f
-        sink_flow = {}
-        sink_set = set(self.sinks)
-        for t in self.sinks:
-            out = 2 * t + 1
-            for i, (y, _, _, fwd) in enumerate(self.adj[out]):
-                if fwd and y == 1:
-                    f = self._flow_on(out, i)
-                    if f:
-                        sink_flow[t] = f
-
-        paths = []
-        for s in self.sources:
-            while source_flow.get(s, 0) > 0:
-                source_flow[s] -= 1
-                path = [s]
-                x = s
-                while True:
-                    if x in sink_set and sink_flow.get(x, 0) > 0:
-                        sink_flow[x] -= 1
-                        break
-                    nxt = min(w for w, f in remaining.get(x, {}).items() if f > 0)
-                    remaining[x][nxt] -= 1
-                    path.append(nxt)
-                    x = nxt
-                paths.append(tuple(path))
-        return tuple(paths)
-
-    def cut_nodes(self) -> tuple[int, ...]:
-        reach = [False] * self.size
-        reach[0] = True
-        queue = deque([0])
-        while queue:
-            x = queue.popleft()
-            for y, cap, _, _ in self.adj[x]:
-                if cap > 0 and not reach[y]:
-                    reach[y] = True
-                    queue.append(y)
-        owners: set[int] = set()
-        for x in range(self.size):
-            if not reach[x]:
-                continue
-            for y, cap, rev, fwd in self.adj[x]:
-                if not fwd or reach[y] or cap > 0:
-                    continue  # only saturated forward arcs across the cut
-                if y == 1:
-                    owners.add(x // 2)  # sink-side arc: charge the sink node
-                elif x == 0:
-                    owners.add(y // 2)  # source-side arc: charge the source node
-                elif x // 2 == y // 2:
-                    owners.add(x // 2)  # split arc: the node itself
-                else:
-                    owners.add(y // 2)  # original arc u -> w: charge w
+        _, cap, free_sources, _ = self._saturate(sources, sinks)
+        to, adj = self._to, self._adj
+        reach = bytearray(len(adj))
+        queue = free_sources
+        for x in queue:
+            reach[x] = 1
+        for x in queue:
+            for e in adj[x]:
+                if cap[e] and not reach[to[e]]:
+                    reach[to[e]] = 1
+                    queue.append(to[e])
+        # A used source arc into an unreached in-node charges the source, a
+        # used sink arc out of a reached out-node charges the sink, and a
+        # saturated split or template arc charges the node it enters.
+        owners = {s for s in sources if not reach[2 * s]}
+        owners.update(t for t in sinks if reach[2 * t + 1])
+        owners.update(
+            to[e] // 2 for x in queue for e in adj[x]
+            if not e & 1 and not cap[e] and not reach[to[e]]
+        )
         return tuple(sorted(owners))
+
+    def _saturate(
+        self, sources: list[int], sinks: list[int]
+    ) -> tuple[int, list[int], list[int], bytearray]:
+        """Edmonds-Karp with unit augmentations on a fresh copy of the capacities.
+
+        Returns the flow value, the residual capacities, the in-nodes of the
+        sources that carry no flow, and a mask of the out-nodes whose sink arc
+        is still open.  Each search starts from the free sources in sorted
+        order and ends at the first free sink out-node it discovers.
+        """
+        to, adj = self._to, self._adj
+        cap = self._cap[:]
+        free_sources = [2 * s for s in sources]
+        free_sinks = bytearray(len(adj))
+        for t in sinks:
+            free_sinks[2 * t + 1] = 1
+        value = 0
+        while free_sources and value < len(sinks):
+            pred = [-1] * len(adj)
+            for x in free_sources:
+                pred[x] = -2
+            queue = free_sources[:]
+            end = -1
+            for x in queue:
+                for e in adj[x]:
+                    if cap[e]:
+                        y = to[e]
+                        if pred[y] == -1:
+                            pred[y] = e
+                            if free_sinks[y]:
+                                end = y
+                                break
+                            queue.append(y)
+                if end >= 0:
+                    break
+            if end < 0:
+                break
+            free_sinks[end] = 0
+            y = end
+            while pred[y] != -2:
+                e = pred[y]
+                cap[e] -= 1
+                cap[e ^ 1] += 1
+                y = to[e ^ 1]
+            free_sources.remove(y)
+            value += 1
+        return value, cap, free_sources, free_sinks
+
+    def _paths(
+        self, sources: list[int], sinks: list[int],
+        cap: list[int], free_sources: list[int], free_sinks: bytearray,
+    ) -> tuple[tuple[int, ...], ...]:
+        """Unit paths of a saturated flow, one per used source in sorted order."""
+        to, adj = self._to, self._adj
+        ends = {2 * t + 1 for t in sinks if not free_sinks[2 * t + 1]}
+        paths = []
+        for s in sources:
+            if 2 * s in free_sources:
+                continue
+            path = [s]
+            out = 2 * s + 1
+            while out not in ends:
+                # follow the out-node's one forward arc that carries flow
+                out = next(to[e] + 1 for e in adj[out] if not e & 1 and not cap[e])
+                path.append(out // 2)
+            paths.append(tuple(path))
+        return tuple(paths)
 
 
 def build_flow_graph(g: MixedGraph) -> FlowNetwork:

@@ -96,10 +96,6 @@ class MixedGraph:
     def is_acyclic(self) -> bool:
         return _is_acyclic(self)
 
-    def transpose(self) -> "MixedGraph":
-        """Reverse all directed edges; bidirected part unchanged."""
-        return MixedGraph(self.n, ((w, u) for u, w in self.directed), self.bidirected)
-
 
 class Neighborhoods(NamedTuple):
     pa: frozenset[int]

@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import oracle
-from .flow import build_flow_graph, build_restricted_flow_graph
+from .flow import FlowNetwork, build_flow_graph, build_restricted_flow_graph
 from .graph import DirectedEdge, MixedGraph, infinite_to_one_record, require_valid
 from .oracle import DegenerateSampleError, Parameters
 
@@ -295,13 +295,21 @@ def tsep_accepts(
         if des_v.intersection(T) or v in des_v:
             return False
         star = build_restricted_flow_graph(g, g.directed, g.directed - removed)
+    return _tsep_flows_accept(build_flow_graph(g), star, v, w0, S, T)
+
+
+def _tsep_flows_accept(
+    full: FlowNetwork, star: FlowNetwork, v: int, w0: int, S: Sequence[int], T: Sequence[int]
+) -> bool:
+    """The two max-flow conditions of ``tsep_accepts`` on prebuilt networks.
+
+    S must reach T and w0 with a full-rank flow in ``full`` but fall short of
+    T and v in ``star``, the flow graph with the stripped edges removed.
+    """
     k = len(S)
-    full = build_flow_graph(g)
-    sinks_b = [full.primed(t) for t in T] + [full.primed(w0)]
-    if full.max_flow(S, sinks_b).value != k:
+    if full.max_flow(S, [full.primed(t) for t in T] + [full.primed(w0)]).value != k:
         return False
-    sinks_c = [star.primed(t) for t in T] + [star.primed(v)]
-    return star.max_flow(S, sinks_c).value < k
+    return star.max_flow(S, [star.primed(t) for t in T] + [star.primed(v)]).value < k
 
 
 def tsid_identify(
@@ -324,6 +332,7 @@ def tsid_identify(
         raise ValueError(f"max_set_size must be >= 1, got {max_set_size}")
     state = state.copy() if state else SolverState()
     vertices = list(g.vertices)
+    full = build_flow_graph(g)
     changed = True
     while changed:
         changed = False
@@ -337,13 +346,14 @@ def tsid_identify(
                 t for t in vertices
                 if t not in (v, w0) and t not in g.descendants(v)
             ]
-            if _tsid_search(g, state, v, w0, solved_sibs, t_candidates, max_set_size):
+            if _tsid_search(g, full, state, v, w0, solved_sibs, t_candidates, max_set_size):
                 changed = True
     return state
 
 
 def _tsid_search(
     g: MixedGraph,
+    full: FlowNetwork,
     state: SolverState,
     v: int,
     w0: int,
@@ -351,8 +361,10 @@ def _tsid_search(
     t_candidates: list[int],
     max_set_size: int,
 ) -> bool:
-    """First accepted (S, T) pair, by increasing |S| then lexicographic order."""
-    full = build_flow_graph(g)
+    """First accepted (S, T) pair, by increasing |S| then lexicographic order.
+
+    ``full`` is the flow graph of g, shared by every search on the graph.
+    """
     removed = {(w0, v)} | {(s, v) for s in solved_sibs}
     star = build_restricted_flow_graph(g, g.directed, g.directed - removed)
     vertices = list(g.vertices)
@@ -361,11 +373,7 @@ def _tsid_search(
             break
         for S in itertools.combinations(vertices, k):
             for T in itertools.combinations(t_candidates, k - 1):
-                sinks_b = [full.primed(t) for t in T] + [full.primed(w0)]
-                if full.max_flow(S, sinks_b).value != k:
-                    continue
-                sinks_c = [star.primed(t) for t in T] + [star.primed(v)]
-                if star.max_flow(S, sinks_c).value >= k:
+                if not _tsep_flows_accept(full, star, v, w0, S, T):
                     continue
                 witness = {"v": v, "w0": w0, "S": sorted(S), "T": sorted(T)}
                 state.certificates[(w0, v)] = EdgeCertificate(

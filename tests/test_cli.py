@@ -122,6 +122,15 @@ def test_verify_ratio_graph(capsys):
     assert len(payload["edges"]) == 2
 
 
+def test_verify_replays_in_discovery_order(capsys):
+    # 1 -> 5 is certified with 5 -> 6 as a prerequisite, but sorts before it.
+    code, out, _ = run(capsys, "verify", "6:17056136:14340", "--seeds", "3",
+                       "--max-set-size", "1", "--format", "json")
+    assert code == 0
+    edges = {tuple(e["edge"]) for e in json.loads(out)["edges"]}
+    assert {(1, 5), (5, 6)} <= edges
+
+
 def test_verify_empty_graph(capsys):
     code, out, _ = run(capsys, "verify", "4:0:0", "--seeds", "3", "--format", "json")
     assert code == 0
@@ -192,3 +201,15 @@ def test_env_var_max_set_size(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("SEMID_MAX_SET_SIZE", "1")
     code, _, _ = run(capsys, "identify", "5:4456:113", "--no-verify")
     assert code == 3
+
+
+def test_env_var_read_on_every_call(capsys, monkeypatch):
+    monkeypatch.delenv("SEMID_MAX_SET_SIZE", raising=False)
+    code, _, _ = run(capsys, "identify", "5:4456:113", "--no-verify", "--format", "json")
+    assert code == 3
+    monkeypatch.setenv("SEMID_MAX_SET_SIZE", "0")
+    code, _, err = run(capsys, "identify", "5:4456:113", "--no-verify")
+    assert code == 1 and "max-set-size" in err
+    monkeypatch.setenv("SEMID_MAX_SET_SIZE", "many")
+    code, _, err = run(capsys, "verify", "3:9:4", "--seeds", "1")
+    assert code == 1 and "SEMID_MAX_SET_SIZE" in err

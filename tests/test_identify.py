@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -145,6 +146,44 @@ def test_tsep_strict_implies_relaxed_random():
             accepted += 1
             assert tsep_accepts(g, v, w0, solved, S, T, strict=False)
     assert accepted >= 20  # the implication must not pass vacuously
+
+
+def _tsid_pairs(g, max_set_size):
+    """Every (S, T) pair in the order the TSID search enumerates them."""
+    for k in range(1, max_set_size + 1):
+        for S in itertools.combinations(g.vertices, k):
+            for T in itertools.combinations(g.vertices, k - 1):
+                yield list(S), list(T)
+
+
+def test_tsid_search_returns_first_accepted_pair():
+    rng = random.Random(23)
+    certified = exhausted = 0
+    for _ in range(40):
+        g = random_mixed_graph(rng, rng.randint(3, 5))
+        state = tsid_identify(g, max_set_size=3)
+        for w0, v in sorted(g.directed):
+            cert = state.certificates.get((w0, v))
+            if cert is not None:
+                # the search ran with exactly the prerequisites as solved siblings
+                solved = [s for s, _ in cert.prerequisites]
+                found = (cert.witness["S"], cert.witness["T"])
+                certified += 1
+            elif v not in g.descendants(v):
+                # the last, unchanged pass searched with the final solved set
+                solved = [s for s in state.solved_parents(g, v) if s != w0]
+                found = None
+                exhausted += 1
+            else:
+                continue
+            for S, T in _tsid_pairs(g, 3):
+                if (S, T) == found:
+                    assert tsep_accepts(g, v, w0, solved, S, T)
+                    break
+                assert not tsep_accepts(g, v, w0, solved, S, T)
+            else:
+                assert found is None
+    assert certified >= 40 and exhausted >= 10
 
 
 def test_eid_tsid_ratio_graph_fully_solved():
