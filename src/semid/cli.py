@@ -26,6 +26,7 @@ EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
 EXIT_INFINITE_TO_ONE = 2
 EXIT_UNKNOWN = 3
+EXIT_REPLAY_FAILED = 4
 
 _CODE_RE = re.compile(r"^\d+:\d+:\d+$")
 
@@ -180,12 +181,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     # discovery order, so every certificate replays after its prerequisites
     identifiable = list(identify.eid_tsid_identify(g, args.max_set_size).certificates.values())
     seeds = [args.seed + 7919 * i for i in range(args.seeds)]
-    status = EXIT_OK
     try:
         errors = identify.verify_certificates(g, identifiable, seeds, args.tolerance)
     except identify.CertificateError as exc:
         _emit(f"verification FAILED: {exc}", args.output)
-        return EXIT_INFINITE_TO_ONE
+        return EXIT_REPLAY_FAILED
     if args.format == "json":
         payload = {
             "seeds": args.seeds,
@@ -202,7 +202,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         ]
         lines.append(f"all {len(errors)} identifiable edges within {args.tolerance:g}")
         _emit("\n".join(lines), args.output)
-    return status
+    return EXIT_OK
 
 
 _ALGORITHMS = ("htc", "eid", "tsid", "eid+tsid")
@@ -353,7 +353,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_INPUT_ERROR
     except identify.CertificateError as exc:
         print(f"certificate error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        return EXIT_REPLAY_FAILED
+    except oracle.DegenerateSampleError as exc:
+        print(f"degenerate sample: {exc}", file=sys.stderr)
+        return EXIT_REPLAY_FAILED
 
 
 if __name__ == "__main__":

@@ -83,6 +83,11 @@ def validate_parameters(g: MixedGraph, p: Parameters, tol: float = 1e-12) -> lis
     return problems
 
 
+def _index_pairs(pairs: list[tuple[int, int]]) -> tuple[list[int], list[int]]:
+    """Zero-based row and column indices of 1-based vertex pairs."""
+    return [a - 1 for a, _ in pairs], [b - 1 for _, b in pairs]
+
+
 def sample_parameters(g: MixedGraph, seed: int, config: SampleConfig | None = None) -> Parameters:
     """Draw a generic parameter point for the graph, deterministically in seed.
 
@@ -98,14 +103,14 @@ def sample_parameters(g: MixedGraph, seed: int, config: SampleConfig | None = No
     cfg = config or SampleConfig()
     rng = np.random.default_rng(seed)
     n = g.n
-    edges = sorted(g.directed)
+    tails, heads = _index_pairs(sorted(g.directed))
+    span = cfg.coeff_max - cfg.coeff_min
 
     lam = np.zeros((n, n))
     for _ in range(cfg.max_rejections):
-        for v, w in edges:
-            magnitude = rng.uniform(cfg.coeff_min, cfg.coeff_max)
-            sign = 1.0 if rng.random() < 0.5 else -1.0
-            lam[v - 1, w - 1] = sign * magnitude
+        # Per edge, in sorted order: one draw for the magnitude, one for the sign.
+        u = rng.random(2 * len(tails))
+        lam[tails, heads] = np.where(u[1::2] < 0.5, 1.0, -1.0) * (cfg.coeff_min + span * u[0::2])
         if abs(np.linalg.det(np.eye(n) - lam)) > cfg.rejection_tolerance:
             break
     else:
@@ -114,13 +119,12 @@ def sample_parameters(g: MixedGraph, seed: int, config: SampleConfig | None = No
         )
 
     omega = np.zeros((n, n))
-    for u, w in sorted(g.bidirected):
-        value = rng.uniform(-cfg.omega_offdiag, cfg.omega_offdiag)
-        omega[u - 1, w - 1] = value
-        omega[w - 1, u - 1] = value
+    ends_a, ends_b = _index_pairs(sorted(g.bidirected))
+    values = rng.uniform(-cfg.omega_offdiag, cfg.omega_offdiag, size=len(ends_a))
+    omega[ends_a, ends_b] = values
+    omega[ends_b, ends_a] = values
     row_sums = np.sum(np.abs(omega), axis=1)
-    for v in range(n):
-        omega[v, v] = row_sums[v] + rng.uniform(cfg.diag_pad_min, cfg.diag_pad_max)
+    omega[np.diag_indices(n)] = row_sums + rng.uniform(cfg.diag_pad_min, cfg.diag_pad_max, size=n)
     return Parameters(lam=lam, omega=omega)
 
 
@@ -208,20 +212,38 @@ def trek_monomial(trek: Trek, p: Parameters) -> float:
     return value
 
 
-def subdeterminant(sigma: NDArray, rows: Iterable[int], cols: Iterable[int]) -> float:
+def subdeterminant(sigma: NDArray, rows: Iterable[int], cols: Iterable[int]) -> NDArray:
     """Determinant of the submatrix with the given ordered rows and columns.
 
-    The sign depends on the orderings; callers that take ratios must use
-    consistent orderings on both sides.
+    ``sigma`` may be a stack of shape (..., n, n); the result then has shape
+    (...).  The sign depends on the orderings; callers that take ratios must
+    use consistent orderings on both sides.
     """
     rows = list(rows)
     cols = list(cols)
     if len(rows) != len(cols):
         raise ValueError(f"need a square submatrix, got {len(rows)} rows, {len(cols)} cols")
     if not rows:
-        return 1.0
-    sub = sigma[np.ix_([r - 1 for r in rows], [c - 1 for c in cols])]
-    return float(np.linalg.det(sub))
+        return np.ones(sigma.shape[:-2])[()]
+    sub = sigma[(..., *np.ix_([r - 1 for r in rows], [c - 1 for c in cols]))]
+    return np.linalg.det(sub)
+
+
+def _require_generic(values: NDArray, tol: float, label: str) -> None:
+    """Raise when any of the values is within ``tol`` of zero."""
+    small = np.abs(values) <= tol
+    if np.any(small):
+        first = np.asarray(values)[small][0]
+        raise DegenerateSampleError(f"{label} {first:.3e} below tolerance")
+
+
+def _solve(
+    a: NDArray, rhs: NDArray, targets: list[int], v: int, tol: float, label: str
+) -> dict[DirectedEdge, NDArray]:
+    """Solve the (..., k, k) systems a x = rhs; x[..., j] is the edge targets[j] -> v."""
+    _require_generic(np.linalg.det(a), tol, label)
+    solution = np.linalg.solve(a, rhs[..., None])[..., 0]
+    return {(w, v): x for w, x in zip(targets, np.moveaxis(solution, -1, 0))}
 
 
 def numeric_rank(matrix: NDArray, rtol: float = RANK_RTOL) -> int:
@@ -240,17 +262,18 @@ def recover_edge_ratio(
     T: Iterable[int],
     v: int,
     w0: int,
-    known: Mapping[DirectedEdge, float] | None = None,
+    known: Mapping[DirectedEdge, NDArray] | None = None,
     tol: float = DEGENERACY_TOL,
-) -> float:
+) -> NDArray:
     """Recover the coefficient of w0 -> v as a ratio of subdeterminants.
 
     Evaluates (|S x (T+v)| - sum_i known[wi->v] |S x (T+wi)|) / |S x (T+w0)|
     where the sum runs over the already-known coefficients of other edges
-    into v supplied in ``known``.
+    into v supplied in ``known``.  For a stack ``sigma`` of shape (..., n, n)
+    the known values and the result have shape (...).
 
     Raises:
-        DegenerateSampleError: the denominator is below tolerance, which
+        DegenerateSampleError: some denominator is below tolerance, which
             signals a non-generic sample; the caller should resample.
     """
     S = list(S)
@@ -258,8 +281,7 @@ def recover_edge_ratio(
     if len(S) != len(T) + 1:
         raise ValueError(f"need |S| = |T| + 1, got {len(S)} and {len(T)}")
     denominator = subdeterminant(sigma, S, T + [w0])
-    if abs(denominator) <= tol:
-        raise DegenerateSampleError(f"denominator |sigma[S, T+{w0}]| = {denominator:.3e} below tolerance")
+    _require_generic(denominator, tol, f"denominator |sigma[S, T+{w0}]| =")
     numerator = subdeterminant(sigma, S, T + [v])
     for (wi, head), value in (known or {}).items():
         if head != v:
@@ -275,18 +297,21 @@ def solve_recovery_system(
     S: Iterable[int],
     Y: Iterable[int],
     H: Iterable[Iterable[int]],
-    known: Mapping[DirectedEdge, float] | None = None,
+    known: Mapping[DirectedEdge, NDArray] | None = None,
     tol: float = DEGENERACY_TOL,
-) -> dict[DirectedEdge, float]:
+) -> dict[DirectedEdge, NDArray]:
     """Solve the half-trek linear system for the edges E -> v.
 
     Row i comes from source Y[i], whose parents H[i] (those half-trek
     reachable from v) are stripped out using the known coefficients; already
     solved parents S of v are moved to the right-hand side.  The system
     matrix is A[i, j] = sigma[y_i, e_j] - sum_h sigma[h, e_j] known[h->y_i].
+    For a stack ``sigma`` of shape (..., n, n) the known values and the
+    recovered ones have shape (...).
 
     Raises:
-        DegenerateSampleError: |det A| below tolerance (non-generic sample).
+        DegenerateSampleError: some |det A| is below tolerance (non-generic
+            sample).
     """
     E = list(E)
     S = list(S)
@@ -301,27 +326,22 @@ def solve_recovery_system(
     if k == 0:
         return {}
 
-    def corrected(y: int, hs: list[int], col: int) -> float:
-        value = sigma[y - 1, col - 1]
+    cols = [c - 1 for c in E + S]
+    rows = []
+    rhs = []
+    for y, hs in zip(Y, H):
+        # sigma[y, col] - sum_h sigma[h, col] known[h->y] for the columns E + S
+        corrected = sigma[..., y - 1, cols]
         for h in hs:
-            value -= sigma[h - 1, col - 1] * known[(h, y)]
-        return value
-
-    a = np.empty((k, k))
-    rhs = np.empty(k)
-    for i, (y, hs) in enumerate(zip(Y, H)):
-        for j, e in enumerate(E):
-            a[i, j] = corrected(y, hs, e)
-        r = sigma[y - 1, v - 1]
-        for s in S:
-            r -= corrected(y, hs, s) * known[(s, v)]
+            corrected = corrected - sigma[..., h - 1, cols] * np.expand_dims(known[(h, y)], -1)
+        rows.append(corrected[..., :k])
+        r = sigma[..., y - 1, v - 1]
+        for j, s in enumerate(S):
+            r = r - corrected[..., k + j] * known[(s, v)]
         for h in hs:
-            r -= sigma[v - 1, h - 1] * known[(h, y)]
-        rhs[i] = r
-    if abs(np.linalg.det(a)) <= tol:
-        raise DegenerateSampleError(f"system determinant {np.linalg.det(a):.3e} below tolerance")
-    solution = np.linalg.solve(a, rhs)
-    return {(e, v): float(solution[j]) for j, e in enumerate(E)}
+            r = r - sigma[..., v - 1, h - 1] * known[(h, y)]
+        rhs.append(r)
+    return _solve(np.stack(rows, axis=-2), np.stack(rhs, axis=-1), E, v, tol, "system determinant")
 
 
 def solve_determinantal_system(
@@ -330,15 +350,15 @@ def solve_determinantal_system(
     v: int,
     targets: Iterable[int],
     tol: float = DEGENERACY_TOL,
-) -> dict[DirectedEdge, float]:
+) -> dict[DirectedEdge, NDArray]:
     """Jointly recover several edges into v from determinantal equations.
 
     Row i is built from the source/target pair (S_i, T_i): the matrix entry
     for target w_j is |sigma[S_i, T_i + w_j]| and the right-hand side is
-    |sigma[S_i, T_i + v]|.
+    |sigma[S_i, T_i + v]|.  ``sigma`` may be a stack of shape (..., n, n).
 
     Raises:
-        DegenerateSampleError: the system determinant is below tolerance.
+        DegenerateSampleError: some system determinant is below tolerance.
     """
     rows = [(list(s), list(t)) for s, t in rows]
     targets = list(targets)
@@ -350,16 +370,12 @@ def solve_determinantal_system(
     k = len(targets)
     if k == 0:
         return {}
-    a = np.empty((k, k))
-    rhs = np.empty(k)
-    for i, (s, t) in enumerate(rows):
-        for j, w in enumerate(targets):
-            a[i, j] = subdeterminant(sigma, s, t + [w])
-        rhs[i] = subdeterminant(sigma, s, t + [v])
-    if abs(np.linalg.det(a)) <= tol:
-        raise DegenerateSampleError(f"joint system determinant {np.linalg.det(a):.3e} below tolerance")
-    solution = np.linalg.solve(a, rhs)
-    return {(w, v): float(solution[j]) for j, w in enumerate(targets)}
+    a = np.stack([
+        np.stack([subdeterminant(sigma, s, t + [w]) for w in targets], axis=-1)
+        for s, t in rows
+    ], axis=-2)
+    rhs = np.stack([subdeterminant(sigma, s, t + [v]) for s, t in rows], axis=-1)
+    return _solve(a, rhs, targets, v, tol, "joint system determinant")
 
 
 def _free_parameters(g: MixedGraph) -> list[tuple[str, int, int]]:

@@ -1,7 +1,7 @@
 import json
 
-from semid import graph_from_json, graph_to_json
-from semid.cli import main
+from semid import graph_from_json, graph_to_json, identify, oracle
+from semid.cli import EXIT_REPLAY_FAILED, main
 
 from conftest import CORPUS_PATH, IV_GRAPH, ONE_EDGE_NONID_GRAPH
 
@@ -213,3 +213,34 @@ def test_env_var_read_on_every_call(capsys, monkeypatch):
     monkeypatch.setenv("SEMID_MAX_SET_SIZE", "many")
     code, _, err = run(capsys, "verify", "3:9:4", "--seeds", "1")
     assert code == 1 and "SEMID_MAX_SET_SIZE" in err
+
+
+def _broken_state(g, max_set_size=None):
+    """IV graph state whose 2->3 certificate recovers sigma23 / sigma22, not lambda23."""
+    cert = identify.EdgeCertificate(
+        edge=(2, 3), status=identify.IDENTIFIABLE, method="TSID",
+        witness={"v": 3, "w0": 2, "S": [2], "T": []},
+    )
+    return identify.SolverState({(2, 3): cert})
+
+
+def _degenerate(g, seed, config=None):
+    raise oracle.DegenerateSampleError(f"forced at seed {seed}")
+
+
+def test_replay_failure_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr(identify, "eid_tsid_identify", _broken_state)
+    code, out, _ = run(capsys, "verify", "3:9:4", "--seeds", "3")
+    assert code == EXIT_REPLAY_FAILED
+    assert out.startswith("verification FAILED: edge 2->3 (TSID)")
+    code, out, err = run(capsys, "identify", "3:9:4")
+    assert code == EXIT_REPLAY_FAILED
+    assert out == "" and "certificate error: edge 2->3 (TSID)" in err
+
+
+def test_degenerate_sample_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr(oracle, "sample_parameters", _degenerate)
+    for command in ("identify", "verify", "sample"):
+        code, out, err = run(capsys, command, "3:9:4")
+        assert code == EXIT_REPLAY_FAILED
+        assert out == "" and "degenerate sample: forced at seed 0" in err

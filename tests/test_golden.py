@@ -3,7 +3,9 @@
 Each digest is the SHA-256 of canonical JSON.  Certification reports drop the
 ``max_rel_err`` replay figures, which depend on floating-point details rather
 than on the decisions.  A refactor of the flow kernel or the solvers that
-changes any certificate, path witness or cut fails here.
+changes any certificate, path witness or cut fails here.  The replay numerics
+are pinned separately: the bytes of sampled parameters and the full-precision
+replay errors of ``verify_certificates``.
 """
 
 from __future__ import annotations
@@ -15,7 +17,17 @@ import random
 
 import pytest
 
-from semid import GraphId, certify, decode_id, htc_identify
+from semid import (
+    GraphId,
+    MixedGraph,
+    certify,
+    decode_id,
+    eid_tsid_identify,
+    htc_identify,
+    joint_certificate,
+    sample_parameters,
+    verify_certificates,
+)
 from semid.flow import build_flow_graph, build_restricted_flow_graph, t_separating_cut
 
 from conftest import (
@@ -81,6 +93,31 @@ HTC_DIGEST = "896f038fa23bf1090e164b2058dd936036941afa8a06d2713e3883aa8e0cbae6"
 SEEDED_DIGEST = "d9d824667cd7932525ce45aa4bef781b1410a799c2325b6b9ec1fac3fc52b7c0"
 FLOW_DIGEST = "037415001f3fa3237fa3d6c0f48638d292b046ae0ed135f79b334a712d0b1e9a"
 
+# Seed 139 of this graph rejects its first coefficient draw (I - lambda too
+# close to singular), so sampling takes the rejection loop.
+REJECTING_CYCLIC_GRAPH = MixedGraph(
+    4, [(1, 2), (2, 3), (3, 4), (4, 1), (2, 4), (4, 2), (1, 3), (3, 1)], [(1, 3)]
+)
+NO_BIDIRECTED_GRAPH = MixedGraph(4, [(1, 2), (1, 3), (2, 3), (3, 4)], [])
+SAMPLE_GRAPHS = {
+    **FIXTURES,
+    "rejecting_cyclic": REJECTING_CYCLIC_GRAPH,
+    "no_bidirected": NO_BIDIRECTED_GRAPH,
+}
+SAMPLE_SEEDS = [0, 1, 2, 3, 4, 139, 1287]
+SAMPLE_DIGESTS = {
+    "descendant_source": "4cf1ac60550f6b5e65664aaec7111bd5870c33e40d3b6520d1dfb24491382ccb",
+    "htc_fail": "6310044d2299d20e320bd01ebbc8577a459ff80a1fe8bcb73d7a6e821eaf35a3",
+    "inconclusive_acyclic": "a3e38db5fa469db0580f1da89ce5942320850cc875aeadbeaa2955ff0fc3e5a9",
+    "inconclusive_cyclic": "e50a97e4aa877e9a314aa880203ef9b61f4bf6753f82cbc7dd035fb08f334d2b",
+    "iv": "9c3ffb95a5c5b390c7a3d9f4f4888f40de655795f36bf222bc7c2c145d8e96b9",
+    "joint_system": "6c02bd9214cf4c361af23fb2c18750bfda9565fe1d64aeed584689421ba34ca2",
+    "no_bidirected": "918efdf1280124dcd2e251602ed91500491a0fb334f6132d78f3910384900d55",
+    "one_edge_nonid": "08ff526342bffd1248628bf8e928f4916d8e4ce4f327753c8e64764d2ce75e47",
+    "rejecting_cyclic": "d82c0d88ae12a575311201b67dba1c378413778116bb60761ac5ef79c69c0b58",
+}
+VERIFY_ERRORS_DIGEST = "c83e693a08299f8c64f6167d35c5e41669d03ca9793551628ee2323d9a23f8db"
+
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
 def test_fixture_certificates_unchanged(name):
@@ -129,3 +166,31 @@ def test_flow_paths_and_cuts_unchanged():
                 left, right = t_separating_cut(g, S, T)
                 records.append([name, S, T, list(left), list(right)])
     assert _digest(records) == FLOW_DIGEST
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLE_GRAPHS))
+def test_sampled_parameters_unchanged(name):
+    digest = hashlib.sha256()
+    for seed in SAMPLE_SEEDS:
+        params = sample_parameters(SAMPLE_GRAPHS[name], seed)
+        digest.update(params.lam.tobytes())
+        digest.update(params.omega.tobytes())
+    assert digest.hexdigest() == SAMPLE_DIGESTS[name]
+
+
+def test_verify_errors_unchanged():
+    """Full-precision max relative replay errors over 20 seeds, for every method."""
+    seeds = [7919 * i for i in range(20)]
+    errors = {}
+    for name, g in sorted(FIXTURES.items()):
+        for solver in (eid_tsid_identify, htc_identify):
+            certs = list(solver(g).certificates.values())
+            errors[f"{solver.__name__}:{name}"] = [
+                [list(e), err] for e, err in verify_certificates(g, certs, seeds).items()
+            ]
+    g = FIXTURES["joint_system"]
+    joint = joint_certificate(g, 6, [4, 5], [([3, 5], [1]), ([2, 4], [1])])
+    errors["joint_system_joint"] = [
+        [list(e), err] for e, err in verify_certificates(g, joint, seeds).items()
+    ]
+    assert _digest(errors) == VERIFY_ERRORS_DIGEST

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from semid import (
@@ -19,7 +20,17 @@ from semid import (
     tsid_identify,
     verify_certificates,
 )
-from semid.identify import IDENTIFIABLE, INFINITE_TO_ONE, UNKNOWN, CertificateError, SolverState
+from semid import oracle
+from semid.identify import (
+    IDENTIFIABLE,
+    INFINITE_TO_ONE,
+    UNKNOWN,
+    CertificateError,
+    EdgeCertificate,
+    SolverState,
+    _replay_with_resampling,
+)
+from semid.oracle import DegenerateSampleError
 
 from conftest import (
     DESCENDANT_SOURCE_GRAPH,
@@ -326,3 +337,82 @@ def test_certificate_json_shape():
         assert "prerequisites" in entry["witness"]
         if entry["method"] == "TSID":
             assert len(entry["witness"]["S"]) == len(entry["witness"]["T"]) + 1
+
+
+def _replay_graphs():
+    graphs = [IV_GRAPH, HTC_FAIL_GRAPH, DESCENDANT_SOURCE_GRAPH, ONE_EDGE_NONID_GRAPH,
+              JOINT_SYSTEM_GRAPH]
+    graphs += [random_mixed_graph(random.Random(300 + i), 4 + i % 3, acyclic=i % 2 == 0)
+               for i in range(10)]
+    return graphs
+
+
+def test_batched_replay_matches_per_seed():
+    for g in _replay_graphs():
+        sigmas = [covariance(sample_parameters(g, seed)) for seed in range(4)]
+        for solver in (htc_identify, eid_tsid_identify):
+            certs = list(solver(g).certificates.values())
+            batched = replay_certificates(certs, np.stack(sigmas))
+            for i, sigma in enumerate(sigmas):
+                single = replay_certificates(certs, sigma)
+                assert {e: x[i] for e, x in batched.items()} == single
+
+
+def test_replay_solves_each_system_once(monkeypatch):
+    calls = []
+    original = oracle.solve_recovery_system
+    monkeypatch.setattr(oracle, "solve_recovery_system",
+                        lambda *args, **kwargs: calls.append(1) or original(*args, **kwargs))
+    certs = list(htc_identify(JOINT_SYSTEM_GRAPH).certificates.values())
+    replay_certificates(certs, covariance(sample_parameters(JOINT_SYSTEM_GRAPH, 0)))
+    assert len(calls) == len({id(c.witness) for c in certs}) < len(certs)
+
+
+def _per_seed_errors(g, certs, seeds):
+    """The replay loop that verify_certificates batches: one seed at a time."""
+    errors = {c.edge: 0.0 for c in certs}
+    for seed in seeds:
+        params, recovered = _replay_with_resampling(g, certs, seed)
+        for c in certs:
+            u, w = c.edge
+            truth = params.lam[u - 1, w - 1]
+            rel = abs(recovered[c.edge] - truth) / max(abs(truth), 1e-12)
+            errors[c.edge] = max(errors[c.edge], rel)
+    return errors
+
+
+def test_verify_falls_back_per_seed_on_degenerate_batch(monkeypatch):
+    g = HTC_FAIL_GRAPH
+    certs = list(eid_tsid_identify(g).certificates.values())
+    seeds = [7919 * i for i in range(5)]
+    bad = covariance(sample_parameters(g, seeds[2]))
+    original = oracle.recover_edge_ratio
+    raised = []
+
+    def flaky(sigma, *args, **kwargs):
+        if np.any(np.all(sigma == bad, axis=(-2, -1))):
+            raised.append(sigma.shape)
+            raise DegenerateSampleError("forced")
+        return original(sigma, *args, **kwargs)
+
+    monkeypatch.setattr(oracle, "recover_edge_ratio", flaky)
+    errors = verify_certificates(g, certs, seeds)
+    assert raised == [(5, 5, 5), (5, 5)]  # the batch, then seed 2 before it resamples
+    assert errors == _per_seed_errors(g, certs, seeds)
+
+
+def test_verify_reports_first_failing_seed_then_edge():
+    # Both certificates are wrong; 2->3 fails only at seed 0, 1->2 at every
+    # seed.  Seed order comes first, then replay order within a seed.
+    wrong = [
+        EdgeCertificate(edge=(2, 3), status=IDENTIFIABLE, method="TSID",
+                        witness={"v": 3, "w0": 2, "S": [2], "T": []}),
+        EdgeCertificate(edge=(1, 2), status=IDENTIFIABLE, method="TSID",
+                        witness={"v": 2, "w0": 1, "S": [2], "T": []}),
+    ]
+    with pytest.raises(CertificateError) as exc:
+        verify_certificates(IV_GRAPH, wrong, [4, 0, 3], tolerance=0.4)
+    assert str(exc.value) == (
+        "edge 1->2 (TSID): recovered -2.63473780146 vs sampled -0.960139273901 "
+        "(rel err 1.744e+00 > 0.4, seed 4)"
+    )

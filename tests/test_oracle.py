@@ -340,3 +340,35 @@ def test_solve_determinantal_system_degenerate():
     rows = [([3, 5], [1]), ([3, 5], [1])]  # identical rows force det 0
     with pytest.raises(DegenerateSampleError):
         solve_determinantal_system(sig, rows, 6, [4, 5])
+
+
+def test_oracle_functions_accept_a_stack():
+    """Each slice of a result on a 3-stack equals the result on that slice alone."""
+    g = JOINT_SYSTEM_GRAPH
+    sigmas = [covariance(sample_parameters(g, seed)) for seed in (3, 4, 5)]
+    stack = np.stack(sigmas)
+    known = np.array([0.4, -0.8, 0.6])
+    rows = [([3, 5], [1]), ([2, 4], [1])]
+    for case in (
+        lambda s, k: subdeterminant(s, [1, 2, 3], [4, 6, 5]),
+        lambda s, k: subdeterminant(s, [], []),
+        lambda s, k: recover_edge_ratio(s, [3, 5], [1], 6, 4, known={(5, 6): k}),
+        lambda s, k: solve_determinantal_system(s, rows, 6, [4, 5])[(4, 6)],
+        lambda s, k: solve_determinantal_system(s, rows, 6, [4, 5])[(5, 6)],
+        lambda s, k: solve_recovery_system(s, 6, [4, 5], [], [2, 3], [[1], [1]],
+                                           known={(1, 2): k, (1, 3): -k})[(5, 6)],
+    ):
+        batched = case(stack, known)
+        assert batched.shape == (3,)
+        assert list(batched) == [case(s, k) for s, k in zip(sigmas, known)]
+
+
+def test_stacked_degeneracy_in_one_slice_raises():
+    sigma = covariance(sample_parameters(JOINT_SYSTEM_GRAPH, seed=3))
+    stack = np.stack([sigma, np.ones_like(sigma), sigma])
+    with pytest.raises(DegenerateSampleError):
+        solve_determinantal_system(stack, [([3, 5], [1]), ([2, 4], [1])], 6, [4, 5])
+    with pytest.raises(DegenerateSampleError):
+        recover_edge_ratio(stack, [3, 5], [1], 6, 4)
+    with pytest.raises(DegenerateSampleError):
+        solve_recovery_system(stack, 6, [4, 5], [], [2, 3], [[], []])
