@@ -115,7 +115,7 @@ def cmd_identify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_rank(args: argparse.Namespace, with_cut: bool = False) -> int:
+def cmd_rank(args: argparse.Namespace) -> int:
     g = load_graph(args.graph)
     S = _parse_vertices(args.sources)
     T = _parse_vertices(args.targets)
@@ -124,7 +124,7 @@ def cmd_rank(args: argparse.Namespace, with_cut: bool = False) -> int:
             raise InputError(f"vertex {x} outside 1..{g.n}")
     rank = generic_rank(g, S, T)
     payload: dict = {"rank": rank}
-    show_cut = with_cut or args.cut
+    show_cut = args.with_cut or args.cut
     if show_cut:
         left, right = t_separating_cut(g, S, T)
         payload["cut"] = {"L": list(left), "R": list(right)}
@@ -180,7 +180,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     g = load_graph(args.graph)
     # discovery order, so every certificate replays after its prerequisites
     identifiable = list(identify.eid_tsid_identify(g, args.max_set_size).certificates.values())
-    seeds = [args.seed + 7919 * i for i in range(args.seeds)]
+    seeds = identify._verification_seeds(args.seed, args.seeds)
     try:
         errors = identify.verify_certificates(g, identifiable, seeds, args.tolerance)
     except identify.CertificateError as exc:
@@ -345,8 +345,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         max_set_size = getattr(args, "max_set_size", None)
         if max_set_size is not None and max_set_size < 1:
             raise InputError("max-set-size must be at least 1")
-        if args.func is cmd_rank:
-            return cmd_rank(args, with_cut=args.with_cut)
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

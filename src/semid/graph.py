@@ -2,15 +2,16 @@
 
 A mixed graph has directed edges (linear effects) and bidirected edges
 (correlated errors / latent confounding).  Vertices are labeled 1..n in all
-public interfaces.  Graphs are immutable and hashable, so the reachability
-queries below are memoized per graph and safe for concurrent readers.
+public interfaces.  Graphs are immutable and hashable.  Each graph memoizes
+its derived sets (adjacency, descendants, trek and half-trek reach),
+acyclicity and validity on the instance itself, so they are computed once
+per graph and freed with it.  Equality, hashing and repr ignore the memo.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, NamedTuple
 
 
@@ -45,6 +46,7 @@ class MixedGraph:
             "bidirected",
             frozenset((min(u, w), max(u, w)) for u, w in bidirected),
         )
+        object.__setattr__(self, "_memo", {})
 
     @property
     def vertices(self) -> range:
@@ -60,16 +62,16 @@ class MixedGraph:
     def parents(self, v: int) -> frozenset[int]:
         """pa(v): tails of directed edges with head v."""
         _check_vertex(self, v)
-        return _parents(self, v)
+        return _cached(self, _adjacency)[0].get(v, _NONE)
 
     def children(self, v: int) -> frozenset[int]:
         _check_vertex(self, v)
-        return frozenset(w for u, w in self.directed if u == v)
+        return _cached(self, _adjacency)[1].get(v, _NONE)
 
     def siblings(self, v: int) -> frozenset[int]:
         """sib(v): vertices joined to v by a bidirected edge."""
         _check_vertex(self, v)
-        return _siblings(self, v)
+        return _cached(self, _adjacency)[2].get(v, _NONE)
 
     def descendants(self, v: int) -> frozenset[int]:
         """des(v): heads of non-empty directed paths from v.
@@ -77,12 +79,12 @@ class MixedGraph:
         v is its own descendant exactly when v lies on a directed cycle.
         """
         _check_vertex(self, v)
-        return _descendants(self, v)
+        return _cached(self, _descendants, v)
 
     def trek_reachable(self, v: int) -> frozenset[int]:
         """tr(v): endpoints of non-empty treks starting at v."""
         _check_vertex(self, v)
-        return _trek_reach(self, v, True)
+        return _cached(self, _trek_reach, v, True)
 
     def half_trek_reachable(self, v: int) -> frozenset[int]:
         """htr(v): endpoints of non-empty half-treks starting at v.
@@ -91,10 +93,10 @@ class MixedGraph:
         empty) directed path from a sibling of v.
         """
         _check_vertex(self, v)
-        return _trek_reach(self, v, False)
+        return _cached(self, _trek_reach, v, False)
 
     def is_acyclic(self) -> bool:
-        return _is_acyclic(self)
+        return _cached(self, _is_acyclic)
 
 
 class Neighborhoods(NamedTuple):
@@ -138,7 +140,7 @@ def validate(g: MixedGraph) -> list[str]:
 
 
 def require_valid(g: MixedGraph) -> MixedGraph:
-    problems = validate(g)
+    problems = _cached(g, validate)
     if problems:
         raise ValueError("invalid mixed graph: " + "; ".join(problems))
     return g
@@ -149,75 +151,66 @@ def _check_vertex(g: MixedGraph, v: int) -> None:
         raise ValueError(f"vertex {v} outside 1..{g.n}")
 
 
-@lru_cache(maxsize=None)
-def _parents(g: MixedGraph, v: int) -> frozenset[int]:
-    return frozenset(u for u, w in g.directed if w == v)
+def _cached(g: MixedGraph, compute, *args):
+    """compute(g, *args), memoized on g so that it is freed with g."""
+    key = (compute, *args)
+    if key not in g._memo:
+        g._memo[key] = compute(g, *args)
+    return g._memo[key]
 
 
-@lru_cache(maxsize=None)
-def _siblings(g: MixedGraph, v: int) -> frozenset[int]:
-    return frozenset(u if w == v else w for u, w in g.bidirected if v in (u, w))
+_NONE: frozenset[int] = frozenset()
 
 
-@lru_cache(maxsize=None)
-def _descendants(g: MixedGraph, v: int) -> frozenset[int]:
-    seen: set[int] = set()
-    stack = [w for u, w in g.directed if u == v]
-    while stack:
-        x = stack.pop()
-        if x in seen:
-            continue
-        seen.add(x)
-        stack.extend(w for u, w in g.directed if u == x and w not in seen)
-    return frozenset(seen)
+def _adjacency(g: MixedGraph) -> tuple[dict[int, frozenset[int]], ...]:
+    """Parent, child and sibling sets keyed by vertex; empty sets are absent.
 
-
-@lru_cache(maxsize=None)
-def _is_acyclic(g: MixedGraph) -> bool:
-    return not any(v in _descendants(g, v) for v in g.vertices)
-
-
-@lru_cache(maxsize=None)
-def _trek_reach(g: MixedGraph, v: int, use_left: bool) -> frozenset[int]:
-    """Reachability over the doubled trek topology.
-
-    Nodes are 1..n (left, climbing against directed edges) and n+1..2n
-    (right, descending along directed edges); a bidirected edge or the
-    pass-through arc i -> i' switches sides.  Paths from v to w' are exactly
-    the treks from v to w; dropping the left-climbing arcs restricts to
-    half-treks.  The lone arc v -> v' is the empty trek and does not count.
+    Keys come from the edges, so an invalid graph's out-of-range endpoints
+    get entries too and traversals over them never fail.
     """
-    n = g.n
-    adj: dict[int, list[int]] = {x: [] for x in range(1, 2 * n + 1)}
+    pa, ch, sib = {}, {}, {}
     for u, w in g.directed:
-        if use_left:
-            adj[w].append(u)  # climb from head to tail on the left
-        adj[n + u].append(n + w)  # descend on the right
+        pa.setdefault(w, set()).add(u)
+        ch.setdefault(u, set()).add(w)
     for u, w in g.bidirected:
-        adj[u].append(n + w)
-        adj[w].append(n + u)
-    for x in g.vertices:
-        adj[x].append(n + x)
+        sib.setdefault(u, set()).add(w)
+        sib.setdefault(w, set()).add(u)
+    return tuple({x: frozenset(s) for x, s in m.items()} for m in (pa, ch, sib))
 
-    seen = {v}
-    stack = [v]
+
+def _reach(adj: dict[int, frozenset[int]], starts: Iterable[int]) -> set[int]:
+    """Heads of non-empty paths along ``adj`` from any vertex in ``starts``."""
+    seen: set[int] = set()
+    stack = list(starts)
     while stack:
-        x = stack.pop()
-        for y in adj[x]:
+        for y in adj.get(stack.pop(), _NONE):
             if y not in seen:
                 seen.add(y)
                 stack.append(y)
+    return seen
 
-    reached = set()
-    for w in g.vertices:
-        if w != v and n + w in seen:
-            reached.add(w)
-    # v' entered through anything other than the trivial arc v -> v' marks a
-    # non-empty trek back to the source.
-    vprime_in = {z for z in g.siblings(v)} | {n + u for u in g.parents(v)}
-    if any(x in seen for x in vprime_in):
-        reached.add(v)
-    return frozenset(reached)
+
+def _descendants(g: MixedGraph, v: int) -> frozenset[int]:
+    return frozenset(_reach(_cached(g, _adjacency)[1], (v,)))
+
+
+def _is_acyclic(g: MixedGraph) -> bool:
+    return not any(v in _cached(g, _descendants, v) for v in g.vertices)
+
+
+def _trek_reach(g: MixedGraph, v: int, use_left: bool) -> frozenset[int]:
+    """Endpoints of non-empty treks (or half-treks) from v.
+
+    A trek climbs from v to a top among its ancestors-or-self L (just {v}
+    for a half-trek), may cross one bidirected edge, then descends.  So the
+    endpoints are L, the siblings of L and everything below those; v itself
+    counts only when a non-empty trek returns to it, that is when v is a
+    sibling of L or lies below L or its siblings.
+    """
+    pa, ch, sib = _cached(g, _adjacency)
+    left = {v} | _reach(pa, (v,)) if use_left else {v}
+    tops = set().union(*(sib.get(x, _NONE) for x in left))
+    return frozenset((left - {v}) | tops | _reach(ch, left | tops))
 
 
 @dataclass(frozen=True)

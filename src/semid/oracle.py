@@ -10,7 +10,6 @@ functions of (graph, parameters, seed); there is no global RNG state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -166,13 +165,17 @@ def restricted_covariance(
     return np.linalg.solve(m_left.T, p.omega) @ np.linalg.inv(m_right)
 
 
-@lru_cache(maxsize=None)
-def _directed_paths_from(g: MixedGraph, start: int) -> tuple[tuple[int, ...], ...]:
-    """All directed paths out of ``start`` in an acyclic graph, incl. trivial."""
-    paths = [(start,)]
-    for child in sorted(g.children(start)):
-        paths.extend((start,) + tail for tail in _directed_paths_from(g, child))
-    return tuple(paths)
+def _directed_paths_from(g: MixedGraph, start: int, memo: dict) -> tuple[tuple[int, ...], ...]:
+    """All directed paths out of ``start`` in an acyclic graph, incl. trivial.
+
+    ``memo`` holds the paths out of every start already expanded.
+    """
+    if start not in memo:
+        paths = [(start,)]
+        for child in sorted(g.children(start)):
+            paths.extend((start,) + tail for tail in _directed_paths_from(g, child, memo))
+        memo[start] = tuple(paths)
+    return memo[start]
 
 
 def enumerate_treks(g: MixedGraph, v: int, w: int) -> list[Trek]:
@@ -184,20 +187,21 @@ def enumerate_treks(g: MixedGraph, v: int, w: int) -> list[Trek]:
     require_valid(g)
     if not g.is_acyclic():
         raise ValueError("trek enumeration requires an acyclic directed part")
+    memo: dict[int, tuple[tuple[int, ...], ...]] = {}
     treks = []
     for top in g.vertices:
-        for left in _directed_paths_from(g, top):
+        for left in _directed_paths_from(g, top, memo):
             if left[-1] != v:
                 continue
-            for right in _directed_paths_from(g, top):
+            for right in _directed_paths_from(g, top, memo):
                 if right[-1] == w:
                     treks.append(Trek(tuple(reversed(left)), right, False))
     for a, b in sorted(g.bidirected):
         for u, z in ((a, b), (b, a)):
-            for left in _directed_paths_from(g, u):
+            for left in _directed_paths_from(g, u, memo):
                 if left[-1] != v:
                     continue
-                for right in _directed_paths_from(g, z):
+                for right in _directed_paths_from(g, z, memo):
                     if right[-1] == w:
                         treks.append(Trek(tuple(reversed(left)), right, True))
     return treks

@@ -65,6 +65,9 @@ def test_rank_and_cut(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["rank"] == 3
     assert len(payload["cut"]["L"]) + len(payload["cut"]["R"]) == 3
+    code, rank_cut_out, _ = run(capsys, "rank", path, "-S", "1,2,4", "-T", "1,3,5",
+                                "--cut", "--format", "json")
+    assert code == 0 and rank_cut_out == out
 
     bar = tmp_path / "bar.json"
     bar.write_text(

@@ -1,4 +1,7 @@
+import gc
 import random
+import sys
+import weakref
 
 import pytest
 
@@ -13,7 +16,10 @@ from semid import (
     neighborhoods,
     validate,
 )
+from semid.flow import build_restricted_flow_graph, generic_rank
 from semid.graph import infinite_to_one_record
+from semid.identify import certify, htc_identify
+from semid.oracle import enumerate_treks
 
 from conftest import HTC_FAIL_GRAPH, IV_GRAPH, corpus_codes, random_mixed_graph
 
@@ -71,6 +77,79 @@ def test_descendants_on_cycles():
     assert 2 in cyclic.descendants(2)
     assert 3 not in cyclic.descendants(3)
     assert not cyclic.is_acyclic()
+
+
+def _doubled_trek_reach(g: MixedGraph, v: int, use_left: bool) -> frozenset[int]:
+    """Reference trek reach: paths from v to w' over the doubled topology.
+
+    Nodes 1..n climb against directed edges, n+1..2n descend along them; a
+    bidirected edge or the pass-through arc x -> x' switches sides.  The lone
+    arc v -> v' is the empty trek and does not count.
+    """
+    n = g.n
+    adj: dict[int, list[int]] = {x: [] for x in range(1, 2 * n + 1)}
+    for u, w in g.directed:
+        if use_left:
+            adj[w].append(u)
+        adj[n + u].append(n + w)
+    for u, w in g.bidirected:
+        adj[u].append(n + w)
+        adj[w].append(n + u)
+    for x in g.vertices:
+        adj[x].append(n + x)
+    seen = {v}
+    stack = [v]
+    while stack:
+        for y in adj[stack.pop()]:
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    reached = {w for w in g.vertices if w != v and n + w in seen}
+    vprime_in = set(g.siblings(v)) | {n + u for u in g.parents(v)}
+    if seen & vprime_in:
+        reached.add(v)
+    return frozenset(reached)
+
+
+def test_reach_sets_match_flow_and_closure():
+    rng = random.Random(2012)
+    for _ in range(300):
+        g = random_mixed_graph(rng, rng.randint(1, 7))
+        half_net = build_restricted_flow_graph(g, (), g.directed)
+        closure = set(g.directed)
+        for k in g.vertices:
+            closure |= {(u, w) for u in g.vertices for w in g.vertices
+                        if (u, k) in closure and (k, w) in closure}
+        for v in g.vertices:
+            tr, htr = g.trek_reachable(v), g.half_trek_reachable(v)
+            assert g.descendants(v) == {w for w in g.vertices if (v, w) in closure}
+            assert (v in tr) == (v in _doubled_trek_reach(g, v, True))
+            assert (v in htr) == (v in _doubled_trek_reach(g, v, False))
+            for w in g.vertices:
+                if w == v:
+                    continue
+                assert (w in tr) == (generic_rank(g, [v], [w]) >= 1)
+                half_flow = half_net.max_flow([v], [half_net.primed(w)]).value
+                assert (w in htr) == (half_flow >= 1)
+
+
+def test_graph_is_freed_after_use():
+    g = MixedGraph(IV_GRAPH.n, IV_GRAPH.directed, IV_GRAPH.bidirected)
+    certify(g)
+    htc_identify(g)
+    enumerate_treks(g, 1, 3)
+    ref = weakref.ref(g)
+    del g
+    gc.collect()
+    assert ref() is None
+    memo_tables = [
+        f"{name}.{attr}"
+        for name, module in list(sys.modules.items())
+        if name == "semid" or name.startswith("semid.")
+        for attr, obj in vars(module).items()
+        if callable(getattr(obj, "cache_clear", None))
+    ]
+    assert memo_tables == []
 
 
 def test_out_of_range_vertex_raises():
