@@ -100,12 +100,34 @@ class FlowNetwork:
         The returned set has size equal to the max-flow value and meets every
         source-to-sink path.
         """
-        sources = sorted(set(sources))
-        sinks = sorted(set(sinks))
-        _, cap, free_sources, _ = self._saturate(sources, sinks)
+        sources, sinks = set(sources), set(sinks)
+        _, cap, reach = self.residual_reach(sources, sinks)
+        to, adj = self._to, self._adj
+        # A used source arc into an unreached in-node charges the source, a
+        # used sink arc out of a reached out-node charges the sink, and a
+        # saturated split or template arc charges the node it enters.
+        owners = {s for s in sources if not reach >> 2 * s & 1}
+        owners.update(t for t in sinks if reach >> 2 * t + 1 & 1)
+        owners.update(
+            to[e] // 2 for x in range(len(adj)) if reach >> x & 1 for e in adj[x]
+            if not e & 1 and not cap[e] and not reach >> to[e] & 1
+        )
+        return tuple(sorted(owners))
+
+    def residual_reach(self, sources: Iterable[int], sinks: Iterable[int]) -> tuple[int, list[int], int]:
+        """A max flow F from ``sources`` to ``sinks`` and one sweep of its residual.
+
+        Returns F's value, its residual capacities and the split nodes reached
+        from the free sources, as a bitmask with bit x for split node x.  When
+        F fills every sink, adding z as a sink raises the value exactly when
+        z's out-node is reached.  This stays exact with some arcs into z
+        removed if F avoids z and all that z reaches, and nothing z reaches
+        feeds back into z: F is still maximum there, and a residual path into
+        that region never leaves it.
+        """
+        value, cap, queue, _ = self._saturate(sorted(set(sources)), sorted(set(sinks)))
         to, adj = self._to, self._adj
         reach = bytearray(len(adj))
-        queue = free_sources
         for x in queue:
             reach[x] = 1
         for x in queue:
@@ -113,16 +135,7 @@ class FlowNetwork:
                 if cap[e] and not reach[to[e]]:
                     reach[to[e]] = 1
                     queue.append(to[e])
-        # A used source arc into an unreached in-node charges the source, a
-        # used sink arc out of a reached out-node charges the sink, and a
-        # saturated split or template arc charges the node it enters.
-        owners = {s for s in sources if not reach[2 * s]}
-        owners.update(t for t in sinks if reach[2 * t + 1])
-        owners.update(
-            to[e] // 2 for x in queue for e in adj[x]
-            if not e & 1 and not cap[e] and not reach[to[e]]
-        )
-        return tuple(sorted(owners))
+        return value, cap, sum(1 << x for x in queue)
 
     def _saturate(
         self, sources: list[int], sinks: list[int]

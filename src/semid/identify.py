@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from . import oracle
 from .flow import FlowNetwork, build_flow_graph, build_restricted_flow_graph
-from .graph import DirectedEdge, MixedGraph, infinite_to_one_record, require_valid
+from .graph import DirectedEdge, MixedGraph, _cached, infinite_to_one_record, require_valid
 from .oracle import DegenerateSampleError, Parameters
 
 IDENTIFIABLE = "identifiable"
@@ -135,7 +135,7 @@ def half_trek_system_exists(
         return True, []
     if not sources:
         return False, []
-    net = build_restricted_flow_graph(g, (), g.directed)
+    net = _cached(g, build_restricted_flow_graph, (), g.directed)
     witness = net.max_flow(sources, [net.primed(t) for t in targets])
     if witness.value < len(targets):
         return False, []
@@ -270,11 +270,20 @@ def tsep_accepts(
 
     ``solved_siblings`` are the other parents of v whose edges into v are
     already recovered; their contribution is subtracted in the numerator.
-    The relaxed test removes only the right-descending arcs of the stripped
-    edges and needs the targets (plus v) clear of v's descendants; the strict
-    variant removes the stripped edges from both sides but additionally
-    requires the sources clear of v's descendants.  The strict test never
-    accepts a pair the relaxed one rejects.
+    S must link fully to T' and w0' in the flow graph, but not to T' and v'
+    once the stripped edges are removed.  The relaxed test removes only the
+    right-descending arcs of the stripped edges and needs the targets (plus
+    v) clear of v's descendants; the strict variant removes the stripped
+    edges from both sides but additionally requires the sources clear of v's
+    descendants.  The strict test never accepts a pair the relaxed one
+    rejects.
+
+    The relaxed test probes one residual sweep of a max flow F from S to T'
+    (``FlowNetwork.residual_reach``).  As v is off every cycle and T clear of
+    des(v) and v, F never enters v' or des(v)', nor can a residual path leave
+    them.  So the pair is accepted exactly when F has value |T|, w0' is
+    reached, and no tail of v's remaining in-arcs (v, its siblings, its
+    unstripped parents') is.
     """
     S = sorted(set(S))
     T = sorted(set(T))
@@ -285,31 +294,30 @@ def tsep_accepts(
     if v in T or w0 in T:
         return False
     des_v = g.descendants(v)
-    removed = {(w0, v)} | {(s, v) for s in solved_siblings}
-    if strict:
-        if v in S or des_v.intersection(S + T) or v in des_v:
-            return False
-        kept = g.directed - removed
-        star = build_restricted_flow_graph(g, kept, kept)
-    else:
+    full = _cached(g, build_flow_graph)
+    if not strict:
         if des_v.intersection(T) or v in des_v:
             return False
-        star = build_restricted_flow_graph(g, g.directed, g.directed - removed)
-    return _tsep_flows_accept(build_flow_graph(g), star, v, w0, S, T)
-
-
-def _tsep_flows_accept(
-    full: FlowNetwork, star: FlowNetwork, v: int, w0: int, S: Sequence[int], T: Sequence[int]
-) -> bool:
-    """The two max-flow conditions of ``tsep_accepts`` on prebuilt networks.
-
-    S must reach T and w0 with a full-rank flow in ``full`` but fall short of
-    T and v in ``star``, the flow graph with the stripped edges removed.
-    """
-    k = len(S)
-    if full.max_flow(S, [full.primed(t) for t in T] + [full.primed(w0)]).value != k:
+        return bool(_tsep_probe(g, full, v, w0, solved_siblings)(_tsep_sweep(full, S, T)))
+    if v in S or des_v.intersection(S + T) or v in des_v:
         return False
-    return star.max_flow(S, [star.primed(t) for t in T] + [star.primed(v)]).value < k
+    kept = g.directed - {(w0, v)} - {(s, v) for s in solved_siblings}
+    star = build_restricted_flow_graph(g, kept, kept)
+    full_rank = full.max_flow(S, [full.primed(t) for t in T + [w0]]).value == len(S)
+    return full_rank and star.max_flow(S, [star.primed(t) for t in T + [v]]).value < len(S)
+
+
+def _tsep_sweep(full: FlowNetwork, S: Sequence[int], T: Sequence[int]) -> int:
+    """The residual sweep of a max flow from S to T', or 0 (nothing reached) when it misses a target."""
+    value, _, reach = full.residual_reach(S, [full.primed(t) for t in T])
+    return reach if value == len(T) else 0
+
+
+def _tsep_probe(g: MixedGraph, full: FlowNetwork, v: int, w0: int, solved: Iterable[int]) -> Callable[[int], int]:
+    """The relaxed ``tsep_accepts`` test of w0 -> v as a predicate on sweeps."""
+    tails = [v, *g.siblings(v), *(full.primed(p) for p in g.parents(v) - {w0, *solved})]
+    need, star = 2 << 2 * full.primed(w0), sum(2 << 2 * x for x in tails)
+    return lambda reach: reach & need and not reach & star
 
 
 def tsid_identify(
@@ -332,7 +340,8 @@ def tsid_identify(
         raise ValueError(f"max_set_size must be >= 1, got {max_set_size}")
     state = state.copy() if state else SolverState()
     vertices = list(g.vertices)
-    full = build_flow_graph(g)
+    full = _cached(g, build_flow_graph)
+    sweeps: dict[int, int] = {}  # one per (S, T), shared by every edge
     changed = True
     while changed:
         changed = False
@@ -342,11 +351,8 @@ def tsid_identify(
             if v in g.descendants(v):
                 continue  # acceptance condition can never hold on a cycle
             solved_sibs = [s for s in state.solved_parents(g, v) if s != w0]
-            t_candidates = [
-                t for t in vertices
-                if t not in (v, w0) and t not in g.descendants(v)
-            ]
-            if _tsid_search(g, full, state, v, w0, solved_sibs, t_candidates, max_set_size):
+            t_candidates = [t for t in vertices if t not in (v, w0) and t not in g.descendants(v)]
+            if _tsid_search(g, full, sweeps, state, v, w0, solved_sibs, t_candidates, max_set_size):
                 changed = True
     return state
 
@@ -354,6 +360,7 @@ def tsid_identify(
 def _tsid_search(
     g: MixedGraph,
     full: FlowNetwork,
+    sweeps: dict[int, int],
     state: SolverState,
     v: int,
     w0: int,
@@ -363,17 +370,21 @@ def _tsid_search(
 ) -> bool:
     """First accepted (S, T) pair, by increasing |S| then lexicographic order.
 
-    ``full`` is the flow graph of g, shared by every search on the graph.
+    ``full`` is the flow graph of g.  ``sweeps`` maps each pair, as the
+    bitmask of T with the bitmask of S shifted above it, to its sweep.
     """
-    removed = {(w0, v)} | {(s, v) for s in solved_sibs}
-    star = build_restricted_flow_graph(g, g.directed, g.directed - removed)
-    vertices = list(g.vertices)
+    accepts = _tsep_probe(g, full, v, w0, solved_sibs)
     for k in range(1, max_set_size + 1):
         if len(t_candidates) < k - 1:
             break
-        for S in itertools.combinations(vertices, k):
-            for T in itertools.combinations(t_candidates, k - 1):
-                if not _tsep_flows_accept(full, star, v, w0, S, T):
+        targets = [(T, sum(1 << t for t in T)) for T in itertools.combinations(t_candidates, k - 1)]
+        for S in itertools.combinations(g.vertices, k):
+            s_key = sum(1 << s for s in S) << g.n
+            for T, t_key in targets:
+                reach = sweeps.get(s_key | t_key)
+                if reach is None:
+                    reach = sweeps[s_key | t_key] = _tsep_sweep(full, S, T)
+                if not accepts(reach):
                     continue
                 witness = {"v": v, "w0": w0, "S": sorted(S), "T": sorted(T)}
                 state.certificates[(w0, v)] = EdgeCertificate(

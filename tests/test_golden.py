@@ -93,6 +93,12 @@ HTC_DIGEST = "896f038fa23bf1090e164b2058dd936036941afa8a06d2713e3883aa8e0cbae6"
 SEEDED_DIGEST = "d9d824667cd7932525ce45aa4bef781b1410a799c2325b6b9ec1fac3fc52b7c0"
 FLOW_DIGEST = "037415001f3fa3237fa3d6c0f48638d292b046ae0ed135f79b334a712d0b1e9a"
 
+# Third draw of random_mixed_graph(random.Random(9), 9): eight of its nine
+# vertices lie on directed cycles, and the exhaustive TSID search over the
+# edges into vertex 2 accepts no pair.
+SLOW_CYCLIC_CODE = "9:2408923172104884125943:4899957252"
+SLOW_CYCLIC_DIGEST = "9eaf31e8c5cba024af0839bf37968033cd5a74e57aa4c2258ad8040a26f0c833"
+
 # Seed 139 of this graph rejects its first coefficient draw (I - lambda too
 # close to singular), so sampling takes the rejection loop.
 REJECTING_CYCLIC_GRAPH = MixedGraph(
@@ -128,6 +134,11 @@ def test_fixture_certificates_unchanged(name):
 def test_corpus_certificates_unchanged(index):
     g = decode_id(GraphId.parse(corpus_codes()[index]))
     assert _report_digest(g, max_set_size=5) == CORPUS_DIGESTS[index]
+
+
+def test_slow_cyclic_certificates_unchanged():
+    g = decode_id(GraphId.parse(SLOW_CYCLIC_CODE))
+    assert _report_digest(g) == SLOW_CYCLIC_DIGEST
 
 
 def test_htc_witnesses_unchanged():

@@ -21,6 +21,7 @@ from semid import (
     verify_certificates,
 )
 from semid import oracle
+from semid.flow import build_flow_graph, build_restricted_flow_graph
 from semid.identify import (
     IDENTIFIABLE,
     INFINITE_TO_ONE,
@@ -29,6 +30,8 @@ from semid.identify import (
     EdgeCertificate,
     SolverState,
     _replay_with_resampling,
+    _tsep_probe,
+    _tsep_sweep,
 )
 from semid.oracle import DegenerateSampleError
 
@@ -195,6 +198,50 @@ def test_tsid_search_returns_first_accepted_pair():
             else:
                 assert found is None
     assert certified >= 40 and exhausted >= 10
+
+
+def _two_flow_tsep_accepts(full, star, v, w0, S, T):
+    """The relaxed acceptance test as two max-flows on ``full`` and ``star``.
+
+    ``star`` is the flow graph without the right-descending arcs of w0 -> v
+    and the solved siblings' edges into v; T and v must be clear of des(v).
+    """
+    k = len(S)
+    if full.max_flow(S, [full.primed(t) for t in T] + [full.primed(w0)]).value != k:
+        return False
+    return star.max_flow(S, [star.primed(t) for t in T] + [star.primed(v)]).value < k
+
+
+def test_sweep_probe_matches_two_flow_predicate():
+    # Every edge whose head is off every cycle, with a random subset of its
+    # other parents as solved siblings, against every (S, T) with |S| <= 3
+    # and T drawn from the search's target candidates.  Each (S, T) is swept
+    # once per graph and probed for every edge, as the search does.
+    rng = random.Random(29)
+    sizes = [3] * 100 + [4] * 100 + [5] * 60 + [6] * 25 + [7] * 15
+    pairs = accepted = 0
+    for i, n in enumerate(sizes):
+        g = random_mixed_graph(rng, n, acyclic=i % 2 == 0)
+        full = build_flow_graph(g)
+        sweeps = {}
+        for w0, v in sorted(g.directed):
+            if v in g.descendants(v):
+                continue
+            solved = [p for p in sorted(g.parents(v) - {w0}) if rng.random() < 0.5]
+            removed = {(w0, v)} | {(s, v) for s in solved}
+            star = build_restricted_flow_graph(g, g.directed, g.directed - removed)
+            accepts = _tsep_probe(g, full, v, w0, solved)
+            t_candidates = [t for t in g.vertices if t not in (v, w0) and t not in g.descendants(v)]
+            for k in range(1, 4):
+                for S in itertools.combinations(g.vertices, k):
+                    for T in itertools.combinations(t_candidates, k - 1):
+                        if (S, T) not in sweeps:
+                            sweeps[S, T] = _tsep_sweep(full, S, T)
+                        expected = _two_flow_tsep_accepts(full, star, v, w0, S, T)
+                        assert bool(accepts(sweeps[S, T])) == expected, (g, w0, v, solved, S, T)
+                        pairs += 1
+                        accepted += expected
+    assert pairs >= 50_000 and accepted >= 500
 
 
 def test_eid_tsid_ratio_graph_fully_solved():
