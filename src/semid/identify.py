@@ -591,17 +591,29 @@ def _replay_errors(
     return rel
 
 
+def _sample_stack(g: MixedGraph, seeds: list[int]) -> Parameters | None:
+    """Every seed sampled as one stack, or None when some seed is degenerate."""
+    try:
+        return oracle.sample_parameters(g, seeds)
+    except DegenerateSampleError:
+        return None
+
+
 def verify_certificates(
     g: MixedGraph,
     certificates: Iterable[EdgeCertificate],
     seeds: Iterable[int],
     tolerance: float = 1e-6,
+    *,
+    sampled: Parameters | None = None,
 ) -> dict[DirectedEdge, float]:
     """Replay identifiable certificates over several seeds against ground truth.
 
-    All seeds replay together on one stack of sampled covariances.  When any
-    of them is degenerate, the seeds replay one by one instead, each
-    resampling on its own as ``_replay_with_resampling`` does.
+    All seeds are sampled and replayed together on one stack of covariances;
+    ``sampled`` is that stack, ``oracle.sample_parameters(g, seeds)``, when
+    the caller has already drawn it.  When any seed is degenerate, the seeds
+    replay one by one instead, each resampling on its own as
+    ``_replay_with_resampling`` does.
 
     Returns the max relative recovery error per edge.
 
@@ -614,21 +626,22 @@ def verify_certificates(
     """
     ordered = [c for c in certificates if c.status == IDENTIFIABLE]
     seeds = list(seeds)
-    worst = np.zeros(len(ordered))
-    if seeds:
+    if sampled is None and seeds:
+        sampled = _sample_stack(g, seeds)
+    if sampled is not None:
         try:
-            params = [oracle.sample_parameters(g, seed) for seed in seeds]
-            sigma = np.stack([oracle.covariance(p) for p in params])
-            recovered = replay_certificates(ordered, sigma)
+            recovered = replay_certificates(ordered, oracle.covariance(sampled))
         except DegenerateSampleError:
-            for seed in seeds:
-                p, recovered = _replay_with_resampling(g, ordered, seed)
-                rel = _replay_errors(ordered, [seed], p.lam, recovered, tolerance)
-                worst = np.fmax(worst, rel[0])
-        else:
-            lam = np.stack([p.lam for p in params])
-            rel = _replay_errors(ordered, seeds, lam, recovered, tolerance)
-            worst = np.fmax.reduce(rel, axis=0, initial=0.0)
+            sampled = None
+    if sampled is not None:
+        rel = _replay_errors(ordered, seeds, sampled.lam, recovered, tolerance)
+        worst = np.fmax.reduce(rel, axis=0, initial=0.0)
+    else:
+        worst = np.zeros(len(ordered))
+        for seed in seeds:
+            p, recovered = _replay_with_resampling(g, ordered, seed)
+            rel = _replay_errors(ordered, [seed], p.lam, recovered, tolerance)
+            worst = np.fmax(worst, rel[0])
     return {cert.edge: float(err) for cert, err in zip(ordered, worst)}
 
 
@@ -659,7 +672,16 @@ def certify(
     certificates: dict[DirectedEdge, EdgeCertificate] = {}
     order: list[EdgeCertificate] = list(state.certificates.values())
 
-    params = oracle.sample_parameters(g, seed) if g.n else None
+    # Verification seed 0 is the base seed, so one stacked draw serves the
+    # replay, the infinite-to-one screen and the Jacobian.  If the stack is
+    # degenerate, the base seed is drawn alone and raises first if it is the
+    # degenerate one.
+    verify_seeds = _verification_seeds(seed, seeds) if verify and order else []
+    stack = _sample_stack(g, verify_seeds) if verify_seeds else None
+    if stack is not None:
+        params = Parameters(lam=stack.lam[0], omega=stack.omega[0])
+    else:
+        params = oracle.sample_parameters(g, seed) if g.n else None
     for edge in sorted(g.directed):
         if edge in state.certificates:
             certificates[edge] = state.certificates[edge]
@@ -686,7 +708,7 @@ def certify(
         certificates[edge] = EdgeCertificate(edge=edge, status=UNKNOWN)
 
     if verify and order:
-        errors = verify_certificates(g, order, _verification_seeds(seed, seeds), tolerance)
+        errors = verify_certificates(g, order, verify_seeds, tolerance, sampled=stack)
         for edge, err in errors.items():
             certificates[edge] = replace(
                 certificates[edge],

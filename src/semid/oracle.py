@@ -10,12 +10,12 @@ functions of (graph, parameters, seed); there is no global RNG state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .graph import DirectedEdge, MixedGraph, Trek, infinite_to_one_record, require_valid
+from .graph import DirectedEdge, MixedGraph, Trek, _cached, infinite_to_one_record, require_valid
 
 # Singular values below RANK_RTOL times the largest one count as zero.
 RANK_RTOL = 1e-8
@@ -37,7 +37,7 @@ class Parameters:
 
     ``lam[v-1, w-1]`` is the coefficient of edge v -> w; ``omega`` is
     symmetric positive definite with off-diagonal support on the bidirected
-    edges.
+    edges.  Both may be stacks of shape (..., n, n), one point per slice.
     """
 
     lam: NDArray
@@ -45,7 +45,7 @@ class Parameters:
 
     @property
     def n(self) -> int:
-        return self.lam.shape[0]
+        return self.lam.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -82,48 +82,74 @@ def validate_parameters(g: MixedGraph, p: Parameters, tol: float = 1e-12) -> lis
     return problems
 
 
-def _index_pairs(pairs: list[tuple[int, int]]) -> tuple[list[int], list[int]]:
-    """Zero-based row and column indices of 1-based vertex pairs."""
-    return [a - 1 for a, _ in pairs], [b - 1 for _, b in pairs]
+def _sampling_layout(g: MixedGraph) -> tuple[NDArray, NDArray, NDArray, NDArray, bool]:
+    """Zero-based sorted directed and bidirected endpoint arrays, and acyclicity."""
+    tails, heads = np.array(sorted(g.directed), dtype=np.intp).reshape(-1, 2).T - 1
+    ends_a, ends_b = np.array(sorted(g.bidirected), dtype=np.intp).reshape(-1, 2).T - 1
+    return tails, heads, ends_a, ends_b, g.is_acyclic()
 
 
-def sample_parameters(g: MixedGraph, seed: int, config: SampleConfig | None = None) -> Parameters:
+def sample_parameters(
+    g: MixedGraph, seed: int | Sequence[int], config: SampleConfig | None = None
+) -> Parameters:
     """Draw a generic parameter point for the graph, deterministically in seed.
 
     Edge coefficients have magnitude in [coeff_min, coeff_max] with random
     sign; the error covariance is made positive definite by strict diagonal
     dominance.  When the directed part is cyclic, coefficient draws are
-    rejected until I - lambda is comfortably invertible.
+    rejected until I - lambda is comfortably invertible.  On an acyclic graph
+    det(I - lambda) = 1 identically, so no draw is ever rejected and the
+    check is skipped.
+
+    ``seed`` may also be a sequence of seeds; ``lam`` and ``omega`` then have
+    shape (seeds, n, n), and slice i is the point drawn for seeds[i] alone.
 
     Raises:
-        DegenerateSampleError: the rejection budget ran out.
+        DegenerateSampleError: the rejection budget ran out (for the first
+            such seed of a sequence).
     """
     require_valid(g)
     cfg = config or SampleConfig()
-    rng = np.random.default_rng(seed)
+    tails, heads, ends_a, ends_b, acyclic = _cached(g, _sampling_layout)
+    stacked = not isinstance(seed, (int, np.integer))
+    seeds = list(seed) if stacked else [seed]
     n = g.n
-    tails, heads = _index_pairs(sorted(g.directed))
     span = cfg.coeff_max - cfg.coeff_min
+    eye = np.eye(n)
 
-    lam = np.zeros((n, n))
-    for _ in range(cfg.max_rejections):
+    def coefficients(u: NDArray) -> NDArray:
         # Per edge, in sorted order: one draw for the magnitude, one for the sign.
-        u = rng.random(2 * len(tails))
-        lam[tails, heads] = np.where(u[1::2] < 0.5, 1.0, -1.0) * (cfg.coeff_min + span * u[0::2])
-        if abs(np.linalg.det(np.eye(n) - lam)) > cfg.rejection_tolerance:
-            break
-    else:
-        raise DegenerateSampleError(
-            f"no invertible I - lambda found in {cfg.max_rejections} draws (seed {seed})"
-        )
+        return np.where(u[..., 1::2] < 0.5, 1.0, -1.0) * (cfg.coeff_min + span * u[..., 0::2])
 
-    omega = np.zeros((n, n))
-    ends_a, ends_b = _index_pairs(sorted(g.bidirected))
-    values = rng.uniform(-cfg.omega_offdiag, cfg.omega_offdiag, size=len(ends_a))
-    omega[ends_a, ends_b] = values
-    omega[ends_b, ends_a] = values
-    row_sums = np.sum(np.abs(omega), axis=1)
-    omega[np.diag_indices(n)] = row_sums + rng.uniform(cfg.diag_pad_min, cfg.diag_pad_max, size=n)
+    draws = np.empty((len(seeds), 2 * len(tails)))
+    off = np.empty((len(seeds), len(ends_a)))
+    pads = np.empty((len(seeds), n))
+    trial = np.zeros((n, n))
+    for i, s in enumerate(seeds):
+        rng = np.random.default_rng(s)
+        for _ in range(cfg.max_rejections):
+            draws[i] = rng.random(2 * len(tails))
+            if acyclic:
+                break
+            trial[tails, heads] = coefficients(draws[i])
+            if abs(np.linalg.det(eye - trial)) > cfg.rejection_tolerance:
+                break
+        else:
+            raise DegenerateSampleError(
+                f"no invertible I - lambda found in {cfg.max_rejections} draws (seed {s})"
+            )
+        off[i] = rng.uniform(-cfg.omega_offdiag, cfg.omega_offdiag, size=len(ends_a))
+        pads[i] = rng.uniform(cfg.diag_pad_min, cfg.diag_pad_max, size=n)
+
+    lam = np.zeros((len(seeds), n, n))
+    lam[:, tails, heads] = coefficients(draws)
+    omega = np.zeros((len(seeds), n, n))
+    omega[:, ends_a, ends_b] = off
+    omega[:, ends_b, ends_a] = off
+    diag = np.arange(n)
+    omega[:, diag, diag] = np.sum(np.abs(omega), axis=-1) + pads
+    if not stacked:
+        return Parameters(lam=lam[0], omega=omega[0])
     return Parameters(lam=lam, omega=omega)
 
 
@@ -131,15 +157,19 @@ def covariance(p: Parameters, tol: float = 1e-12) -> NDArray:
     """The covariance matrix induced by the parameters.
 
     Computed by two linear solves against I - lambda rather than explicit
-    inversion, then symmetrized.
+    inversion, then symmetrized.  ``p`` may hold stacks of shape (..., n, n);
+    the result then has the same shape.
     """
-    n = p.n
-    m = np.eye(n) - p.lam
-    if abs(np.linalg.det(m)) <= tol:
+    m = np.eye(p.n) - p.lam
+    if np.any(np.abs(np.linalg.det(m)) <= tol):
         raise DegenerateSampleError("I - lambda is numerically singular")
-    half = np.linalg.solve(m.T, p.omega)
-    sigma = np.linalg.solve(m.T, half.T).T
-    return (sigma + sigma.T) / 2
+    m_t = np.swapaxes(m, -1, -2)
+    half = np.linalg.solve(m_t, p.omega)
+    sigma = np.swapaxes(np.linalg.solve(m_t, np.swapaxes(half, -1, -2)), -1, -2)
+    del m, m_t, half  # bounds peak memory: only sigma and the result remain
+    out = sigma + np.swapaxes(sigma, -1, -2)
+    out /= 2
+    return out
 
 
 def restricted_covariance(
@@ -403,9 +433,9 @@ def sigma_jacobian(g: MixedGraph, p: Parameters) -> NDArray:
     m = np.eye(n) - p.lam
     m_inv = np.linalg.inv(m)
     sigma = covariance(p)
-    tri = [(i, j) for i in range(n) for j in range(i, n)]
+    tri = np.triu_indices(n)
     coords = _free_parameters(g)
-    jac = np.empty((len(tri), len(coords)))
+    jac = np.empty((len(tri[0]), len(coords)))
     for c, (kind, u, w) in enumerate(coords):
         eu, ew = u - 1, w - 1
         if kind == "lam":
@@ -417,7 +447,7 @@ def sigma_jacobian(g: MixedGraph, p: Parameters) -> NDArray:
             if eu != ew:
                 basis[ew, eu] = 1.0
             d = m_inv.T @ basis @ m_inv
-        jac[:, c] = [d[i, j] for i, j in tri]
+        jac[:, c] = d[tri]
     return jac
 
 

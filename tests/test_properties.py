@@ -16,7 +16,7 @@ from semid import (
     tsid_identify,
     verify_certificates,
 )
-from semid.identify import IDENTIFIABLE
+from semid.identify import IDENTIFIABLE, INFINITE_TO_ONE
 
 from conftest import random_mixed_graph
 
@@ -121,3 +121,21 @@ def test_identifiable_statuses_have_methods():
                 assert cert.method in ("HTC", "EID", "TSID", "JOINT")
             else:
                 assert cert.method is None
+
+
+def test_jacobian_rank_agrees_with_edge_verdicts():
+    # An infinite-to-one edge makes the whole parameterization infinite-to-one,
+    # so the Jacobian loses rank; a fully identified graph keeps full rank.
+    rng = random.Random(219)
+    infinite, full = 0, 0
+    for i in range(150):
+        g = random_mixed_graph(rng, rng.randint(2, 6), acyclic=i % 2 == 0)
+        report = certify(g, seed=i, verify=False)
+        statuses = {c.status for c in report.certificates.values()}
+        if INFINITE_TO_ONE in statuses:
+            infinite += 1
+            assert report.jacobian_rank < report.n_parameters
+        if report.fully_identifiable():
+            full += 1
+            assert report.jacobian_rank == report.n_parameters
+    assert infinite and full
