@@ -115,7 +115,6 @@ def sample_parameters(
     seeds = list(seed) if stacked else [seed]
     n = g.n
     span = cfg.coeff_max - cfg.coeff_min
-    eye = np.eye(n)
 
     def coefficients(u: NDArray) -> NDArray:
         # Per edge, in sorted order: one draw for the magnitude, one for the sign.
@@ -124,15 +123,18 @@ def sample_parameters(
     draws = np.empty((len(seeds), 2 * len(tails)))
     off = np.empty((len(seeds), len(ends_a)))
     pads = np.empty((len(seeds), n))
-    trial = np.zeros((n, n))
+    if not acyclic:
+        coef = np.empty((len(seeds), len(tails)))
+        trial = np.eye(n)  # I - lambda of the current attempt
     for i, s in enumerate(seeds):
         rng = np.random.default_rng(s)
         for _ in range(cfg.max_rejections):
-            draws[i] = rng.random(2 * len(tails))
+            rng.random(out=draws[i])
             if acyclic:
                 break
-            trial[tails, heads] = coefficients(draws[i])
-            if abs(np.linalg.det(eye - trial)) > cfg.rejection_tolerance:
+            coef[i] = coefficients(draws[i])
+            trial[tails, heads] = -coef[i]
+            if abs(np.linalg.det(trial)) > cfg.rejection_tolerance:
                 break
         else:
             raise DegenerateSampleError(
@@ -142,7 +144,7 @@ def sample_parameters(
         pads[i] = rng.uniform(cfg.diag_pad_min, cfg.diag_pad_max, size=n)
 
     lam = np.zeros((len(seeds), n, n))
-    lam[:, tails, heads] = coefficients(draws)
+    lam[:, tails, heads] = coefficients(draws) if acyclic else coef
     omega = np.zeros((len(seeds), n, n))
     omega[:, ends_a, ends_b] = off
     omega[:, ends_b, ends_a] = off
@@ -433,9 +435,9 @@ def sigma_jacobian(g: MixedGraph, p: Parameters) -> NDArray:
     m = np.eye(n) - p.lam
     m_inv = np.linalg.inv(m)
     sigma = covariance(p)
-    tri = np.triu_indices(n)
+    upper = ~np.tri(n, k=-1, dtype=bool)  # a boolean mask reads row-major
     coords = _free_parameters(g)
-    jac = np.empty((len(tri[0]), len(coords)))
+    jac = np.empty((n * (n + 1) // 2, len(coords)))
     for c, (kind, u, w) in enumerate(coords):
         eu, ew = u - 1, w - 1
         if kind == "lam":
@@ -447,7 +449,7 @@ def sigma_jacobian(g: MixedGraph, p: Parameters) -> NDArray:
             if eu != ew:
                 basis[ew, eu] = 1.0
             d = m_inv.T @ basis @ m_inv
-        jac[:, c] = d[tri]
+        jac[:, c] = d[upper]
     return jac
 
 
