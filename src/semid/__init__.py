@@ -33,7 +33,6 @@ from .oracle import (
     DegenerateSampleError,
     InfeasibleEdgeError,
     Parameters,
-    SampleConfig,
     alternative_parameters,
     covariance,
     enumerate_treks,
@@ -75,7 +74,6 @@ __all__ = [
     "MixedGraph",
     "Neighborhoods",
     "Parameters",
-    "SampleConfig",
     "SolverState",
     "Trek",
     "alternative_parameters",

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -338,8 +339,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         _parser = build_parser()
     args = _parser.parse_args(argv)
     try:
-        if getattr(args, "tolerance", 1.0) <= 0:
-            raise InputError("tolerance must be positive")
+        tolerance = getattr(args, "tolerance", 1.0)
+        if not (math.isfinite(tolerance) and tolerance > 0):
+            raise InputError("tolerance must be positive and finite")
+        if getattr(args, "seeds", 1) < 1:
+            raise InputError("seeds must be at least 1")
         if "max_set_size" in args and args.max_set_size is None:
             args.max_set_size = _default_max_set_size()
         max_set_size = getattr(args, "max_set_size", None)

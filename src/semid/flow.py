@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import Callable, Iterable
 
-from .graph import DirectedEdge, MixedGraph, require_valid
+from .graph import DirectedEdge, MixedGraph, _cached, require_valid
 
 
 @dataclass(frozen=True)
@@ -52,14 +52,14 @@ class FlowNetwork:
     arcs: tuple[DirectedEdge, ...]
     n_base: int
 
-    def __init__(self, n_nodes: int, arcs: Iterable[DirectedEdge], n_base: int | None = None):
+    def __init__(self, n_nodes: int, arcs: Iterable[DirectedEdge], n_base: int):
         arcs = tuple(sorted(set(arcs)))
         for u, w in arcs:
             if not (1 <= u <= n_nodes and 1 <= w <= n_nodes):
                 raise ValueError(f"arc ({u},{w}) references a node outside 1..{n_nodes}")
         object.__setattr__(self, "n_nodes", n_nodes)
         object.__setattr__(self, "arcs", arcs)
-        object.__setattr__(self, "n_base", n_nodes // 2 if n_base is None else n_base)
+        object.__setattr__(self, "n_base", n_base)
         # Per split node, its residual arcs in a fixed order: the split arc
         # first, then the template arcs sorted by their other end.
         to: list[int] = []
@@ -250,7 +250,7 @@ def build_restricted_flow_graph(
 
 def generic_rank(g: MixedGraph, S: Iterable[int], T: Iterable[int]) -> int:
     """Generic rank of the covariance submatrix with rows S and columns T."""
-    net = build_flow_graph(g)
+    net = _cached(g, build_flow_graph)
     return net.max_flow(S, [net.primed(t) for t in T]).value
 
 
@@ -264,7 +264,7 @@ def t_separating_cut(
     residual reachability frontier of the deterministic max-flow, so equal
     inputs give equal cuts.
     """
-    net = build_flow_graph(g)
+    net = _cached(g, build_flow_graph)
     S = sorted(set(S))
     T = sorted(set(T))
     if not S or not T:

@@ -52,9 +52,6 @@ class MixedGraph:
     def vertices(self) -> range:
         return range(1, self.n + 1)
 
-    def has_directed(self, u: int, w: int) -> bool:
-        return (u, w) in self.directed
-
     def has_bidirected(self, u: int, w: int) -> bool:
         """Membership query, symmetric in its arguments."""
         return (min(u, w), max(u, w)) in self.bidirected
@@ -229,25 +226,8 @@ class Trek:
     has_bidirected_top: bool
 
     @property
-    def source(self) -> int:
-        return self.left[0]
-
-    @property
-    def target(self) -> int:
-        return self.right[-1]
-
-    @property
     def top(self) -> tuple[int, int]:
         return (self.left[-1], self.right[0])
-
-    def left_set(self) -> frozenset[int]:
-        return frozenset(self.left)
-
-    def right_set(self) -> frozenset[int]:
-        return frozenset(self.right)
-
-    def is_half_trek(self) -> bool:
-        return len(self.left) == 1
 
     def directed_edges(self) -> list[DirectedEdge]:
         """Directed edges traversed, oriented as stored in the graph."""

@@ -537,6 +537,10 @@ class CertificationReport:
         }
 
 
+# Fresh samples tried per seed when its replay is degenerate.
+REPLAY_RESAMPLES = 5
+
+
 def _verification_seeds(seed: int, count: int) -> list[int]:
     return [seed + 7919 * i for i in range(count)]
 
@@ -545,18 +549,17 @@ def _replay_with_resampling(
     g: MixedGraph,
     ordered: list[EdgeCertificate],
     seed: int,
-    attempts: int = 5,
 ) -> tuple[Parameters, dict[DirectedEdge, float]]:
     """Replay at a sampled point, resampling on tolerance-triggered degeneracy."""
     last_error: DegenerateSampleError | None = None
-    for attempt in range(attempts):
+    for attempt in range(REPLAY_RESAMPLES):
         params = oracle.sample_parameters(g, seed + 104729 * attempt)
         try:
             return params, replay_certificates(ordered, oracle.covariance(params))
         except DegenerateSampleError as exc:
             last_error = exc
     raise DegenerateSampleError(
-        f"replay stayed degenerate after {attempts} resamples (seed {seed}): {last_error}"
+        f"replay stayed degenerate after {REPLAY_RESAMPLES} resamples (seed {seed}): {last_error}"
     )
 
 

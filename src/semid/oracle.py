@@ -21,6 +21,20 @@ from .graph import DirectedEdge, MixedGraph, Trek, _cached, infinite_to_one_reco
 RANK_RTOL = 1e-8
 # Denominators and system determinants below this are treated as non-generic.
 DEGENERACY_TOL = 1e-10
+# covariance rejects an I - lambda whose |det| is at most this.
+SINGULAR_TOL = 1e-12
+# alternative_parameters' bound on off-support error covariance (relative to
+# its largest entry) and on the change in the covariance.
+ALTERNATIVE_TOL = 1e-9
+
+# The ranges and rejection budget of sample_parameters, read at call time.
+COEFF_MIN = 0.3
+COEFF_MAX = 1.0
+OMEGA_OFFDIAG = 0.5
+DIAG_PAD_MIN = 0.5
+DIAG_PAD_MAX = 1.5
+REJECTION_TOLERANCE = 1e-3
+MAX_REJECTIONS = 100
 
 
 class DegenerateSampleError(RuntimeError):
@@ -46,17 +60,6 @@ class Parameters:
     @property
     def n(self) -> int:
         return self.lam.shape[-1]
-
-
-@dataclass(frozen=True)
-class SampleConfig:
-    coeff_min: float = 0.3
-    coeff_max: float = 1.0
-    omega_offdiag: float = 0.5
-    diag_pad_min: float = 0.5
-    diag_pad_max: float = 1.5
-    rejection_tolerance: float = 1e-3
-    max_rejections: int = 100
 
 
 def validate_parameters(g: MixedGraph, p: Parameters, tol: float = 1e-12) -> list[str]:
@@ -89,17 +92,17 @@ def _sampling_layout(g: MixedGraph) -> tuple[NDArray, NDArray, NDArray, NDArray,
     return tails, heads, ends_a, ends_b, g.is_acyclic()
 
 
-def sample_parameters(
-    g: MixedGraph, seed: int | Sequence[int], config: SampleConfig | None = None
-) -> Parameters:
+def sample_parameters(g: MixedGraph, seed: int | Sequence[int]) -> Parameters:
     """Draw a generic parameter point for the graph, deterministically in seed.
 
-    Edge coefficients have magnitude in [coeff_min, coeff_max] with random
-    sign; the error covariance is made positive definite by strict diagonal
-    dominance.  When the directed part is cyclic, coefficient draws are
-    rejected until I - lambda is comfortably invertible.  On an acyclic graph
-    det(I - lambda) = 1 identically, so no draw is ever rejected and the
-    check is skipped.
+    Edge coefficients have magnitude in [COEFF_MIN, COEFF_MAX] with random
+    sign; bidirected error covariances lie in [-OMEGA_OFFDIAG, OMEGA_OFFDIAG],
+    and each diagonal entry is its row's absolute sum plus a pad in
+    [DIAG_PAD_MIN, DIAG_PAD_MAX], so omega is strictly diagonally dominant.
+    When the directed part is cyclic, up to MAX_REJECTIONS coefficient draws
+    are made until |det(I - lambda)| exceeds REJECTION_TOLERANCE.  On an
+    acyclic graph det(I - lambda) = 1 identically, so no draw is ever
+    rejected and the check is skipped.
 
     ``seed`` may also be a sequence of seeds; ``lam`` and ``omega`` then have
     shape (seeds, n, n), and slice i is the point drawn for seeds[i] alone.
@@ -109,16 +112,15 @@ def sample_parameters(
             such seed of a sequence).
     """
     require_valid(g)
-    cfg = config or SampleConfig()
     tails, heads, ends_a, ends_b, acyclic = _cached(g, _sampling_layout)
     stacked = not isinstance(seed, (int, np.integer))
     seeds = list(seed) if stacked else [seed]
     n = g.n
-    span = cfg.coeff_max - cfg.coeff_min
+    span = COEFF_MAX - COEFF_MIN
 
     def coefficients(u: NDArray) -> NDArray:
         # Per edge, in sorted order: one draw for the magnitude, one for the sign.
-        return np.where(u[..., 1::2] < 0.5, 1.0, -1.0) * (cfg.coeff_min + span * u[..., 0::2])
+        return np.where(u[..., 1::2] < 0.5, 1.0, -1.0) * (COEFF_MIN + span * u[..., 0::2])
 
     draws = np.empty((len(seeds), 2 * len(tails)))
     off = np.empty((len(seeds), len(ends_a)))
@@ -128,20 +130,20 @@ def sample_parameters(
         trial = np.eye(n)  # I - lambda of the current attempt
     for i, s in enumerate(seeds):
         rng = np.random.default_rng(s)
-        for _ in range(cfg.max_rejections):
+        for _ in range(MAX_REJECTIONS):
             rng.random(out=draws[i])
             if acyclic:
                 break
             coef[i] = coefficients(draws[i])
             trial[tails, heads] = -coef[i]
-            if abs(np.linalg.det(trial)) > cfg.rejection_tolerance:
+            if abs(np.linalg.det(trial)) > REJECTION_TOLERANCE:
                 break
         else:
             raise DegenerateSampleError(
-                f"no invertible I - lambda found in {cfg.max_rejections} draws (seed {s})"
+                f"no invertible I - lambda found in {MAX_REJECTIONS} draws (seed {s})"
             )
-        off[i] = rng.uniform(-cfg.omega_offdiag, cfg.omega_offdiag, size=len(ends_a))
-        pads[i] = rng.uniform(cfg.diag_pad_min, cfg.diag_pad_max, size=n)
+        off[i] = rng.uniform(-OMEGA_OFFDIAG, OMEGA_OFFDIAG, size=len(ends_a))
+        pads[i] = rng.uniform(DIAG_PAD_MIN, DIAG_PAD_MAX, size=n)
 
     lam = np.zeros((len(seeds), n, n))
     lam[:, tails, heads] = coefficients(draws) if acyclic else coef
@@ -155,7 +157,7 @@ def sample_parameters(
     return Parameters(lam=lam, omega=omega)
 
 
-def covariance(p: Parameters, tol: float = 1e-12) -> NDArray:
+def covariance(p: Parameters) -> NDArray:
     """The covariance matrix induced by the parameters.
 
     Computed by two linear solves against I - lambda rather than explicit
@@ -163,7 +165,7 @@ def covariance(p: Parameters, tol: float = 1e-12) -> NDArray:
     the result then has the same shape.
     """
     m = np.eye(p.n) - p.lam
-    if np.any(np.abs(np.linalg.det(m)) <= tol):
+    if np.any(np.abs(np.linalg.det(m)) <= SINGULAR_TOL):
         raise DegenerateSampleError("I - lambda is numerically singular")
     m_t = np.swapaxes(m, -1, -2)
     half = np.linalg.solve(m_t, p.omega)
@@ -265,31 +267,31 @@ def subdeterminant(sigma: NDArray, rows: Iterable[int], cols: Iterable[int]) -> 
     return np.linalg.det(sub)
 
 
-def _require_generic(values: NDArray, tol: float, label: str) -> None:
-    """Raise when any of the values is within ``tol`` of zero."""
-    small = np.abs(values) <= tol
+def _require_generic(values: NDArray, label: str) -> None:
+    """Raise when any of the values is within DEGENERACY_TOL of zero."""
+    small = np.abs(values) <= DEGENERACY_TOL
     if np.any(small):
         first = np.asarray(values)[small][0]
         raise DegenerateSampleError(f"{label} {first:.3e} below tolerance")
 
 
 def _solve(
-    a: NDArray, rhs: NDArray, targets: list[int], v: int, tol: float, label: str
+    a: NDArray, rhs: NDArray, targets: list[int], v: int, label: str
 ) -> dict[DirectedEdge, NDArray]:
     """Solve the (..., k, k) systems a x = rhs; x[..., j] is the edge targets[j] -> v."""
-    _require_generic(np.linalg.det(a), tol, label)
+    _require_generic(np.linalg.det(a), label)
     solution = np.linalg.solve(a, rhs[..., None])[..., 0]
     return {(w, v): x for w, x in zip(targets, np.moveaxis(solution, -1, 0))}
 
 
-def numeric_rank(matrix: NDArray, rtol: float = RANK_RTOL) -> int:
-    """Rank via singular values above rtol times the largest one."""
+def numeric_rank(matrix: NDArray) -> int:
+    """Rank via singular values above RANK_RTOL times the largest one."""
     if matrix.size == 0:
         return 0
     svals = np.linalg.svd(matrix, compute_uv=False)
     if svals[0] == 0:
         return 0
-    return int(np.sum(svals > rtol * svals[0]))
+    return int(np.sum(svals > RANK_RTOL * svals[0]))
 
 
 def recover_edge_ratio(
@@ -299,7 +301,6 @@ def recover_edge_ratio(
     v: int,
     w0: int,
     known: Mapping[DirectedEdge, NDArray] | None = None,
-    tol: float = DEGENERACY_TOL,
 ) -> NDArray:
     """Recover the coefficient of w0 -> v as a ratio of subdeterminants.
 
@@ -317,7 +318,7 @@ def recover_edge_ratio(
     if len(S) != len(T) + 1:
         raise ValueError(f"need |S| = |T| + 1, got {len(S)} and {len(T)}")
     denominator = subdeterminant(sigma, S, T + [w0])
-    _require_generic(denominator, tol, f"denominator |sigma[S, T+{w0}]| =")
+    _require_generic(denominator, f"denominator |sigma[S, T+{w0}]| =")
     numerator = subdeterminant(sigma, S, T + [v])
     for (wi, head), value in (known or {}).items():
         if head != v:
@@ -334,7 +335,6 @@ def solve_recovery_system(
     Y: Iterable[int],
     H: Iterable[Iterable[int]],
     known: Mapping[DirectedEdge, NDArray] | None = None,
-    tol: float = DEGENERACY_TOL,
 ) -> dict[DirectedEdge, NDArray]:
     """Solve the half-trek linear system for the edges E -> v.
 
@@ -377,7 +377,7 @@ def solve_recovery_system(
         for h in hs:
             r = r - sigma[..., v - 1, h - 1] * known[(h, y)]
         rhs.append(r)
-    return _solve(np.stack(rows, axis=-2), np.stack(rhs, axis=-1), E, v, tol, "system determinant")
+    return _solve(np.stack(rows, axis=-2), np.stack(rhs, axis=-1), E, v, "system determinant")
 
 
 def solve_determinantal_system(
@@ -385,7 +385,6 @@ def solve_determinantal_system(
     rows: Iterable[tuple[Iterable[int], Iterable[int]]],
     v: int,
     targets: Iterable[int],
-    tol: float = DEGENERACY_TOL,
 ) -> dict[DirectedEdge, NDArray]:
     """Jointly recover several edges into v from determinantal equations.
 
@@ -411,7 +410,7 @@ def solve_determinantal_system(
         for s, t in rows
     ], axis=-2)
     rhs = np.stack([subdeterminant(sigma, s, t + [v]) for s, t in rows], axis=-1)
-    return _solve(a, rhs, targets, v, tol, "joint system determinant")
+    return _solve(a, rhs, targets, v, "joint system determinant")
 
 
 def _free_parameters(g: MixedGraph) -> list[tuple[str, int, int]]:
@@ -453,13 +452,13 @@ def sigma_jacobian(g: MixedGraph, p: Parameters) -> NDArray:
     return jac
 
 
-def jacobian_rank(g: MixedGraph, p: Parameters, rtol: float = RANK_RTOL) -> int:
+def jacobian_rank(g: MixedGraph, p: Parameters) -> int:
     """Numeric column rank of the parameterization Jacobian at p.
 
     A rank below the number of free parameters certifies that the
     parameterization is generically infinite-to-one.
     """
-    return numeric_rank(sigma_jacobian(g, p), rtol)
+    return numeric_rank(sigma_jacobian(g, p))
 
 
 def n_free_parameters(g: MixedGraph) -> int:
@@ -471,7 +470,6 @@ def alternative_parameters(
     p: Parameters,
     edge: DirectedEdge,
     gamma: float,
-    tol: float = 1e-9,
 ) -> Parameters:
     """A second parameter point with the same covariance, differing on one edge.
 
@@ -479,7 +477,7 @@ def alternative_parameters(
     the error covariance.  Feasible exactly when every non-sibling z of the
     edge's head cannot half-trek-reach the tail; the returned parameters are
     verified to respect the graph supports, stay positive definite, and
-    reproduce the covariance to within ``tol``.
+    reproduce the covariance to within ALTERNATIVE_TOL.
 
     Raises:
         InfeasibleEdgeError: the hypothesis fails for this edge.
@@ -502,7 +500,7 @@ def alternative_parameters(
         (x, y)
         for x in g.vertices
         for y in g.vertices
-        if x < y and not g.has_bidirected(x, y) and abs(psi[x - 1, y - 1]) > tol * scale
+        if x < y and not g.has_bidirected(x, y) and abs(psi[x - 1, y - 1]) > ALTERNATIVE_TOL * scale
     ]
     if support_graph_errors:
         raise DegenerateSampleError(
@@ -511,6 +509,6 @@ def alternative_parameters(
     if np.min(np.linalg.eigvalsh(psi)) <= 0:
         raise DegenerateSampleError("compensated error covariance is not positive definite")
     alt = Parameters(lam=gam, omega=psi)
-    if np.max(np.abs(covariance(alt) - sigma)) > tol:
+    if np.max(np.abs(covariance(alt) - sigma)) > ALTERNATIVE_TOL:
         raise DegenerateSampleError("alternative parameters do not reproduce the covariance")
     return alt

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from semid import graph_from_json, graph_to_json, identify, oracle
 from semid.cli import EXIT_REPLAY_FAILED, main
 
@@ -193,6 +195,18 @@ def test_option_validation(capsys):
     assert code == 1 and "max-set-size" in err
 
 
+@pytest.mark.parametrize("command", ["identify", "verify"])
+@pytest.mark.parametrize("option, value", [
+    ("--seeds", "0"), ("--seeds", "-3"),
+    ("--tolerance", "nan"), ("--tolerance", "inf"),
+])
+def test_replay_option_out_of_range(capsys, command, option, value):
+    # A non-finite tolerance would switch the replay gate off, and no seeds
+    # would replay nothing; either way success would be reported unchecked.
+    code, out, err = run(capsys, command, "3:9:4", option, value, "--format", "json")
+    assert code == 1 and out == "" and option[2:] in err
+
+
 def test_output_file_option(tmp_path, capsys):
     target = tmp_path / "out.json"
     code, out, _ = run(capsys, "decode", "3:9:4", "--output", target)
@@ -227,7 +241,7 @@ def _broken_state(g, max_set_size=None):
     return identify.SolverState({(2, 3): cert})
 
 
-def _degenerate(g, seed, config=None):
+def _degenerate(g, seed):
     raise oracle.DegenerateSampleError(f"forced at seed {seed}")
 
 

@@ -12,6 +12,7 @@ from semid import (
     covariance,
     enumerate_treks,
     jacobian_rank,
+    oracle,
     recover_edge_ratio,
     sample_parameters,
     solve_determinantal_system,
@@ -319,13 +320,12 @@ def test_numeric_rank_thresholding():
     assert numeric_rank(np.diag([1.0, 1e-12, 0.5])) == 2
 
 
-def test_sampling_rejection_budget_exhausted():
-    from semid import SampleConfig
-
+def test_sampling_rejection_budget_exhausted(monkeypatch):
     cyclic = MixedGraph(2, [(1, 2), (2, 1)], [])
-    impossible = SampleConfig(rejection_tolerance=1e9, max_rejections=3)
+    monkeypatch.setattr(oracle, "REJECTION_TOLERANCE", 1e9)
+    monkeypatch.setattr(oracle, "MAX_REJECTIONS", 3)
     with pytest.raises(DegenerateSampleError):
-        sample_parameters(cyclic, seed=0, config=impossible)
+        sample_parameters(cyclic, seed=0)
 
 
 def test_solve_recovery_system_degenerate():

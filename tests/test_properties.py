@@ -7,10 +7,12 @@ import numpy as np
 
 from semid import (
     EdgeCertificate,
+    MixedGraph,
     certify,
     covariance,
     eid_identify,
     eid_tsid_identify,
+    htc_identify,
     replay_certificates,
     sample_parameters,
     tsid_identify,
@@ -64,6 +66,25 @@ def test_alternation_order_stays_sound():
                     g, list(solved.certificates.values()), seeds=[11], tolerance=1e-6
                 )
                 assert all(err < 1e-6 for err in errors.values())
+
+
+def test_solved_sets_invariant_under_relabeling():
+    # The solvers search in label order, so relabeling can change which
+    # certificate is found first, but must not change which edges are solved.
+    rng = random.Random(223)
+    solvers = (htc_identify, eid_identify, eid_tsid_identify)
+    for _ in range(300):
+        n = rng.randint(3, 6)
+        g = random_mixed_graph(rng, n, acyclic=rng.random() < 0.5)
+        label = dict(zip(g.vertices, rng.sample(g.vertices, n)))
+        h = MixedGraph(
+            n,
+            [(label[u], label[w]) for u, w in g.directed],
+            [(label[u], label[w]) for u, w in g.bidirected],
+        )
+        for solve in solvers:
+            mapped = {(label[u], label[w]) for u, w in solve(g).solved_edges}
+            assert mapped == solve(h).solved_edges, (solve.__name__, g, label)
 
 
 def test_certificates_survive_json_round_trip():

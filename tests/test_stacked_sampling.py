@@ -17,8 +17,8 @@ from semid import (
     DegenerateSampleError,
     MixedGraph,
     Parameters,
-    SampleConfig,
     covariance,
+    oracle,
     sample_parameters,
 )
 from semid.oracle import _free_parameters, sigma_jacobian
@@ -50,28 +50,28 @@ def _shuffled_acyclic(rng: random.Random, n: int) -> MixedGraph:
 
 def _rejection_loop_sample(g: MixedGraph, seed: int) -> Parameters:
     """Per-seed sampling that checks det(I - lambda) on every graph."""
-    cfg = SampleConfig()
     rng = np.random.default_rng(seed)
     n = g.n
     directed = sorted(g.directed)
     tails, heads = [a - 1 for a, _ in directed], [b - 1 for _, b in directed]
-    span = cfg.coeff_max - cfg.coeff_min
+    span = oracle.COEFF_MAX - oracle.COEFF_MIN
     lam = np.zeros((n, n))
-    for _ in range(cfg.max_rejections):
+    for _ in range(oracle.MAX_REJECTIONS):
         u = rng.random(2 * len(tails))
-        lam[tails, heads] = np.where(u[1::2] < 0.5, 1.0, -1.0) * (cfg.coeff_min + span * u[0::2])
-        if abs(np.linalg.det(np.eye(n) - lam)) > cfg.rejection_tolerance:
+        lam[tails, heads] = np.where(u[1::2] < 0.5, 1.0, -1.0) * (oracle.COEFF_MIN + span * u[0::2])
+        if abs(np.linalg.det(np.eye(n) - lam)) > oracle.REJECTION_TOLERANCE:
             break
     else:
         raise DegenerateSampleError(f"no invertible I - lambda (seed {seed})")
     omega = np.zeros((n, n))
     bidirected = sorted(g.bidirected)
     ends_a, ends_b = [a - 1 for a, _ in bidirected], [b - 1 for _, b in bidirected]
-    values = rng.uniform(-cfg.omega_offdiag, cfg.omega_offdiag, size=len(ends_a))
+    values = rng.uniform(-oracle.OMEGA_OFFDIAG, oracle.OMEGA_OFFDIAG, size=len(ends_a))
     omega[ends_a, ends_b] = values
     omega[ends_b, ends_a] = values
     row_sums = np.sum(np.abs(omega), axis=1)
-    omega[np.diag_indices(n)] = row_sums + rng.uniform(cfg.diag_pad_min, cfg.diag_pad_max, size=n)
+    pads = rng.uniform(oracle.DIAG_PAD_MIN, oracle.DIAG_PAD_MAX, size=n)
+    omega[np.diag_indices(n)] = row_sums + pads
     return Parameters(lam=lam, omega=omega)
 
 
@@ -132,11 +132,12 @@ def test_stack_of_one_and_empty_stack():
     assert sample_parameters(g, []).lam.shape == (0, 3, 3)
 
 
-def test_stack_raises_for_first_degenerate_seed():
+def test_stack_raises_for_first_degenerate_seed(monkeypatch):
     cyclic = MixedGraph(2, [(1, 2), (2, 1)], [])
-    impossible = SampleConfig(rejection_tolerance=1e9, max_rejections=3)
+    monkeypatch.setattr(oracle, "REJECTION_TOLERANCE", 1e9)
+    monkeypatch.setattr(oracle, "MAX_REJECTIONS", 3)
     with pytest.raises(DegenerateSampleError, match=r"\(seed 7\)"):
-        sample_parameters(cyclic, [7, 8], config=impossible)
+        sample_parameters(cyclic, [7, 8])
 
 
 def test_stacked_covariance_checks_every_slice():
