@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import re
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 import numpy as np
 
@@ -267,8 +266,20 @@ def cmd_corpus(args: argparse.Namespace) -> int:
     return EXIT_INPUT_ERROR if had_errors else EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit with EXIT_INPUT_ERROR.
+
+    argparse's own code for them, 2, is EXIT_INFINITE_TO_ONE here.  The
+    subcommand parsers inherit this class.
+    """
+
+    def error(self, message: str) -> NoReturn:
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="semid",
         description="per-edge generic identifiability certificates for linear SEM mixed graphs",
     )
@@ -339,11 +350,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         _parser = build_parser()
     args = _parser.parse_args(argv)
     try:
-        tolerance = getattr(args, "tolerance", 1.0)
-        if not (math.isfinite(tolerance) and tolerance > 0):
-            raise InputError("tolerance must be positive and finite")
-        if getattr(args, "seeds", 1) < 1:
-            raise InputError("seeds must be at least 1")
+        try:
+            identify._check_replay_settings(getattr(args, "seeds", 1), getattr(args, "tolerance", 1.0))
+        except ValueError as exc:
+            raise InputError(str(exc)) from exc
         if "max_set_size" in args and args.max_set_size is None:
             args.max_set_size = _default_max_set_size()
         max_set_size = getattr(args, "max_set_size", None)

@@ -17,6 +17,7 @@ identical inputs give identical certificates.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Sequence
 
@@ -397,11 +398,15 @@ def _tsid_search(
 
 
 def eid_tsid_identify(g: MixedGraph, max_set_size: int | None = None) -> SolverState:
-    """Alternate the edgewise and trek-separation solvers until neither advances."""
+    """Alternate the edgewise and trek-separation solvers until neither advances.
+
+    Each EID round runs to its fixpoint, so once a TSID round adds nothing,
+    another EID round would start from its own fixpoint and add nothing too.
+    """
     state = SolverState()
     while True:
-        before = len(state.certificates)
         state = eid_identify(g, state)
+        before = len(state.certificates)
         state = tsid_identify(g, state, max_set_size)
         if len(state.certificates) == before:
             return state
@@ -541,6 +546,19 @@ class CertificationReport:
 REPLAY_RESAMPLES = 5
 
 
+def _check_replay_settings(seed_count: int, tolerance: float) -> None:
+    """Reject replay settings under which a verified edge would prove nothing.
+
+    A NaN or infinite tolerance switches the replay gate off, and with no
+    seeds nothing is replayed, yet every edge would be reported verified.
+    The CLI reports these as input errors.
+    """
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise ValueError("tolerance must be positive and finite")
+    if seed_count < 1:
+        raise ValueError("seeds must be at least 1")
+
+
 def _verification_seeds(seed: int, count: int) -> list[int]:
     return [seed + 7919 * i for i in range(count)]
 
@@ -555,7 +573,7 @@ def _replay_with_resampling(
     for attempt in range(REPLAY_RESAMPLES):
         params = oracle.sample_parameters(g, seed + 104729 * attempt)
         try:
-            return params, replay_certificates(ordered, oracle.covariance(params))
+            return params, replay_certificates(ordered, oracle._covariance_solve(params))
         except DegenerateSampleError as exc:
             last_error = exc
     raise DegenerateSampleError(
@@ -614,7 +632,9 @@ def verify_certificates(
 
     All seeds are sampled and replayed together on one stack of covariances;
     ``sampled`` is that stack, ``oracle.sample_parameters(g, seeds)``, when
-    the caller has already drawn it.  When any seed is degenerate, the seeds
+    the caller has already drawn it.  Its covariance is solved without the
+    singularity check of ``oracle.covariance``, which every stack the
+    sampler returns passes.  When any seed is degenerate, the seeds
     replay one by one instead, each resampling on its own as
     ``_replay_with_resampling`` does.
 
@@ -626,14 +646,17 @@ def verify_certificates(
             failing seed, then the first failing edge in replay order, is
             reported.
         DegenerateSampleError: a seed stayed degenerate after resampling.
+        ValueError: ``seeds`` is empty or ``tolerance`` is not positive and
+            finite.
     """
     ordered = [c for c in certificates if c.status == IDENTIFIABLE]
     seeds = list(seeds)
-    if sampled is None and seeds:
+    _check_replay_settings(len(seeds), tolerance)
+    if sampled is None:
         sampled = _sample_stack(g, seeds)
     if sampled is not None:
         try:
-            recovered = replay_certificates(ordered, oracle.covariance(sampled))
+            recovered = replay_certificates(ordered, oracle._covariance_solve(sampled))
         except DegenerateSampleError:
             sampled = None
     if sampled is not None:
@@ -669,8 +692,11 @@ def certify(
         CertificateError: a replay missed the sampled ground truth, which
             means a certificate is wrong; the report is never downgraded
             silently.
+        ValueError: ``seeds`` is below 1 or ``tolerance`` is not positive
+            and finite, with or without ``verify``, as on the command line.
     """
     require_valid(g)
+    _check_replay_settings(seeds, tolerance)
     state = eid_tsid_identify(g, max_set_size)
     certificates: dict[DirectedEdge, EdgeCertificate] = {}
     order: list[EdgeCertificate] = list(state.certificates.values())

@@ -117,36 +117,41 @@ def sample_parameters(g: MixedGraph, seed: int | Sequence[int]) -> Parameters:
     seeds = list(seed) if stacked else [seed]
     n = g.n
     span = COEFF_MAX - COEFF_MIN
+    n_coef, n_off = 2 * len(tails), len(ends_a)
 
     def coefficients(u: NDArray) -> NDArray:
         # Per edge, in sorted order: one draw for the magnitude, one for the sign.
         return np.where(u[..., 1::2] < 0.5, 1.0, -1.0) * (COEFF_MIN + span * u[..., 0::2])
 
-    draws = np.empty((len(seeds), 2 * len(tails)))
-    off = np.empty((len(seeds), len(ends_a)))
-    pads = np.empty((len(seeds), n))
+    def uniform(low: float, high: float, u: NDArray) -> NDArray:
+        # The bytes of Generator.uniform(low, high), which draws u the same way.
+        return low + (high - low) * u
+
+    # Row i holds seed i's stream in draw order: the coefficient draws, one
+    # draw per bidirected edge, one pad per vertex.
+    draws = np.empty((len(seeds), n_coef + n_off + n))
     if not acyclic:
-        coef = np.empty((len(seeds), len(tails)))
         trial = np.eye(n)  # I - lambda of the current attempt
     for i, s in enumerate(seeds):
         rng = np.random.default_rng(s)
-        for _ in range(MAX_REJECTIONS):
+        if acyclic:
             rng.random(out=draws[i])
-            if acyclic:
-                break
-            coef[i] = coefficients(draws[i])
-            trial[tails, heads] = -coef[i]
+            continue
+        for _ in range(MAX_REJECTIONS):
+            rng.random(out=draws[i, :n_coef])
+            trial[tails, heads] = -coefficients(draws[i, :n_coef])
             if abs(np.linalg.det(trial)) > REJECTION_TOLERANCE:
                 break
         else:
             raise DegenerateSampleError(
                 f"no invertible I - lambda found in {MAX_REJECTIONS} draws (seed {s})"
             )
-        off[i] = rng.uniform(-OMEGA_OFFDIAG, OMEGA_OFFDIAG, size=len(ends_a))
-        pads[i] = rng.uniform(DIAG_PAD_MIN, DIAG_PAD_MAX, size=n)
+        rng.random(out=draws[i, n_coef:])
+    off = uniform(-OMEGA_OFFDIAG, OMEGA_OFFDIAG, draws[:, n_coef:n_coef + n_off])
+    pads = uniform(DIAG_PAD_MIN, DIAG_PAD_MAX, draws[:, n_coef + n_off:])
 
     lam = np.zeros((len(seeds), n, n))
-    lam[:, tails, heads] = coefficients(draws) if acyclic else coef
+    lam[:, tails, heads] = coefficients(draws[:, :n_coef])
     omega = np.zeros((len(seeds), n, n))
     omega[:, ends_a, ends_b] = off
     omega[:, ends_b, ends_a] = off
@@ -163,14 +168,26 @@ def covariance(p: Parameters) -> NDArray:
     Computed by two linear solves against I - lambda rather than explicit
     inversion, then symmetrized.  ``p`` may hold stacks of shape (..., n, n);
     the result then has the same shape.
+
+    Raises:
+        DegenerateSampleError: some |det(I - lambda)| is at most SINGULAR_TOL.
     """
-    m = np.eye(p.n) - p.lam
-    if np.any(np.abs(np.linalg.det(m)) <= SINGULAR_TOL):
+    if np.any(np.abs(np.linalg.det(np.eye(p.n) - p.lam)) <= SINGULAR_TOL):
         raise DegenerateSampleError("I - lambda is numerically singular")
-    m_t = np.swapaxes(m, -1, -2)
+    return _covariance_solve(p)
+
+
+def _covariance_solve(p: Parameters) -> NDArray:
+    """``covariance`` without its singularity guard.
+
+    For points drawn by ``sample_parameters`` the guard is a postcondition
+    of the sampler: det(I - lambda) = 1 on acyclic graphs, and cyclic draws
+    are kept only when |det| > REJECTION_TOLERANCE > SINGULAR_TOL.
+    """
+    m_t = np.swapaxes(np.eye(p.n) - p.lam, -1, -2)
     half = np.linalg.solve(m_t, p.omega)
     sigma = np.swapaxes(np.linalg.solve(m_t, np.swapaxes(half, -1, -2)), -1, -2)
-    del m, m_t, half  # bounds peak memory: only sigma and the result remain
+    del m_t, half  # bounds peak memory: only sigma and the result remain
     out = sigma + np.swapaxes(sigma, -1, -2)
     out /= 2
     return out
@@ -431,24 +448,21 @@ def sigma_jacobian(g: MixedGraph, p: Parameters) -> NDArray:
     omega entry, d sigma = M^-T (E_uv + E_vu [u != v]) M^-1.
     """
     n = g.n
-    m = np.eye(n) - p.lam
-    m_inv = np.linalg.inv(m)
+    m_inv = np.linalg.inv(np.eye(n) - p.lam)
     sigma = covariance(p)
     upper = ~np.tri(n, k=-1, dtype=bool)  # a boolean mask reads row-major
-    coords = _free_parameters(g)
-    jac = np.empty((n * (n + 1) // 2, len(coords)))
-    for c, (kind, u, w) in enumerate(coords):
-        eu, ew = u - 1, w - 1
-        if kind == "lam":
-            left = np.outer(m_inv.T[:, ew], sigma[eu, :])
-            d = left + left.T
-        else:
-            basis = np.zeros((n, n))
-            basis[eu, ew] = 1.0
-            if eu != ew:
-                basis[ew, eu] = 1.0
-            d = m_inv.T @ basis @ m_inv
-        jac[:, c] = d[upper]
+    tails, heads, ends_a, ends_b, _ = _cached(g, _sampling_layout)
+    # Edge (u, v): the outer product of column v of M^-T with row u of sigma.
+    left = m_inv[heads, :, None] * sigma[tails, None, :]
+    # Omega entry (u, v): one basis matrix per coordinate, sandwiched at once.
+    basis = np.zeros((len(ends_a) + n, n, n))
+    pairs, diag = np.arange(len(ends_a)), np.arange(n)
+    basis[pairs, ends_a, ends_b] = 1.0
+    basis[pairs, ends_b, ends_a] = 1.0
+    basis[len(ends_a) + diag, diag, diag] = 1.0
+    jac = np.empty((n * (n + 1) // 2, len(tails) + len(basis)))
+    jac[:, :len(tails)] = (left + np.swapaxes(left, -1, -2))[:, upper].T
+    jac[:, len(tails):] = (m_inv.T @ basis @ m_inv)[:, upper].T
     return jac
 
 

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from semid import graph_from_json, graph_to_json, identify, oracle
-from semid.cli import EXIT_REPLAY_FAILED, main
+from semid.cli import EXIT_INPUT_ERROR, EXIT_REPLAY_FAILED, main
 
 from conftest import CORPUS_PATH, IV_GRAPH, ONE_EDGE_NONID_GRAPH
 
@@ -205,6 +205,28 @@ def test_replay_option_out_of_range(capsys, command, option, value):
     # would replay nothing; either way success would be reported unchecked.
     code, out, err = run(capsys, command, "3:9:4", option, value, "--format", "json")
     assert code == 1 and out == "" and option[2:] in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["identify", "3:9:4", "--seeds", "abc"],
+    ["identify", "3:9:4", "--tolerance", "-inf"],  # -inf reads as an option
+    [],
+])
+def test_usage_errors_are_input_errors(capsys, argv):
+    # argparse would exit 2, which identify reserves for infinite-to-one edges.
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == EXIT_INPUT_ERROR
+    assert captured.out == "" and "usage: semid" in captured.err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["identify", "--help"]])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert "usage: semid" in capsys.readouterr().out
 
 
 def test_output_file_option(tmp_path, capsys):

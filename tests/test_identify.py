@@ -343,6 +343,30 @@ def test_replay_rejects_missing_prerequisites():
         replay_certificates(shuffled, sig)
 
 
+@pytest.mark.parametrize("seeds", [0, -3])
+def test_certify_rejects_no_seeds(seeds):
+    # Nothing would replay, yet every identifiable edge would read verified.
+    for verify in (True, False):
+        with pytest.raises(ValueError, match="seeds must be at least 1"):
+            certify(IV_GRAPH, verify=verify, seeds=seeds)
+
+
+@pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), -float("inf"), 0.0, -1e-6])
+def test_replay_rejects_tolerance_off_the_gate(tolerance):
+    # A NaN tolerance would pass every replay error, however large.
+    with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+        certify(IV_GRAPH, tolerance=tolerance)
+    certs = htc_identify(IV_GRAPH).certificates.values()
+    with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+        verify_certificates(IV_GRAPH, certs, [0, 1], tolerance)
+
+
+def test_verify_rejects_an_empty_seed_list():
+    certs = htc_identify(IV_GRAPH).certificates.values()
+    with pytest.raises(ValueError, match="seeds must be at least 1"):
+        verify_certificates(IV_GRAPH, certs, [])
+
+
 def test_verify_catches_wrong_certificate():
     state = htc_identify(IV_GRAPH)
     cert = state.certificates[(2, 3)]
