@@ -119,10 +119,10 @@ def cmd_rank(args: argparse.Namespace) -> int:
     g = load_graph(args.graph)
     S = _parse_vertices(args.sources)
     T = _parse_vertices(args.targets)
-    for x in S + T:
-        if not 1 <= x <= g.n:
-            raise InputError(f"vertex {x} outside 1..{g.n}")
-    rank = generic_rank(g, S, T)
+    try:
+        rank = generic_rank(g, S, T)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     payload: dict = {"rank": rank}
     show_cut = args.with_cut or args.cut
     if show_cut:

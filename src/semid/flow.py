@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import Callable, Iterable
 
-from .graph import DirectedEdge, MixedGraph, _cached, require_valid
+from .graph import DirectedEdge, MixedGraph, _cached, _vertex_list, require_valid
 
 
 @dataclass(frozen=True)
@@ -249,7 +249,10 @@ def build_restricted_flow_graph(
 
 
 def generic_rank(g: MixedGraph, S: Iterable[int], T: Iterable[int]) -> int:
-    """Generic rank of the covariance submatrix with rows S and columns T."""
+    """Generic rank of the covariance submatrix with rows S and columns T; 0 when either is empty."""
+    S, T = _vertex_list(g, S), _vertex_list(g, T)
+    if not S or not T:
+        return 0
     net = _cached(g, build_flow_graph)
     return net.max_flow(S, [net.primed(t) for t in T]).value
 
@@ -264,11 +267,10 @@ def t_separating_cut(
     residual reachability frontier of the deterministic max-flow, so equal
     inputs give equal cuts.
     """
-    net = _cached(g, build_flow_graph)
-    S = sorted(set(S))
-    T = sorted(set(T))
+    S, T = _vertex_list(g, S), _vertex_list(g, T)
     if not S or not T:
         return (), ()
+    net = _cached(g, build_flow_graph)
     owners = net.min_cut_nodes(S, [net.primed(t) for t in T])
     left = tuple(x for x in owners if x <= g.n)
     right = tuple(x - g.n for x in owners if x > g.n)

@@ -148,6 +148,14 @@ def _check_vertex(g: MixedGraph, v: int) -> None:
         raise ValueError(f"vertex {v} outside 1..{g.n}")
 
 
+def _vertex_list(g: MixedGraph, vertices: Iterable[int]) -> list[int]:
+    """The distinct ``vertices`` in sorted order, each checked against 1..n."""
+    out = sorted(set(vertices))
+    for v in out:
+        _check_vertex(g, v)
+    return out
+
+
 def _cached(g: MixedGraph, compute, *args):
     """compute(g, *args), memoized on g so that it is freed with g."""
     key = (compute, *args)

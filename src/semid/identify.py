@@ -6,7 +6,7 @@ recoverable from the covariance matrix:
 * ``htc_identify``   - the half-trek criterion, all edges into a node at once;
 * ``eid_identify``   - the edgewise generalization over parent subsets;
 * ``tsid_identify``  - per-edge recovery as a ratio of subdeterminants,
-  certified by a pair of max-flow conditions on the doubled flow graph.
+  certified by one max flow on the doubled flow graph and its residual sweep.
 
 ``certify`` composes them, screens remaining edges with the per-edge
 infinite-to-one test, and optionally replays every certificate numerically
@@ -16,6 +16,7 @@ identical inputs give identical certificates.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 from dataclasses import dataclass, field, replace
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import oracle
 from .flow import FlowNetwork, build_flow_graph, build_restricted_flow_graph
-from .graph import DirectedEdge, MixedGraph, _cached, infinite_to_one_record, require_valid
+from .graph import DirectedEdge, MixedGraph, _cached, _vertex_list, infinite_to_one_record, require_valid
 from .oracle import DegenerateSampleError, Parameters
 
 IDENTIFIABLE = "identifiable"
@@ -273,39 +274,34 @@ def tsep_accepts(
     already recovered; their contribution is subtracted in the numerator.
     S must link fully to T' and w0' in the flow graph, but not to T' and v'
     once the stripped edges are removed.  The relaxed test removes only the
-    right-descending arcs of the stripped edges and needs the targets (plus
-    v) clear of v's descendants; the strict variant removes the stripped
-    edges from both sides but additionally requires the sources clear of v's
-    descendants.  The strict test never accepts a pair the relaxed one
-    rejects.
+    right-descending arcs of the stripped edges and needs T and v clear of
+    des(v); the strict variant also removes their left-climbing arcs and
+    needs S clear of v and des(v) as well, so it never accepts a pair the
+    relaxed one rejects.
 
-    The relaxed test probes one residual sweep of a max flow F from S to T'
+    Both probe one residual sweep of a max flow F from S to T'
     (``FlowNetwork.residual_reach``).  As v is off every cycle and T clear of
     des(v) and v, F never enters v' or des(v)', nor can a residual path leave
     them.  So the pair is accepted exactly when F has value |T|, w0' is
     reached, and no tail of v's remaining in-arcs (v, its siblings, its
-    unstripped parents') is.
+    unstripped parents') is.  The left-climbing arcs strict also removes
+    leave v's left copy, which only sources in v or des(v) can reach, since
+    left copies are entered only by climbing from a child; for the S strict
+    admits they carry no flow, so both networks have the same max flows.
+
+    Raises:
+        ValueError: w0 -> v is not an edge of g, or S or T leaves 1..n.
     """
-    S = sorted(set(S))
-    T = sorted(set(T))
+    S, T = _vertex_list(g, S), _vertex_list(g, T)
     if (w0, v) not in g.directed:
         raise ValueError(f"edge {w0}->{v} not in graph")
-    if len(S) != len(T) + 1:
-        return False
-    if v in T or w0 in T:
-        return False
     des_v = g.descendants(v)
-    full = _cached(g, build_flow_graph)
-    if not strict:
-        if des_v.intersection(T) or v in des_v:
-            return False
-        return bool(_tsep_probe(g, full, v, w0, solved_siblings)(_tsep_sweep(full, S, T)))
-    if v in S or des_v.intersection(S + T) or v in des_v:
+    if len(S) != len(T) + 1 or v in T or w0 in T or v in des_v or des_v.intersection(T):
         return False
-    kept = g.directed - {(w0, v)} - {(s, v) for s in solved_siblings}
-    star = build_restricted_flow_graph(g, kept, kept)
-    full_rank = full.max_flow(S, [full.primed(t) for t in T + [w0]]).value == len(S)
-    return full_rank and star.max_flow(S, [star.primed(t) for t in T + [v]]).value < len(S)
+    if strict and (v in S or des_v.intersection(S)):
+        return False
+    full = _cached(g, build_flow_graph)
+    return bool(_tsep_probe(g, full, v, w0, solved_siblings)(_tsep_sweep(full, S, T)))
 
 
 def _tsep_sweep(full: FlowNetwork, S: Sequence[int], T: Sequence[int]) -> int:
@@ -612,14 +608,6 @@ def _replay_errors(
     return rel
 
 
-def _sample_stack(g: MixedGraph, seeds: list[int]) -> Parameters | None:
-    """Every seed sampled as one stack, or None when some seed is degenerate."""
-    try:
-        return oracle.sample_parameters(g, seeds)
-    except DegenerateSampleError:
-        return None
-
-
 def verify_certificates(
     g: MixedGraph,
     certificates: Iterable[EdgeCertificate],
@@ -652,22 +640,20 @@ def verify_certificates(
     ordered = [c for c in certificates if c.status == IDENTIFIABLE]
     seeds = list(seeds)
     _check_replay_settings(len(seeds), tolerance)
-    if sampled is None:
-        sampled = _sample_stack(g, seeds)
-    if sampled is not None:
-        try:
-            recovered = replay_certificates(ordered, oracle._covariance_solve(sampled))
-        except DegenerateSampleError:
-            sampled = None
-    if sampled is not None:
+    try:
+        if sampled is None:
+            sampled = oracle.sample_parameters(g, seeds)
+        recovered = replay_certificates(ordered, oracle._covariance_solve(sampled))
         rel = _replay_errors(ordered, seeds, sampled.lam, recovered, tolerance)
-        worst = np.fmax.reduce(rel, axis=0, initial=0.0)
-    else:
-        worst = np.zeros(len(ordered))
+    except DegenerateSampleError:
+        # The oracle raises for the whole stack, so only a one-seed replay
+        # shows which seed is degenerate and needs resampling.
+        rows = []
         for seed in seeds:
             p, recovered = _replay_with_resampling(g, ordered, seed)
-            rel = _replay_errors(ordered, [seed], p.lam, recovered, tolerance)
-            worst = np.fmax(worst, rel[0])
+            rows.append(_replay_errors(ordered, [seed], p.lam, recovered, tolerance))
+        rel = np.concatenate(rows)
+    worst = np.fmax.reduce(rel, axis=0, initial=0.0)
     return {cert.edge: float(err) for cert, err in zip(ordered, worst)}
 
 
@@ -706,7 +692,10 @@ def certify(
     # degenerate, the base seed is drawn alone and raises first if it is the
     # degenerate one.
     verify_seeds = _verification_seeds(seed, seeds) if verify and order else []
-    stack = _sample_stack(g, verify_seeds) if verify_seeds else None
+    stack = None
+    if verify_seeds:
+        with contextlib.suppress(DegenerateSampleError):
+            stack = oracle.sample_parameters(g, verify_seeds)
     if stack is not None:
         params = Parameters(lam=stack.lam[0], omega=stack.omega[0])
     else:

@@ -83,6 +83,15 @@ def test_rank_and_cut(tmp_path, capsys):
 def test_rank_out_of_range(capsys):
     code, _, err = run(capsys, "rank", "3:9:4", "-S", "1,9", "-T", "2")
     assert code == 1 and "outside" in err
+    code, _, err = run(capsys, "rank", "3:9:4", "-S", "1", "-T", "0")
+    assert code == 1 and "vertex 0 outside 1..3" in err
+
+
+def test_rank_empty_sources_is_zero(capsys):
+    code, out, err = run(capsys, "rank", "3:9:4", "-S", "", "-T", "1")
+    assert (code, out, err) == (0, "0\n", "")
+    code, out, _ = run(capsys, "rank", "3:9:4", "-S", "", "-T", "1", "--cut", "--format", "json")
+    assert code == 0 and json.loads(out) == {"rank": 0, "cut": {"L": [], "R": []}}
 
 
 def test_decode_encode_roundtrip(tmp_path, capsys):

@@ -170,3 +170,22 @@ def test_t_separating_cut_random_property():
         left, right = t_separating_cut(g, S, T)
         assert len(left) + len(right) == generic_rank(g, S, T)
         assert _cut_separates(g, S, T, left, right)
+
+
+@pytest.mark.parametrize("bad", [0, 9])
+def test_flow_queries_reject_vertices_outside_graph(bad):
+    # Vertex 0 would index vertex n's primed copy and vertex 9 a node past
+    # the doubled graph; both are named as vertices, not as flow nodes.
+    g = MixedGraph(3, [(1, 2), (2, 3)], [(2, 3)])
+    for S, T in (([1], [bad]), ([bad], [1])):
+        with pytest.raises(ValueError, match=f"vertex {bad} outside 1..3"):
+            generic_rank(g, S, T)
+        with pytest.raises(ValueError, match=f"vertex {bad} outside 1..3"):
+            t_separating_cut(g, S, T)
+
+
+def test_empty_side_has_rank_zero_and_empty_cut():
+    g = MixedGraph(3, [(1, 2), (2, 3)], [(2, 3)])
+    for S, T in (([], [1]), ([1], []), ([], [])):
+        assert generic_rank(g, S, T) == 0
+        assert t_separating_cut(g, S, T) == ((), ())

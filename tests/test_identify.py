@@ -140,6 +140,15 @@ def test_tsep_accepts_example():
     assert not tsep_accepts(DESCENDANT_SOURCE_GRAPH, 2, 1, [], [3, 5], [4], strict=True)
 
 
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize("bad", [0, 9])
+def test_tsep_accepts_rejects_vertices_outside_graph(strict, bad):
+    g = MixedGraph(3, [(1, 2), (2, 3)], [(2, 3)])
+    for S, T in (([], [bad]), ([bad], []), ([1, bad], [1])):
+        with pytest.raises(ValueError, match=f"vertex {bad} outside 1..3"):
+            tsep_accepts(g, 3, 2, [], S, T, strict=strict)
+
+
 def test_tsep_strict_implies_relaxed_random():
     rng = random.Random(71)
     accepted = 0
@@ -212,14 +221,28 @@ def _two_flow_tsep_accepts(full, star, v, w0, S, T):
     return star.max_flow(S, [star.primed(t) for t in T] + [star.primed(v)]).value < k
 
 
+def _two_flow_strict_tsep_accepts(g, full, strict_star, v, w0, S, T):
+    """The strict acceptance test as its own guard and two max-flows.
+
+    ``strict_star`` is the flow graph without the stripped edges on either
+    side, left-climbing and right-descending.
+    """
+    des_v = g.descendants(v)
+    if v in S or des_v.intersection(S + T) or v in des_v:
+        return False
+    return _two_flow_tsep_accepts(full, strict_star, v, w0, S, T)
+
+
 def test_sweep_probe_matches_two_flow_predicate():
     # Every edge whose head is off every cycle, with a random subset of its
     # other parents as solved siblings, against every (S, T) with |S| <= 3
     # and T drawn from the search's target candidates.  Each (S, T) is swept
-    # once per graph and probed for every edge, as the search does.
+    # once per graph and probed for every edge, as the search does.  Each
+    # pair also checks tsep_accepts(strict=True) against the strict network,
+    # which strips both sides.
     rng = random.Random(29)
     sizes = [3] * 100 + [4] * 100 + [5] * 60 + [6] * 25 + [7] * 15
-    pairs = accepted = 0
+    pairs = accepted = strict_accepted = 0
     for i, n in enumerate(sizes):
         g = random_mixed_graph(rng, n, acyclic=i % 2 == 0)
         full = build_flow_graph(g)
@@ -230,6 +253,7 @@ def test_sweep_probe_matches_two_flow_predicate():
             solved = [p for p in sorted(g.parents(v) - {w0}) if rng.random() < 0.5]
             removed = {(w0, v)} | {(s, v) for s in solved}
             star = build_restricted_flow_graph(g, g.directed, g.directed - removed)
+            strict_star = build_restricted_flow_graph(g, g.directed - removed, g.directed - removed)
             accepts = _tsep_probe(g, full, v, w0, solved)
             t_candidates = [t for t in g.vertices if t not in (v, w0) and t not in g.descendants(v)]
             for k in range(1, 4):
@@ -241,7 +265,11 @@ def test_sweep_probe_matches_two_flow_predicate():
                         assert bool(accepts(sweeps[S, T])) == expected, (g, w0, v, solved, S, T)
                         pairs += 1
                         accepted += expected
+                        strict = _two_flow_strict_tsep_accepts(g, full, strict_star, v, w0, S, T)
+                        assert tsep_accepts(g, v, w0, solved, S, T, strict=True) == strict, (g, w0, v, solved, S, T)
+                        strict_accepted += strict
     assert pairs >= 50_000 and accepted >= 500
+    assert strict_accepted >= 500
 
 
 def test_eid_tsid_ratio_graph_fully_solved():
