@@ -11,14 +11,12 @@ certificate against a numeric oracle at sampled parameter values.
 from .graph import (
     GraphId,
     MixedGraph,
-    Neighborhoods,
     Trek,
     bidirected_subdivision,
     decode_id,
     encode_id,
     graph_from_json,
     graph_to_json,
-    neighborhoods,
     validate,
 )
 from .flow import (
@@ -72,7 +70,6 @@ __all__ = [
     "GraphId",
     "InfeasibleEdgeError",
     "MixedGraph",
-    "Neighborhoods",
     "Parameters",
     "SolverState",
     "Trek",
@@ -95,7 +92,6 @@ __all__ = [
     "htc_identify",
     "jacobian_rank",
     "joint_certificate",
-    "neighborhoods",
     "recover_edge_ratio",
     "replay_certificates",
     "sample_parameters",

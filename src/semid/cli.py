@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 from pathlib import Path
@@ -65,12 +64,15 @@ def _emit(text: str, output: str | None) -> None:
         print(text)
 
 
-def _default_max_set_size() -> int | None:
-    env = os.environ.get("SEMID_MAX_SET_SIZE")
+def _at_least_one(text: str) -> int:
+    """argparse type of --seeds and --max-set-size: an integer of at least 1."""
     try:
-        return int(env) if env else None
-    except ValueError as exc:
-        raise InputError(f"SEMID_MAX_SET_SIZE={env!r} must be an integer") from exc
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _add_common(parser: argparse.ArgumentParser, seed: bool = True) -> None:
@@ -89,7 +91,6 @@ def cmd_identify(args: argparse.Namespace) -> int:
         verify=not args.no_verify,
         seed=args.seed,
         seeds=args.seeds,
-        tolerance=args.tolerance,
     )
     if args.format == "json":
         _emit(json.dumps(report.to_json_dict(), indent=2), args.output)
@@ -124,13 +125,12 @@ def cmd_rank(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     payload: dict = {"rank": rank}
-    show_cut = args.with_cut or args.cut
-    if show_cut:
+    if args.cut:
         left, right = t_separating_cut(g, S, T)
         payload["cut"] = {"L": list(left), "R": list(right)}
     if args.format == "json":
         _emit(json.dumps(payload), args.output)
-    elif show_cut:
+    elif args.cut:
         cut = payload["cut"]
         _emit(f"rank {rank}\nL = {cut['L']}\nR = {cut['R']}", args.output)
     else:
@@ -182,14 +182,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     identifiable = list(identify.eid_tsid_identify(g, args.max_set_size).certificates.values())
     seeds = identify._verification_seeds(args.seed, args.seeds)
     try:
-        errors = identify.verify_certificates(g, identifiable, seeds, args.tolerance)
+        errors = identify.verify_certificates(g, identifiable, seeds)
     except identify.CertificateError as exc:
         _emit(f"verification FAILED: {exc}", args.output)
         return EXIT_REPLAY_FAILED
     if args.format == "json":
         payload = {
             "seeds": args.seeds,
-            "tolerance": args.tolerance,
+            "tolerance": identify.REPLAY_TOLERANCE,
             "edges": [
                 {"edge": list(edge), "max_rel_err": err} for edge, err in sorted(errors.items())
             ],
@@ -200,7 +200,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f"{u}->{w}: max rel err {err:.3e} over {args.seeds} seeds"
             for (u, w), err in sorted(errors.items())
         ]
-        lines.append(f"all {len(errors)} identifiable edges within {args.tolerance:g}")
+        lines.append(f"all {len(errors)} identifiable edges within {identify.REPLAY_TOLERANCE:g}")
         _emit("\n".join(lines), args.output)
     return EXIT_OK
 
@@ -287,23 +287,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("identify", help="certify every directed edge")
     p.add_argument("graph", help="graph JSON file or inline n:d:b code")
-    p.add_argument("--max-set-size", type=int, default=None,
-                   help="bound on |S| in the determinantal search (default: vertex count; env SEMID_MAX_SET_SIZE)")
+    p.add_argument("--max-set-size", type=_at_least_one, default=None,
+                   help="bound on |S| in the determinantal search (default: vertex count)")
     p.add_argument("--no-verify", action="store_true", help="skip the numeric replay of certificates")
-    p.add_argument("--seeds", type=int, default=3, help="number of verification seeds")
-    p.add_argument("--tolerance", type=float, default=1e-6, help="max relative replay error")
+    p.add_argument("--seeds", type=_at_least_one, default=3, help="number of verification seeds")
     _add_common(p)
     p.set_defaults(func=cmd_identify)
 
-    for name, with_cut in (("rank", False), ("cut", True)):
-        p = sub.add_parser(name, help="generic rank of a covariance submatrix"
-                           + (" with a minimum t-separating cut" if with_cut else ""))
-        p.add_argument("graph")
-        p.add_argument("-S", "--sources", required=True, help="comma-separated row vertices")
-        p.add_argument("-T", "--targets", required=True, help="comma-separated column vertices")
-        p.add_argument("--cut", action="store_true", help="also print a minimum t-separating cut")
-        _add_common(p, seed=False)
-        p.set_defaults(func=cmd_rank, with_cut=with_cut)
+    p = sub.add_parser("rank", help="generic rank of a covariance submatrix")
+    p.add_argument("graph")
+    p.add_argument("-S", "--sources", required=True, help="comma-separated row vertices")
+    p.add_argument("-T", "--targets", required=True, help="comma-separated column vertices")
+    p.add_argument("--cut", action="store_true", help="also print a minimum t-separating cut")
+    _add_common(p, seed=False)
+    p.set_defaults(func=cmd_rank)
 
     p = sub.add_parser("decode", help="expand an n:d:b code to graph JSON")
     p.add_argument("code")
@@ -322,9 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="replay identifiable edges over many seeds")
     p.add_argument("graph")
-    p.add_argument("--seeds", type=int, default=100)
-    p.add_argument("--tolerance", type=float, default=1e-6)
-    p.add_argument("--max-set-size", type=int, default=None)
+    p.add_argument("--seeds", type=_at_least_one, default=100)
+    p.add_argument("--max-set-size", type=_at_least_one, default=None)
     _add_common(p)
     p.set_defaults(func=cmd_verify)
 
@@ -332,15 +328,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("corpus", help="file with one n:d:b code per line, '#' comments")
     p.add_argument("--algorithms", default="htc,eid,tsid,eid+tsid",
                    help="comma-separated subset of: " + ", ".join(_ALGORITHMS))
-    p.add_argument("--max-set-size", type=int, default=None)
+    p.add_argument("--max-set-size", type=_at_least_one, default=None)
     _add_common(p, seed=False)
     p.set_defaults(func=cmd_corpus)
 
     return parser
 
 
-# Built on first use and reused: parse_args leaves the parser unchanged, and
-# main reads the SEMID_MAX_SET_SIZE default afresh on every call.
+# Built on first use and reused: parse_args leaves the parser unchanged.
 _parser: argparse.ArgumentParser | None = None
 
 
@@ -350,15 +345,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         _parser = build_parser()
     args = _parser.parse_args(argv)
     try:
-        try:
-            identify._check_replay_settings(getattr(args, "seeds", 1), getattr(args, "tolerance", 1.0))
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
-        if "max_set_size" in args and args.max_set_size is None:
-            args.max_set_size = _default_max_set_size()
-        max_set_size = getattr(args, "max_set_size", None)
-        if max_set_size is not None and max_set_size < 1:
-            raise InputError("max-set-size must be at least 1")
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -125,27 +125,22 @@ class FlowNetwork:
         feeds back into z: F is still maximum there, and a residual path into
         that region never leaves it.
         """
-        value, cap, queue, _ = self._saturate(sorted(set(sources)), sorted(set(sinks)))
-        to, adj = self._to, self._adj
-        reach = bytearray(len(adj))
-        for x in queue:
-            reach[x] = 1
-        for x in queue:
-            for e in adj[x]:
-                if cap[e] and not reach[to[e]]:
-                    reach[to[e]] = 1
-                    queue.append(to[e])
-        return value, cap, sum(1 << x for x in queue)
+        value, cap, reached, _ = self._saturate(sorted(set(sources)), sorted(set(sinks)), sweep=True)
+        return value, cap, sum(1 << x for x in reached)
 
     def _saturate(
-        self, sources: list[int], sinks: list[int]
+        self, sources: list[int], sinks: list[int], sweep: bool = False
     ) -> tuple[int, list[int], list[int], bytearray]:
         """Edmonds-Karp with unit augmentations on a fresh copy of the capacities.
 
         Returns the flow value, the residual capacities, the in-nodes of the
         sources that carry no flow, and a mask of the out-nodes whose sink arc
         is still open.  Each search starts from the free sources in sorted
-        order and ends at the first free sink out-node it discovers.
+        order and ends at the first free sink out-node it discovers.  With
+        ``sweep``, searching goes on after the sinks are full until a search
+        fails, and the split nodes that search visited replace the free
+        sources in the result.  They are the residual sweep from the free
+        sources, so the sweep needs no traversal of its own.
         """
         to, adj = self._to, self._adj
         cap = self._cap[:]
@@ -154,7 +149,7 @@ class FlowNetwork:
         for t in sinks:
             free_sinks[2 * t + 1] = 1
         value = 0
-        while free_sources and value < len(sinks):
+        while free_sources and (sweep or value < len(sinks)):
             pred = [-1] * len(adj)
             for x in free_sources:
                 pred[x] = -2
@@ -173,6 +168,8 @@ class FlowNetwork:
                 if end >= 0:
                     break
             if end < 0:
+                if sweep:
+                    free_sources = queue
                 break
             free_sinks[end] = 0
             y = end

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 
 DirectedEdge = tuple[int, int]
@@ -94,26 +94,6 @@ class MixedGraph:
 
     def is_acyclic(self) -> bool:
         return _cached(self, _is_acyclic)
-
-
-class Neighborhoods(NamedTuple):
-    pa: frozenset[int]
-    sib: frozenset[int]
-    des: frozenset[int]
-    tr: frozenset[int]
-    htr: frozenset[int]
-
-
-def neighborhoods(g: MixedGraph, v: int) -> Neighborhoods:
-    """All five neighborhood/reachability sets of a vertex."""
-    _check_vertex(g, v)
-    return Neighborhoods(
-        pa=g.parents(v),
-        sib=g.siblings(v),
-        des=g.descendants(v),
-        tr=g.trek_reachable(v),
-        htr=g.half_trek_reachable(v),
-    )
 
 
 def validate(g: MixedGraph) -> list[str]:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import contextlib
 import itertools
-import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Sequence
 
@@ -26,7 +25,7 @@ import numpy as np
 
 from . import oracle
 from .flow import FlowNetwork, build_flow_graph, build_restricted_flow_graph
-from .graph import DirectedEdge, MixedGraph, _cached, _vertex_list, infinite_to_one_record, require_valid
+from .graph import DirectedEdge, MixedGraph, _cached, _check_vertex, _vertex_list, infinite_to_one_record, require_valid
 from .oracle import DegenerateSampleError, Parameters
 
 IDENTIFIABLE = "identifiable"
@@ -129,6 +128,9 @@ def half_trek_system_exists(
     """
     sources = sorted(set(sources))
     targets = sorted(set(targets))
+    # the smallest and largest of each sorted list bound the rest
+    for x in sources[:1] + sources[-1:] + targets[:1] + targets[-1:]:
+        _check_vertex(g, x)
     avoid = set(avoid)
     bad = avoid.intersection(sources)
     if bad:
@@ -540,17 +542,16 @@ class CertificationReport:
 
 # Fresh samples tried per seed when its replay is degenerate.
 REPLAY_RESAMPLES = 5
+# Largest relative error a replayed coefficient may have against the sampled one.
+REPLAY_TOLERANCE = 1e-6
 
 
-def _check_replay_settings(seed_count: int, tolerance: float) -> None:
-    """Reject replay settings under which a verified edge would prove nothing.
+def _check_replay_settings(seed_count: int) -> None:
+    """Reject a seed count under which a verified edge would prove nothing.
 
-    A NaN or infinite tolerance switches the replay gate off, and with no
-    seeds nothing is replayed, yet every edge would be reported verified.
-    The CLI reports these as input errors.
+    With no seeds nothing is replayed, yet every edge would be reported
+    verified.
     """
-    if not (math.isfinite(tolerance) and tolerance > 0):
-        raise ValueError("tolerance must be positive and finite")
     if seed_count < 1:
         raise ValueError("seeds must be at least 1")
 
@@ -582,13 +583,12 @@ def _replay_errors(
     seeds: list[int],
     lam: np.ndarray,
     recovered: dict[DirectedEdge, np.ndarray],
-    tolerance: float,
 ) -> np.ndarray:
     """Relative errors, seeds x edges, of values replayed at the sampled ``lam``.
 
     Raises:
         CertificateError: for the first (seed, edge), seed-major, whose error
-            exceeds ``tolerance``.
+            exceeds ``REPLAY_TOLERANCE``.
     """
     got = np.empty((len(seeds), len(ordered)))
     truth = np.empty_like(got)
@@ -597,13 +597,13 @@ def _replay_errors(
         got[:, j] = recovered[cert.edge]
         truth[:, j] = lam[..., u - 1, w - 1]
     rel = np.abs(got - truth) / np.maximum(np.abs(truth), 1e-12)
-    over = np.argwhere(rel > tolerance)
+    over = np.argwhere(rel > REPLAY_TOLERANCE)
     if len(over):
         i, j = over[0]
         u, w = ordered[j].edge
         raise CertificateError(
             f"edge {u}->{w} ({ordered[j].method}): recovered {got[i, j]:.12g} "
-            f"vs sampled {truth[i, j]:.12g} (rel err {rel[i, j]:.3e} > {tolerance:g}, seed {seeds[i]})"
+            f"vs sampled {truth[i, j]:.12g} (rel err {rel[i, j]:.3e} > {REPLAY_TOLERANCE:g}, seed {seeds[i]})"
         )
     return rel
 
@@ -612,7 +612,6 @@ def verify_certificates(
     g: MixedGraph,
     certificates: Iterable[EdgeCertificate],
     seeds: Iterable[int],
-    tolerance: float = 1e-6,
     *,
     sampled: Parameters | None = None,
 ) -> dict[DirectedEdge, float]:
@@ -630,28 +629,27 @@ def verify_certificates(
 
     Raises:
         CertificateError: some edge's recovered value misses the sampled
-            coefficient by more than ``tolerance`` (relative); the first
+            coefficient by more than ``REPLAY_TOLERANCE`` (relative); the first
             failing seed, then the first failing edge in replay order, is
             reported.
         DegenerateSampleError: a seed stayed degenerate after resampling.
-        ValueError: ``seeds`` is empty or ``tolerance`` is not positive and
-            finite.
+        ValueError: ``seeds`` is empty.
     """
     ordered = [c for c in certificates if c.status == IDENTIFIABLE]
     seeds = list(seeds)
-    _check_replay_settings(len(seeds), tolerance)
+    _check_replay_settings(len(seeds))
     try:
         if sampled is None:
             sampled = oracle.sample_parameters(g, seeds)
         recovered = replay_certificates(ordered, oracle._covariance_solve(sampled))
-        rel = _replay_errors(ordered, seeds, sampled.lam, recovered, tolerance)
+        rel = _replay_errors(ordered, seeds, sampled.lam, recovered)
     except DegenerateSampleError:
         # The oracle raises for the whole stack, so only a one-seed replay
         # shows which seed is degenerate and needs resampling.
         rows = []
         for seed in seeds:
             p, recovered = _replay_with_resampling(g, ordered, seed)
-            rows.append(_replay_errors(ordered, [seed], p.lam, recovered, tolerance))
+            rows.append(_replay_errors(ordered, [seed], p.lam, recovered))
         rel = np.concatenate(rows)
     worst = np.fmax.reduce(rel, axis=0, initial=0.0)
     return {cert.edge: float(err) for cert, err in zip(ordered, worst)}
@@ -663,7 +661,6 @@ def certify(
     verify: bool = True,
     seed: int = 0,
     seeds: int = 3,
-    tolerance: float = 1e-6,
 ) -> CertificationReport:
     """Certify every directed edge of the graph.
 
@@ -678,11 +675,11 @@ def certify(
         CertificateError: a replay missed the sampled ground truth, which
             means a certificate is wrong; the report is never downgraded
             silently.
-        ValueError: ``seeds`` is below 1 or ``tolerance`` is not positive
-            and finite, with or without ``verify``, as on the command line.
+        ValueError: ``seeds`` is below 1, with or without ``verify``, as on
+            the command line.
     """
     require_valid(g)
-    _check_replay_settings(seeds, tolerance)
+    _check_replay_settings(seeds)
     state = eid_tsid_identify(g, max_set_size)
     certificates: dict[DirectedEdge, EdgeCertificate] = {}
     order: list[EdgeCertificate] = list(state.certificates.values())
@@ -726,7 +723,7 @@ def certify(
         certificates[edge] = EdgeCertificate(edge=edge, status=UNKNOWN)
 
     if verify and order:
-        errors = verify_certificates(g, order, verify_seeds, tolerance, sampled=stack)
+        errors = verify_certificates(g, order, verify_seeds, sampled=stack)
         for edge, err in errors.items():
             certificates[edge] = replace(
                 certificates[edge],

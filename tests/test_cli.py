@@ -14,6 +14,14 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_usage_error(capsys, *argv):
+    """The exit code, stdout and stderr of an invocation that argparse rejects."""
+    with pytest.raises(SystemExit) as exc:
+        main([str(a) for a in argv])
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
 def test_identify_fully_identifiable(capsys):
     code, out, _ = run(capsys, "identify", "3:9:4")
     assert code == 0
@@ -62,14 +70,11 @@ def test_rank_and_cut(tmp_path, capsys):
     )
     code, out, _ = run(capsys, "rank", path, "-S", "1,2,4", "-T", "1,3,5")
     assert code == 0 and out.strip() == "3"
-    code, out, _ = run(capsys, "cut", path, "-S", "1,2,4", "-T", "1,3,5", "--format", "json")
+    code, out, _ = run(capsys, "rank", path, "-S", "1,2,4", "-T", "1,3,5", "--cut", "--format", "json")
     assert code == 0
     payload = json.loads(out)
     assert payload["rank"] == 3
     assert len(payload["cut"]["L"]) + len(payload["cut"]["R"]) == 3
-    code, rank_cut_out, _ = run(capsys, "rank", path, "-S", "1,2,4", "-T", "1,3,5",
-                                "--cut", "--format", "json")
-    assert code == 0 and rank_cut_out == out
 
     bar = tmp_path / "bar.json"
     bar.write_text(
@@ -198,10 +203,10 @@ def test_verify_ratio_graph_100_seeds(capsys):
 
 
 def test_option_validation(capsys):
-    code, _, err = run(capsys, "identify", "3:9:4", "--tolerance", "0")
-    assert code == 1 and "tolerance" in err
-    code, _, err = run(capsys, "identify", "3:9:4", "--max-set-size", "0")
-    assert code == 1 and "max-set-size" in err
+    code, _, err = run_usage_error(capsys, "identify", "3:9:4", "--max-set-size", "0")
+    assert code == 1 and "argument --max-set-size: must be at least 1, got 0" in err
+    code, _, err = run_usage_error(capsys, "corpus", CORPUS_PATH, "--max-set-size", "x")
+    assert code == 1 and "argument --max-set-size: invalid int value: 'x'" in err
 
 
 @pytest.mark.parametrize("command", ["identify", "verify"])
@@ -210,24 +215,28 @@ def test_option_validation(capsys):
     ("--tolerance", "nan"), ("--tolerance", "inf"),
 ])
 def test_replay_option_out_of_range(capsys, command, option, value):
-    # A non-finite tolerance would switch the replay gate off, and no seeds
-    # would replay nothing; either way success would be reported unchecked.
-    code, out, err = run(capsys, command, "3:9:4", option, value, "--format", "json")
-    assert code == 1 and out == "" and option[2:] in err
+    # No seeds would replay nothing, and a tolerance could switch the replay
+    # gate off; either way success would be reported unchecked.  The gate is
+    # not an option at all.
+    code, out, err = run_usage_error(capsys, command, "3:9:4", option, value, "--format", "json")
+    assert code == 1 and out == "" and option in err
 
 
 @pytest.mark.parametrize("argv", [
     ["identify", "3:9:4", "--seeds", "abc"],
     ["identify", "3:9:4", "--tolerance", "-inf"],  # -inf reads as an option
+    ["identify", "3:9:4", "--tolerance", "1e-3"],
+    ["verify", "3:9:4", "--tolerance", "1e-3"],
+    ["identify", "3:9:4", "--max-set-size", "0"],
+    ["verify", "3:9:4", "--max-set-size", "0"],
+    ["corpus", CORPUS_PATH, "--max-set-size", "0"],
+    ["cut", "3:9:4", "-S", "1", "-T", "2"],  # spelled rank --cut
     [],
 ])
 def test_usage_errors_are_input_errors(capsys, argv):
     # argparse would exit 2, which identify reserves for infinite-to-one edges.
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    captured = capsys.readouterr()
-    assert exc.value.code == EXIT_INPUT_ERROR
-    assert captured.out == "" and "usage: semid" in captured.err
+    code, out, err = run_usage_error(capsys, *argv)
+    assert code == EXIT_INPUT_ERROR and out == "" and "usage: semid" in err
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["identify", "--help"]])
@@ -243,24 +252,6 @@ def test_output_file_option(tmp_path, capsys):
     code, out, _ = run(capsys, "decode", "3:9:4", "--output", target)
     assert code == 0 and out == ""
     assert graph_from_json(target.read_text()) == IV_GRAPH
-
-
-def test_env_var_max_set_size(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("SEMID_MAX_SET_SIZE", "1")
-    code, _, _ = run(capsys, "identify", "5:4456:113", "--no-verify")
-    assert code == 3
-
-
-def test_env_var_read_on_every_call(capsys, monkeypatch):
-    monkeypatch.delenv("SEMID_MAX_SET_SIZE", raising=False)
-    code, _, _ = run(capsys, "identify", "5:4456:113", "--no-verify", "--format", "json")
-    assert code == 3
-    monkeypatch.setenv("SEMID_MAX_SET_SIZE", "0")
-    code, _, err = run(capsys, "identify", "5:4456:113", "--no-verify")
-    assert code == 1 and "max-set-size" in err
-    monkeypatch.setenv("SEMID_MAX_SET_SIZE", "many")
-    code, _, err = run(capsys, "verify", "3:9:4", "--seeds", "1")
-    assert code == 1 and "SEMID_MAX_SET_SIZE" in err
 
 
 def _broken_state(g, max_set_size=None):

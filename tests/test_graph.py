@@ -13,7 +13,6 @@ from semid import (
     encode_id,
     graph_from_json,
     graph_to_json,
-    neighborhoods,
     validate,
 )
 from semid.flow import build_restricted_flow_graph, generic_rank
@@ -45,11 +44,10 @@ def test_bidirected_membership_is_symmetric():
 
 
 def test_neighborhoods_iv_vertex3():
-    nb = neighborhoods(IV_GRAPH, 3)
-    assert nb.pa == {2}
-    assert nb.sib == {2}
-    assert nb.des == frozenset()
-    assert nb.htr == {2, 3}
+    assert IV_GRAPH.parents(3) == {2}
+    assert IV_GRAPH.siblings(3) == {2}
+    assert IV_GRAPH.descendants(3) == frozenset()
+    assert IV_GRAPH.half_trek_reachable(3) == {2, 3}
 
 
 def test_neighborhoods_htc_fail_vertex5():
@@ -58,8 +56,8 @@ def test_neighborhoods_htc_fail_vertex5():
 
 def test_neighborhoods_isolated_vertex():
     g = MixedGraph(4, [(1, 2)], [(1, 2)])
-    nb = neighborhoods(g, 4)
-    assert nb.pa == nb.sib == nb.des == nb.tr == nb.htr == frozenset()
+    assert g.parents(4) == g.siblings(4) == g.descendants(4) == frozenset()
+    assert g.trek_reachable(4) == g.half_trek_reachable(4) == frozenset()
 
 
 def test_neighborhood_containments_random():
@@ -67,8 +65,7 @@ def test_neighborhood_containments_random():
     for _ in range(100):
         g = random_mixed_graph(rng, rng.randint(1, 6))
         for v in g.vertices:
-            nb = neighborhoods(g, v)
-            assert nb.des <= nb.htr <= nb.tr
+            assert g.descendants(v) <= g.half_trek_reachable(v) <= g.trek_reachable(v)
 
 
 def test_descendants_on_cycles():
@@ -153,8 +150,10 @@ def test_graph_is_freed_after_use():
 
 
 def test_out_of_range_vertex_raises():
-    with pytest.raises(ValueError):
-        neighborhoods(IV_GRAPH, 4)
+    for query in (IV_GRAPH.parents, IV_GRAPH.siblings, IV_GRAPH.descendants,
+                  IV_GRAPH.trek_reachable, IV_GRAPH.half_trek_reachable):
+        with pytest.raises(ValueError, match="vertex 4 outside 1..3"):
+            query(4)
 
 
 def test_decode_empty_and_iv():

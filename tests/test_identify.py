@@ -20,7 +20,7 @@ from semid import (
     tsid_identify,
     verify_certificates,
 )
-from semid import oracle
+from semid import identify, oracle
 from semid.flow import build_flow_graph, build_restricted_flow_graph
 from semid.identify import (
     IDENTIFIABLE,
@@ -73,6 +73,12 @@ def test_htc_allowed_sources_empty_on_ratio_graph():
 def test_half_trek_system_avoid_check():
     with pytest.raises(ValueError):
         half_trek_system_exists(IV_GRAPH, [1, 3], [2], avoid=[3])
+
+
+@pytest.mark.parametrize("sources, targets, bad", [([1], [0], 0), ([9], [1], 9), ([1], [9], 9)])
+def test_half_trek_system_names_a_vertex_outside_the_graph(sources, targets, bad):
+    with pytest.raises(ValueError, match=rf"^vertex {bad} outside 1\.\.3$"):
+        half_trek_system_exists(IV_GRAPH, sources, targets)
 
 
 def test_htc_identify_iv():
@@ -379,14 +385,8 @@ def test_certify_rejects_no_seeds(seeds):
             certify(IV_GRAPH, verify=verify, seeds=seeds)
 
 
-@pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), -float("inf"), 0.0, -1e-6])
-def test_replay_rejects_tolerance_off_the_gate(tolerance):
-    # A NaN tolerance would pass every replay error, however large.
-    with pytest.raises(ValueError, match="tolerance must be positive and finite"):
-        certify(IV_GRAPH, tolerance=tolerance)
-    certs = htc_identify(IV_GRAPH).certificates.values()
-    with pytest.raises(ValueError, match="tolerance must be positive and finite"):
-        verify_certificates(IV_GRAPH, certs, [0, 1], tolerance)
+def test_replay_gate_is_fixed():
+    assert identify.REPLAY_TOLERANCE == 1e-6
 
 
 def test_verify_rejects_an_empty_seed_list():
@@ -408,14 +408,14 @@ def test_verify_catches_wrong_certificate():
         witness={"v": 3, "w0": 2, "S": [2], "T": []}, prerequisites=(),
     )
     with pytest.raises(CertificateError):
-        verify_certificates(IV_GRAPH, [broken], seeds=[0], tolerance=1e-6)
+        verify_certificates(IV_GRAPH, [broken], seeds=[0])
 
 
 def test_joint_certificate_replay():
     g = JOINT_SYSTEM_GRAPH
     certs = joint_certificate(g, 6, [4, 5], [([3, 5], [1]), ([2, 4], [1])])
     assert {c.edge for c in certs} == {(4, 6), (5, 6)}
-    errors = verify_certificates(g, certs, seeds=range(5), tolerance=1e-6)
+    errors = verify_certificates(g, certs, seeds=range(5))
     assert max(errors.values()) < 1e-6
 
 
@@ -500,7 +500,7 @@ def test_verify_falls_back_per_seed_on_degenerate_batch(monkeypatch):
     assert errors == _per_seed_errors(g, certs, seeds)
 
 
-def test_verify_reports_first_failing_seed_then_edge():
+def test_verify_reports_first_failing_seed_then_edge(monkeypatch):
     # Both certificates are wrong; 2->3 fails only at seed 0, 1->2 at every
     # seed.  Seed order comes first, then replay order within a seed.
     wrong = [
@@ -509,8 +509,9 @@ def test_verify_reports_first_failing_seed_then_edge():
         EdgeCertificate(edge=(1, 2), status=IDENTIFIABLE, method="TSID",
                         witness={"v": 2, "w0": 1, "S": [2], "T": []}),
     ]
+    monkeypatch.setattr(identify, "REPLAY_TOLERANCE", 0.4)
     with pytest.raises(CertificateError) as exc:
-        verify_certificates(IV_GRAPH, wrong, [4, 0, 3], tolerance=0.4)
+        verify_certificates(IV_GRAPH, wrong, [4, 0, 3])
     assert str(exc.value) == (
         "edge 1->2 (TSID): recovered -2.63473780146 vs sampled -0.960139273901 "
         "(rel err 1.744e+00 > 0.4, seed 4)"

@@ -62,9 +62,7 @@ def test_alternation_order_stays_sound():
                 break
         for solved in (eid_first, state):
             if solved.certificates:
-                errors = verify_certificates(
-                    g, list(solved.certificates.values()), seeds=[11], tolerance=1e-6
-                )
+                errors = verify_certificates(g, list(solved.certificates.values()), seeds=[11])
                 assert all(err < 1e-6 for err in errors.values())
 
 
