@@ -269,8 +269,7 @@ def cmd_corpus(args: argparse.Namespace) -> int:
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose usage errors exit with EXIT_INPUT_ERROR.
 
-    argparse's own code for them, 2, is EXIT_INFINITE_TO_ONE here.  The
-    subcommand parsers inherit this class.
+    argparse's own code for them, 2, is EXIT_INFINITE_TO_ONE here.
     """
 
     def error(self, message: str) -> NoReturn:
@@ -278,12 +277,28 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT_ERROR, f"{self.prog}: error: {message}\n")
 
 
+class _SubcommandParser(_Parser):
+    """A subcommand's parser, which reports arguments it does not know itself.
+
+    Otherwise they would reach the top-level parser, which reports them with
+    its own usage line rather than the subcommand's.
+    """
+
+    def parse_known_args(
+        self, args: Sequence[str] | None = None, namespace: argparse.Namespace | None = None
+    ) -> tuple[argparse.Namespace, list[str]]:
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="semid",
         description="per-edge generic identifiability certificates for linear SEM mixed graphs",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_SubcommandParser)
 
     p = sub.add_parser("identify", help="certify every directed edge")
     p.add_argument("graph", help="graph JSON file or inline n:d:b code")

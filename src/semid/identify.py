@@ -12,6 +12,28 @@ recoverable from the covariance matrix:
 infinite-to-one test, and optionally replays every certificate numerically
 against sampled ground truth.  All searches use fixed iteration orders, so
 identical inputs give identical certificates.
+
+Most TSID pairs fail the "star" condition: S links fully to T' and v' once
+the arcs of w0 -> v and of the solved siblings' edges into v' are removed.
+By trek separation (Sullivant, Talaska and Draisma 2010) that happens
+exactly when det star[S, T + v] is not the zero polynomial, where
+star = (I - lambda)^-T omega (I - lambda*)^-1 and lambda* is lambda without
+those stripped edges.  The search visits only edges whose head v lies on no
+directed cycle, and targets T outside des(v) + {v, w0}, so its columns come
+from the covariance sigma alone: star[:, T] = sigma[:, T], and star[:, v] is
+sigma[:, v] minus lambda[w, v] * sigma[:, w] for each stripped w.  One sigma
+mod P per graph (``modp.field_point``: a fixed prime, a fixed seeded point)
+thus serves every edge, and only the column of v changes.
+
+A star minor that is nonzero mod P is not the zero polynomial (Schwartz
+1980, Zippel 1979), so its pair fails and is skipped without a sweep.  A
+minor that is zero proves nothing, and the pair is swept as before.  The
+filter thus removes only pairs the sweep would reject: the first accepted
+pair, and so every certificate, is the same at any point, which decides only
+how much work is done.  It runs from |S| = 2 on, over blocks of at most
+``FILTER_BLOCK`` pairs in search order.  At |S| = 1 a sweep depends on S
+alone, so at most n of them serve every edge.  On the slow n=9 graphs of the
+tests it cut the sweeps per verdict from 24,255-60,069 to 9-3,134.
 """
 
 from __future__ import annotations
@@ -19,11 +41,11 @@ from __future__ import annotations
 import contextlib
 import itertools
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from . import oracle
+from . import modp, oracle
 from .flow import FlowNetwork, build_flow_graph, build_restricted_flow_graph
 from .graph import DirectedEdge, MixedGraph, _cached, _check_vertex, _vertex_list, infinite_to_one_record, require_valid
 from .oracle import DegenerateSampleError, Parameters
@@ -370,29 +392,76 @@ def _tsid_search(
     """First accepted (S, T) pair, by increasing |S| then lexicographic order.
 
     ``full`` is the flow graph of g.  ``sweeps`` maps each pair, as the
-    bitmask of T with the bitmask of S shifted above it, to its sweep.
+    bitmask of T with the bitmask of S shifted above it, to its sweep.  From
+    |S| = 2 on, pairs whose star minor is nonzero at the graph's GF(P) point
+    are skipped unswept: they fail for certain.
     """
     accepts = _tsep_probe(g, full, v, w0, solved_sibs)
+    star = None  # made at the first level with |S| >= 2
     for k in range(1, max_set_size + 1):
         if len(t_candidates) < k - 1:
             break
-        targets = [(T, sum(1 << t for t in T)) for T in itertools.combinations(t_candidates, k - 1)]
-        for S in itertools.combinations(g.vertices, k):
-            s_key = sum(1 << s for s in S) << g.n
-            for T, t_key in targets:
-                reach = sweeps.get(s_key | t_key)
-                if reach is None:
-                    reach = sweeps[s_key | t_key] = _tsep_sweep(full, S, T)
-                if not accepts(reach):
-                    continue
-                witness = {"v": v, "w0": w0, "S": sorted(S), "T": sorted(T)}
-                state.certificates[(w0, v)] = EdgeCertificate(
-                    edge=(w0, v), status=IDENTIFIABLE, method="TSID",
-                    witness=witness,
-                    prerequisites=tuple((s, v) for s in solved_sibs),
-                )
-                return True
+        if k >= 2 and (point := _cached(g, modp.field_point)) is not None:
+            if star is None:
+                star = modp.star_matrix(point, v, [w0, *solved_sibs], t_candidates)
+            pairs = _star_vanishing_pairs(g, star, t_candidates, k)
+        else:
+            pairs = itertools.product(itertools.combinations(g.vertices, k), itertools.combinations(t_candidates, k - 1))
+        for S, T in pairs:
+            key = sum(1 << s for s in S) << g.n | sum(1 << t for t in T)
+            reach = sweeps.get(key)
+            if reach is None:
+                reach = sweeps[key] = _tsep_sweep(full, S, T)
+            if not accepts(reach):
+                continue
+            witness = {"v": v, "w0": w0, "S": sorted(S), "T": sorted(T)}
+            state.certificates[(w0, v)] = EdgeCertificate(
+                edge=(w0, v), status=IDENTIFIABLE, method="TSID",
+                witness=witness,
+                prerequisites=tuple((s, v) for s in solved_sibs),
+            )
+            return True
     return False
+
+
+# Pairs whose star minors are tested as one stack, which bounds the filter's
+# memory.  On the n=11 graphs of the tests 1024 runs as fast as 4096 with
+# about 4 MB less peak RSS.
+FILTER_BLOCK = 1024
+
+
+def _star_vanishing_pairs(
+    g: MixedGraph, star: np.ndarray, t_candidates: list[int], k: int
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The pairs (S, T) with |S| = k, in search order, whose star minor is 0 mod P.
+
+    ``star`` is ``modp.star_matrix`` for the edge and ``t_candidates``, so
+    its minors are the star minors (see the module docstring).  Each block
+    of at most ``FILTER_BLOCK`` pairs is gathered through combination index
+    arrays and tested as one stack; the other pairs fail ``tsep_accepts``
+    for certain.
+    """
+    m = len(t_candidates)
+    s_rows = _cached(g, _combinations, g.n, k)
+    cols = _cached(g, _combinations, m, k - 1, m)  # T's columns, then the star column
+    total = len(s_rows) * len(cols)
+    for lo in range(0, total, FILTER_BLOCK):
+        s_index, t_index = np.divmod(np.arange(lo, min(lo + FILTER_BLOCK, total)), len(cols))
+        vanishing = ~modp.nonzero_minors(star[s_rows[s_index][:, :, None], cols[t_index][:, None, :]])
+        for s, t in zip(s_index[vanishing].tolist(), t_index[vanishing].tolist()):
+            yield (
+                tuple(x + 1 for x in s_rows[s].tolist()),
+                tuple(t_candidates[x] for x in cols[t, :-1].tolist()),
+            )
+
+
+def _combinations(g: MixedGraph, m: int, k: int, *tail: int) -> np.ndarray:
+    """The k-subsets of range(m) in lexicographic order, one per row, each followed by ``tail``.
+
+    Memoized on g with ``_cached``, so the arrays are freed with it.
+    """
+    rows = [c + tail for c in itertools.combinations(range(m), k)]
+    return np.array(rows, dtype=np.intp).reshape(-1, k + len(tail))
 
 
 def eid_tsid_identify(g: MixedGraph, max_set_size: int | None = None) -> SolverState:

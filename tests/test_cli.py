@@ -239,6 +239,18 @@ def test_usage_errors_are_input_errors(capsys, argv):
     assert code == EXIT_INPUT_ERROR and out == "" and "usage: semid" in err
 
 
+@pytest.mark.parametrize("argv, usage", [
+    (["identify", "3:9:4", "--tolerance", "1e-3"], "usage: semid identify "),
+    (["verify", "3:9:4", "extra"], "usage: semid verify "),
+    (["rank", "3:9:4", "-S", "1", "-T", "2", "--zzz"], "usage: semid rank "),
+    (["--zzz", "identify", "3:9:4"], "usage: semid [-h] "),
+])
+def test_unknown_argument_shows_the_usage_of_its_parser(capsys, argv, usage):
+    code, out, err = run_usage_error(capsys, *argv)
+    assert code == EXIT_INPUT_ERROR and out == ""
+    assert err.startswith(usage) and "error: unrecognized arguments: " in err
+
+
 @pytest.mark.parametrize("argv", [["--help"], ["identify", "--help"]])
 def test_help_exits_0(capsys, argv):
     with pytest.raises(SystemExit) as exc:

@@ -99,6 +99,20 @@ FLOW_DIGEST = "037415001f3fa3237fa3d6c0f48638d292b046ae0ed135f79b334a712d0b1e9a"
 SLOW_CYCLIC_CODE = "9:2408923172104884125943:4899957252"
 SLOW_CYCLIC_DIGEST = "9eaf31e8c5cba024af0839bf37968033cd5a74e57aa4c2258ad8040a26f0c833"
 
+# Graphs on which the exhaustive TSID search, without its star-minor filter,
+# sweeps tens of thousands of pairs or more.  The n=9 graphs are acyclic; the
+# n=11 ones are random_mixed_graph(random.Random(seed), 11, acyclic=...) for
+# seed 2 cyclic, seed 2 acyclic and seed 3 acyclic.  The digests were
+# recorded with the unfiltered search.
+SLOW_SET_DIGESTS = {
+    "9:9223513325843828237:35663143465": "df30de28e02dac2be15f0bce5191e2d47be581f4b6fde5aab35a18e67d317752",
+    "9:70506727874586:38675424104": "9997df4fc49dccf5c72c6bd7476282d21f284efebf6c59fc4aa7b8c6614042ee",
+    "9:9223583489646968450:2046886124": "e446825e26c334e5ca9c6084f616806a004049a1d7c0eb5f7575f19fe379588f",
+    "11:1081431808982112112666633221703820:5663902834643366": "e9403a9eb45c1008ab6d11cc78353ab5321897d717827a37837e94030485cec4",
+    "11:73787011737004806284:30015762345235584": "375c00b788339df696afe3e34f546931107971b123bdc3006f923ec588810e5b",
+    "11:289215538989695841:9007419377264193": "7659a30c4650cc56ca9724b625ab94f98dcc8f05185bb2e0428d369d9d7cefc4",
+}
+
 # Seed 139 of this graph rejects its first coefficient draw (I - lambda too
 # close to singular), so sampling takes the rejection loop.
 REJECTING_CYCLIC_GRAPH = MixedGraph(
@@ -139,6 +153,11 @@ def test_corpus_certificates_unchanged(index):
 def test_slow_cyclic_certificates_unchanged():
     g = decode_id(GraphId.parse(SLOW_CYCLIC_CODE))
     assert _report_digest(g) == SLOW_CYCLIC_DIGEST
+
+
+@pytest.mark.parametrize("code", SLOW_SET_DIGESTS)
+def test_slow_set_certificates_unchanged(code):
+    assert _report_digest(decode_id(GraphId.parse(code))) == SLOW_SET_DIGESTS[code]
 
 
 def test_htc_witnesses_unchanged():
