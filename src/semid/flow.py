@@ -5,32 +5,28 @@ The flow graph of a mixed graph has one left copy 1..n and one right copy
 and arc has capacity one, so integral flows from sources S to sinks T' are
 systems of treks from S to T with no sided intersection, and the max-flow
 value equals the generic rank of the covariance submatrix over rows S and
-columns T.  A max flow's path witness is decomposed only when it is read.
+columns T.  Each max flow comes with its unit-path decomposition, and its
+residual sweep reports which nodes can still send flow.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property, partial
-from typing import Callable, Iterable
+from dataclasses import dataclass
+from typing import Iterable
 
 from .graph import DirectedEdge, MixedGraph, _cached, _vertex_list, require_valid
 
 
 @dataclass(frozen=True)
 class FlowWitness:
-    """An integral max flow; its unit-path decomposition is built on first access.
+    """An integral max flow and its unit-path decomposition.
 
     Each path is a node sequence from a source to a sink; paths are pairwise
-    vertex-disjoint.  Searches that only need ``value`` never pay for them.
+    vertex-disjoint.
     """
 
     value: int
-    _decompose: Callable[[], tuple[tuple[int, ...], ...]] = field(repr=False, compare=False)
-
-    @cached_property
-    def paths(self) -> tuple[tuple[int, ...], ...]:
-        return self._decompose()
+    paths: tuple[tuple[int, ...], ...]
 
     def endpoints(self) -> frozenset[tuple[int, int]]:
         return frozenset((p[0], p[-1]) for p in self.paths)
@@ -92,7 +88,7 @@ class FlowNetwork:
             if not 1 <= x <= self.n_nodes:
                 raise ValueError(f"node {x} outside 1..{self.n_nodes}")
         value, *residual = self._saturate(sources, sinks)
-        return FlowWitness(value, partial(self._paths, sources, sinks, *residual))
+        return FlowWitness(value, self._paths(sources, sinks, *residual))
 
     def min_cut_nodes(self, sources: Iterable[int], sinks: Iterable[int]) -> tuple[int, ...]:
         """Nodes owning the saturated arcs on the residual reachability frontier.
@@ -100,33 +96,34 @@ class FlowNetwork:
         The returned set has size equal to the max-flow value and meets every
         source-to-sink path.
         """
-        sources, sinks = set(sources), set(sinks)
-        _, cap, reach = self.residual_reach(sources, sinks)
+        sources, sinks = sorted(set(sources)), sorted(set(sinks))
+        _, cap, reached, _ = self._saturate(sources, sinks, sweep=True)
+        reached = set(reached)
         to, adj = self._to, self._adj
         # A used source arc into an unreached in-node charges the source, a
         # used sink arc out of a reached out-node charges the sink, and a
         # saturated split or template arc charges the node it enters.
-        owners = {s for s in sources if not reach >> 2 * s & 1}
-        owners.update(t for t in sinks if reach >> 2 * t + 1 & 1)
+        owners = {s for s in sources if 2 * s not in reached}
+        owners.update(t for t in sinks if 2 * t + 1 in reached)
         owners.update(
-            to[e] // 2 for x in range(len(adj)) if reach >> x & 1 for e in adj[x]
-            if not e & 1 and not cap[e] and not reach >> to[e] & 1
+            to[e] // 2 for x in reached for e in adj[x]
+            if not e & 1 and not cap[e] and to[e] not in reached
         )
         return tuple(sorted(owners))
 
-    def residual_reach(self, sources: Iterable[int], sinks: Iterable[int]) -> tuple[int, list[int], int]:
+    def residual_reach(self, sources: Iterable[int], sinks: Iterable[int]) -> tuple[int, int]:
         """A max flow F from ``sources`` to ``sinks`` and one sweep of its residual.
 
-        Returns F's value, its residual capacities and the split nodes reached
-        from the free sources, as a bitmask with bit x for split node x.  When
-        F fills every sink, adding z as a sink raises the value exactly when
-        z's out-node is reached.  This stays exact with some arcs into z
+        Returns F's value and the nodes that can still send flow, as a bitmask
+        with bit x set when node x's out-node is reached from the free
+        sources.  When F fills every sink, adding z as a sink raises the value
+        exactly when bit z is set.  This stays exact with some arcs into z
         removed if F avoids z and all that z reaches, and nothing z reaches
         feeds back into z: F is still maximum there, and a residual path into
         that region never leaves it.
         """
-        value, cap, reached, _ = self._saturate(sorted(set(sources)), sorted(set(sinks)), sweep=True)
-        return value, cap, sum(1 << x for x in reached)
+        value, _, reached, _ = self._saturate(sorted(set(sources)), sorted(set(sinks)), sweep=True)
+        return value, sum(1 << (x >> 1) for x in reached if x & 1)
 
     def _saturate(
         self, sources: list[int], sinks: list[int], sweep: bool = False

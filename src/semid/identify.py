@@ -330,14 +330,14 @@ def tsep_accepts(
 
 def _tsep_sweep(full: FlowNetwork, S: Sequence[int], T: Sequence[int]) -> int:
     """The residual sweep of a max flow from S to T', or 0 (nothing reached) when it misses a target."""
-    value, _, reach = full.residual_reach(S, [full.primed(t) for t in T])
+    value, reach = full.residual_reach(S, [full.primed(t) for t in T])
     return reach if value == len(T) else 0
 
 
 def _tsep_probe(g: MixedGraph, full: FlowNetwork, v: int, w0: int, solved: Iterable[int]) -> Callable[[int], int]:
     """The relaxed ``tsep_accepts`` test of w0 -> v as a predicate on sweeps."""
     tails = [v, *g.siblings(v), *(full.primed(p) for p in g.parents(v) - {w0, *solved})]
-    need, star = 2 << 2 * full.primed(w0), sum(2 << 2 * x for x in tails)
+    need, star = 1 << full.primed(w0), sum(1 << x for x in tails)
     return lambda reach: reach & need and not reach & star
 
 
@@ -352,7 +352,8 @@ def tsid_identify(
     source/target pairs (S, T) with |S| = |T| + 1 up to ``max_set_size``
     (default: the vertex count, i.e. exhaustive) for the first pair passing
     the relaxed acceptance test; the certificate records (S, T) and the
-    already-solved edges into v as prerequisites.
+    already-solved edges into v as prerequisites.  Each pair is swept once
+    per call and its sweep probed for every edge.
     """
     require_valid(g)
     if max_set_size is None:
@@ -360,68 +361,51 @@ def tsid_identify(
     if max_set_size < 1:
         raise ValueError(f"max_set_size must be >= 1, got {max_set_size}")
     state = state.copy() if state else SolverState()
-    vertices = list(g.vertices)
     full = _cached(g, build_flow_graph)
-    sweeps: dict[int, int] = {}  # one per (S, T), shared by every edge
+    # One sweep per (S, T), keyed by the bitmask of T with that of S above it.
+    sweeps: dict[int, int] = {}
     changed = True
     while changed:
         changed = False
         for v, w0 in sorted((v, w) for (w, v) in g.directed):
-            if (w0, v) in state.certificates:
-                continue
-            if v in g.descendants(v):
-                continue  # acceptance condition can never hold on a cycle
+            if (w0, v) in state.certificates or v in g.descendants(v):
+                continue  # solved, or on a cycle, where acceptance can never hold
             solved_sibs = [s for s in state.solved_parents(g, v) if s != w0]
-            t_candidates = [t for t in vertices if t not in (v, w0) and t not in g.descendants(v)]
-            if _tsid_search(g, full, sweeps, state, v, w0, solved_sibs, t_candidates, max_set_size):
-                changed = True
+            accepts = _tsep_probe(g, full, v, w0, solved_sibs)
+            for S, T in _search_order(g, v, w0, solved_sibs, max_set_size):
+                key = sum(1 << s for s in S) << g.n | sum(1 << t for t in T)
+                reach = sweeps.get(key)
+                if reach is None:
+                    reach = sweeps[key] = _tsep_sweep(full, S, T)
+                if accepts(reach):
+                    state.certificates[(w0, v)] = EdgeCertificate(
+                        edge=(w0, v), status=IDENTIFIABLE, method="TSID",
+                        witness={"v": v, "w0": w0, "S": sorted(S), "T": sorted(T)},
+                        prerequisites=tuple((s, v) for s in solved_sibs),
+                    )
+                    changed = True
+                    break
     return state
 
 
-def _tsid_search(
-    g: MixedGraph,
-    full: FlowNetwork,
-    sweeps: dict[int, int],
-    state: SolverState,
-    v: int,
-    w0: int,
-    solved_sibs: list[int],
-    t_candidates: list[int],
-    max_set_size: int,
-) -> bool:
-    """First accepted (S, T) pair, by increasing |S| then lexicographic order.
+def _search_order(
+    g: MixedGraph, v: int, w0: int, solved_sibs: list[int], max_set_size: int
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The (S, T) pairs the search tries for w0 -> v: by increasing |S|, then lexicographic.
 
-    ``full`` is the flow graph of g.  ``sweeps`` maps each pair, as the
-    bitmask of T with the bitmask of S shifted above it, to its sweep.  From
-    |S| = 2 on, pairs whose star minor is nonzero at the graph's GF(P) point
-    are skipped unswept: they fail for certain.
+    T ranges over the vertices outside des(v) + {v, w0}.  From |S| = 2 on,
+    pairs whose star minor is nonzero at the graph's GF(P) point are left
+    out: they fail for certain.
     """
-    accepts = _tsep_probe(g, full, v, w0, solved_sibs)
-    star = None  # made at the first level with |S| >= 2
-    for k in range(1, max_set_size + 1):
-        if len(t_candidates) < k - 1:
-            break
-        if k >= 2 and (point := _cached(g, modp.field_point)) is not None:
-            if star is None:
-                star = modp.star_matrix(point, v, [w0, *solved_sibs], t_candidates)
-            pairs = _star_vanishing_pairs(g, star, t_candidates, k)
+    t_candidates = [t for t in g.vertices if t not in (v, w0) and t not in g.descendants(v)]
+    point = None  # made at |S| = 2, once level 1 found nothing
+    for k in range(1, min(max_set_size, len(t_candidates) + 1) + 1):
+        if k == 2 and (point := _cached(g, modp.field_point)) is not None:
+            star = modp.star_matrix(point, v, [w0, *solved_sibs], t_candidates)
+        if point is None:
+            yield from itertools.product(itertools.combinations(g.vertices, k), itertools.combinations(t_candidates, k - 1))
         else:
-            pairs = itertools.product(itertools.combinations(g.vertices, k), itertools.combinations(t_candidates, k - 1))
-        for S, T in pairs:
-            key = sum(1 << s for s in S) << g.n | sum(1 << t for t in T)
-            reach = sweeps.get(key)
-            if reach is None:
-                reach = sweeps[key] = _tsep_sweep(full, S, T)
-            if not accepts(reach):
-                continue
-            witness = {"v": v, "w0": w0, "S": sorted(S), "T": sorted(T)}
-            state.certificates[(w0, v)] = EdgeCertificate(
-                edge=(w0, v), status=IDENTIFIABLE, method="TSID",
-                witness=witness,
-                prerequisites=tuple((s, v) for s in solved_sibs),
-            )
-            return True
-    return False
+            yield from _star_vanishing_pairs(g, star, t_candidates, k)
 
 
 # Pairs whose star minors are tested as one stack, which bounds the filter's
@@ -765,7 +749,7 @@ def certify(
     if stack is not None:
         params = Parameters(lam=stack.lam[0], omega=stack.omega[0])
     else:
-        params = oracle.sample_parameters(g, seed) if g.n else None
+        params = oracle.sample_parameters(g, seed)
     for edge in sorted(g.directed):
         if edge in state.certificates:
             certificates[edge] = state.certificates[edge]
@@ -799,14 +783,10 @@ def certify(
                 verification={"seeds": seeds, "max_rel_err": err},
             )
 
-    if g.n:
-        jac_rank = oracle.jacobian_rank(g, params)
-    else:
-        jac_rank = 0
     return CertificationReport(
         graph=g,
         certificates={e: certificates[e] for e in sorted(certificates)},
-        jacobian_rank=jac_rank,
+        jacobian_rank=oracle.jacobian_rank(g, params),
         n_parameters=oracle.n_free_parameters(g),
         seed=seed,
     )

@@ -26,8 +26,11 @@ def field_point(g: MixedGraph) -> tuple[NDArray, NDArray] | None:
     Each directed edge, bidirected edge and vertex gets one draw in 1..P-1
     from ``POINT_SEED``: the coefficient lambda[u, w] of u -> w, the error
     covariance omega[u, w] = omega[w, u] of u <-> w, and the diagonal of
-    omega.  Then sigma = (I - lambda)^-T omega (I - lambda)^-1 mod P, as in
-    ``oracle.covariance``.  Memoize it with ``graph._cached``.
+    omega.  With R = D (I - lambda)^-1 from ``_scaled_inverse``, sigma =
+    R^T omega R mod P is the covariance (as in ``oracle.covariance``) at
+    (lambda, D omega D).  That point has the support of (lambda, omega), so
+    a minor that is nonzero there is still not the zero polynomial.
+    Memoize it with ``graph._cached``.
     """
     n = g.n
     directed, bidirected = sorted(g.directed), sorted(g.bidirected)
@@ -40,10 +43,10 @@ def field_point(g: MixedGraph) -> tuple[NDArray, NDArray] | None:
         omega[u - 1, w - 1] = omega[w - 1, u - 1] = next(draws)
     for x in range(n):
         omega[x, x] = next(draws)
-    inverse = _inverse(np.eye(n, dtype=np.int64) - lam)
-    if inverse is None:
+    r = _scaled_inverse(np.eye(n, dtype=np.int64) - lam)
+    if r is None:
         return None
-    return _matmul(_matmul(inverse.T, omega), inverse), lam
+    return _matmul(_matmul(r.T, omega), r), lam
 
 
 def star_matrix(point: tuple[NDArray, NDArray], v: int, stripped: list[int], columns: list[int]) -> NDArray:
@@ -88,20 +91,25 @@ def nonzero_minors(m: NDArray) -> NDArray:
     return invertible
 
 
-def _inverse(m: NDArray) -> NDArray | None:
-    """m^-1 mod P by Gauss-Jordan elimination, or None when m is singular mod P."""
+def _scaled_inverse(m: NDArray) -> NDArray | None:
+    """D m^-1 mod P for some invertible diagonal D, or None when m is singular mod P.
+
+    Fraction-free Gauss-Jordan elimination on [m | I]: rows are swapped only
+    when the pivot a of column j is 0, then each row r other than j becomes
+    a * r - c * (row j) mod P, c being r's entry in column j.  The left
+    block ends diagonal, D, so the right block R satisfies R m = D.
+    """
     n = len(m)
     a = np.concatenate([m % P, np.eye(n, dtype=np.int64)], axis=1)
     for j in range(n):
-        nonzero = np.flatnonzero(a[j:, j])
-        if not len(nonzero):
-            return None
-        i = j + nonzero[0]
-        a[[j, i]] = a[[i, j]]
-        a[j] = a[j] * pow(int(a[j, j]), P - 2, P) % P
-        factors = a[:, j].copy()
-        factors[j] = 0
-        a = (a - factors[:, None] * a[j]) % P
+        if not a[j, j]:
+            below = np.flatnonzero(a[j + 1:, j])
+            if not len(below):
+                return None
+            a[[j, j + 1 + below[0]]] = a[[j + 1 + below[0], j]]
+        pivot = a[j].copy()
+        a = (pivot[j] * a - a[:, j, None] * pivot) % P
+        a[j] = pivot
     return a[:, n:]
 
 

@@ -168,6 +168,47 @@ def test_corpus_small(tmp_path, capsys):
     assert payload["fully_identified"]["htc"] == 1
 
 
+def test_corpus_each_algorithm_alone(tmp_path, capsys):
+    # The ratio graph: EID alone solves none of its edges, TSID alone three
+    # of four, and the alternation all four.
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("3:9:4\n5:32775:15\n")
+    code, out, _ = run(capsys, "corpus", corpus, "--algorithms", "htc,eid,tsid,eid+tsid")
+    assert code == 0
+    assert out.splitlines() == [
+        "3:9:4  htc=2/2  eid=2/2  tsid=2/2  eid+tsid=2/2",
+        "5:32775:15  htc=0/4  eid=0/4  tsid=3/4  eid+tsid=4/4",
+        "fully identified out of 2: htc=1  eid=1  tsid=1  eid+tsid=2",
+    ]
+    code, out, _ = run(capsys, "corpus", corpus, "--algorithms", "tsid", "--max-set-size", "1", "--format", "json")
+    assert code == 0
+    assert [row["tsid"] for row in json.loads(out)["per_graph"]] == [2, 0]
+
+
+def test_corpus_input_errors(tmp_path, capsys):
+    code, out, err = run(capsys, "corpus", tmp_path / "missing.txt")
+    assert (code, out) == (1, "") and "no such file" in err
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("3:9:4\n")
+    code, out, err = run(capsys, "corpus", corpus, "--algorithms", "htc,nope")
+    assert (code, out) == (1, "") and "unknown algorithm 'nope'" in err
+
+
+def test_table_output(capsys):
+    code, out, _ = run(capsys, "rank", "3:9:4", "-S", "1,2", "-T", "2,3", "--cut")
+    assert (code, out) == (0, "rank 2\nL = [1, 2]\nR = []\n")
+    code, out, _ = run(capsys, "sample", "3:9:4", "--seed", "7")
+    assert code == 0
+    assert [line for line in out.splitlines() if line.endswith("=")] == ["lambda =", "omega =", "sigma ="]
+    assert "-0.737567" in out  # lambda[1, 2] at six decimals
+    code, out, _ = run(capsys, "verify", "3:9:4", "--seeds", "5")
+    assert code == 0
+    lines = out.splitlines()
+    assert [line.split(":")[0] for line in lines[:2]] == ["1->2", "2->3"]
+    assert all(line.endswith("over 5 seeds") for line in lines[:2])
+    assert lines[2] == "all 2 identifiable edges within 1e-06"
+
+
 def test_corpus_malformed_line(tmp_path, capsys):
     corpus = tmp_path / "corpus.txt"
     corpus.write_text("3:9:4\nnot-a-code\n")

@@ -123,6 +123,35 @@ def test_flow_paths_respect_unit_capacities():
             assert all((a, b) in arcs for a, b in zip(path, path[1:]))
 
 
+def test_residual_sweep_marks_the_sinks_that_raise_the_flow():
+    # When the max flow from S fills T', bit z of the sweep is set exactly
+    # when S links fully to T' + z, for every node z outside T', on either
+    # side of the doubled graph; T may be empty.
+    rng = random.Random(37)
+    checks = raised = filled_empty = 0
+    for i in range(150):
+        g = random_mixed_graph(rng, 3 + i % 5, acyclic=i % 2 == 0)
+        net = build_flow_graph(g)
+        for _ in range(4):
+            k = rng.randint(1, 3)
+            S = rng.sample(list(g.vertices), k)
+            T = [net.primed(t) for t in rng.sample(list(g.vertices), rng.randint(0, k - 1))]
+            value, reach = net.residual_reach(S, T)
+            assert not reach & 1 and reach >> net.n_nodes + 1 == 0
+            if value < len(T):
+                continue
+            filled_empty += not T
+            for z in range(1, net.n_nodes + 1):
+                if z in T:
+                    continue
+                expected = net.max_flow(S, T + [z]).value == len(T) + 1
+                assert bool(reach >> z & 1) == expected, (g, S, T, z)
+                checks += 1
+                raised += expected
+    assert checks >= 5000 and filled_empty >= 100
+    assert raised >= 500 and checks - raised >= 500
+
+
 def test_max_flow_order_invariance():
     net = build_flow_graph(HTC_FAIL_GRAPH)
     sinks = [net.primed(t) for t in (1, 3, 5)]

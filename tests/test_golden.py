@@ -14,6 +14,7 @@ import hashlib
 import itertools
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +29,7 @@ from semid import (
     sample_parameters,
     verify_certificates,
 )
+from semid.cli import main
 from semid.flow import build_flow_graph, build_restricted_flow_graph, t_separating_cut
 
 from conftest import (
@@ -158,6 +160,24 @@ def test_slow_cyclic_certificates_unchanged():
 @pytest.mark.parametrize("code", SLOW_SET_DIGESTS)
 def test_slow_set_certificates_unchanged(code):
     assert _report_digest(decode_id(GraphId.parse(code))) == SLOW_SET_DIGESTS[code]
+
+
+@pytest.mark.parametrize("name", ["corpus_n5", "random_n7", "acyclic_verify"])
+def test_benchmark_pool_verdicts_match_the_reference(name, monkeypatch, capsys):
+    # Every graph of the benchmark pool, through the command line, against
+    # the recorded exit code, certificate digest and replay gate.
+    root = Path(__file__).resolve().parents[1]
+    monkeypatch.chdir(root)  # the corpus path of the workloads is relative
+    monkeypatch.syspath_prepend(str(root / "perfbench"))
+    import workloads
+    workload = workloads.WORKLOADS[name]
+    reference = workloads.load_reference(workload)
+    codes = workload.pool()
+    assert len(codes) == len(reference) >= 40
+    for code in codes:
+        exit_code = main(workload.argv(code))
+        why = workloads.check_verdict(reference[code], exit_code, capsys.readouterr().out)
+        assert why is None, (code, why)
 
 
 def test_htc_witnesses_unchanged():

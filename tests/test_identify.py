@@ -125,6 +125,22 @@ def test_eid_witness_invariants():
         assert not banned.intersection(w["Y"])
 
 
+def test_eid_with_an_already_solved_parent_replays():
+    # The graph 7:34634612868:1048652.  3 -> 4 is solved in an earlier pass,
+    # so the system for 1 -> 4 takes it as known and moves its term to the
+    # right-hand side.
+    g = MixedGraph(
+        7, [(1, 4), (2, 3), (3, 4), (3, 7), (4, 5), (4, 6), (5, 6), (6, 7)],
+        [(1, 4), (1, 5), (2, 3), (6, 7)],
+    )
+    certs = list(eid_tsid_identify(g).certificates.values())
+    cert = next(c for c in certs if c.edge == (1, 4))
+    assert cert.method == "EID" and cert.witness["S"] == [3]
+    assert certs.index(cert) > [c.edge for c in certs].index((3, 4))
+    assert (3, 4) in cert.prerequisites
+    assert all(err <= 1e-6 for err in verify_certificates(g, certs, range(20)).values())
+
+
 def test_tsid_identify_ratio_graph():
     state = tsid_identify(HTC_FAIL_GRAPH)
     assert state.solved_edges == {(4, 5), (1, 2), (1, 3)}

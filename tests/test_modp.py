@@ -64,10 +64,26 @@ def test_field_point_solves_the_covariance_equation():
     assert modp.field_point(g)[0].tobytes() == sigma.tobytes()  # the point is fixed
 
 
-def test_inverse_is_none_when_singular_mod_p():
-    assert modp._inverse(np.array([[2, 1], [P - 1, (P - 1) // 2]], dtype=np.int64)) is None
-    m = np.array([[2, 1], [0, 3]], dtype=np.int64)
-    assert np.array_equal(modp._matmul(m, modp._inverse(m)), np.eye(2, dtype=np.int64))
+def test_scaled_inverse_is_none_when_singular_mod_p():
+    assert modp._scaled_inverse(np.array([[2, 1], [P - 1, (P - 1) // 2]], dtype=np.int64)) is None
+    # R m is diagonal with nonzero entries, also when a zero pivot forces a
+    # row swap, and R is None whenever m is singular mod P.
+    rng = random.Random(11)
+    swapped = singular = 0
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        m = np.array([[rng.randrange(P) if rng.random() < 0.7 else 0 for _ in range(n)] for _ in range(n)], dtype=np.int64)
+        if n > 1 and rng.random() < 0.2:
+            m[-1] = m[0] * 3 % P  # dependent rows
+        r = modp._scaled_inverse(m)
+        if _det_mod_p(m.tolist()) == 0:
+            assert r is None
+            singular += 1
+            continue
+        d = modp._matmul(r, m)
+        assert np.array_equal(d, np.diag(np.diag(d))) and np.all(np.diag(d) != 0)
+        swapped += m[0, 0] == 0
+    assert singular >= 20 and swapped >= 20
 
 
 def test_star_filter_rejects_only_star_failures():
