@@ -17,7 +17,6 @@ from .graph import (
     encode_id,
     graph_from_json,
     graph_to_json,
-    validate,
 )
 from .flow import (
     FlowNetwork,
@@ -102,7 +101,6 @@ __all__ = [
     "trek_monomial",
     "tsep_accepts",
     "tsid_identify",
-    "validate",
     "verify_certificates",
 ]
 

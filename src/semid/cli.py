@@ -34,6 +34,18 @@ class InputError(Exception):
     pass
 
 
+def _read(path: str) -> str:
+    """The text of file ``path``; a file that cannot be read is an InputError."""
+    try:
+        return Path(path).read_text()
+    except FileNotFoundError:
+        raise InputError(f"no such file: {path}") from None
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from None
+
+
 def load_graph(source: str) -> MixedGraph:
     """Read a graph from an inline n:d:b code or a JSON file path."""
     if _CODE_RE.match(source.strip()):
@@ -41,11 +53,8 @@ def load_graph(source: str) -> MixedGraph:
             return decode_id(GraphId.parse(source))
         except ValueError as exc:
             raise InputError(str(exc)) from exc
-    path = Path(source)
-    if not path.exists():
-        raise InputError(f"no such file: {source}")
     try:
-        return graph_from_json(path.read_text())
+        return graph_from_json(_read(source))
     except ValueError as exc:
         raise InputError(f"{source}: {exc}") from exc
 
@@ -59,7 +68,10 @@ def _parse_vertices(text: str) -> list[int]:
 
 def _emit(text: str, output: str | None) -> None:
     if output:
-        Path(output).write_text(text + "\n")
+        try:
+            Path(output).write_text(text + "\n")
+        except OSError as exc:
+            raise InputError(f"cannot write {output}: {exc.strerror}") from None
     else:
         print(text)
 
@@ -75,10 +87,11 @@ def _at_least_one(text: str) -> int:
     return value
 
 
-def _add_common(parser: argparse.ArgumentParser, seed: bool = True) -> None:
+def _add_common(parser: argparse.ArgumentParser, seed: bool = True, fmt: bool = True) -> None:
     parser.add_argument("--output", "-o", default=None, help="write result to file instead of stdout")
-    parser.add_argument("--format", choices=("json", "table"), default="table",
-                        help="output format (json is the stable contract)")
+    if fmt:
+        parser.add_argument("--format", choices=("json", "table"), default="table",
+                            help="output format (json is the stable contract)")
     if seed:
         parser.add_argument("--seed", type=int, default=0, help="base seed for all randomness")
 
@@ -219,9 +232,7 @@ def _run_algorithm(name: str, g: MixedGraph, max_set_size: int | None) -> set:
 
 
 def cmd_corpus(args: argparse.Namespace) -> int:
-    path = Path(args.corpus)
-    if not path.exists():
-        raise InputError(f"no such file: {args.corpus}")
+    text = _read(args.corpus)
     algorithms = [a.strip() for a in args.algorithms.split(",")]
     for a in algorithms:
         if a not in _ALGORITHMS:
@@ -229,7 +240,7 @@ def cmd_corpus(args: argparse.Namespace) -> int:
     rows = []
     totals = {a: 0 for a in algorithms}
     had_errors = False
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -319,12 +330,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decode", help="expand an n:d:b code to graph JSON")
     p.add_argument("code")
-    _add_common(p, seed=False)
+    _add_common(p, seed=False, fmt=False)
     p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("encode", help="encode a graph JSON file as n:d:b")
     p.add_argument("graph")
-    _add_common(p, seed=False)
+    _add_common(p, seed=False, fmt=False)
     p.set_defaults(func=cmd_encode)
 
     p = sub.add_parser("sample", help="sample parameters and covariance for a graph")

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graph import DirectedEdge, MixedGraph, _cached, _vertex_list, require_valid
+from .graph import DirectedEdge, MixedGraph, _cached, _vertex_list
 
 
 @dataclass(frozen=True)
@@ -221,7 +221,6 @@ def build_restricted_flow_graph(
     ``left_edges`` and descending arcs only from ``right_edges``.  With both
     equal to the full directed edge set this is exactly build_flow_graph.
     """
-    require_valid(g)
     left_edges = frozenset(left_edges)
     right_edges = frozenset(right_edges)
     for name, subset in (("left", left_edges), ("right", right_edges)):

@@ -2,10 +2,12 @@
 
 A mixed graph has directed edges (linear effects) and bidirected edges
 (correlated errors / latent confounding).  Vertices are labeled 1..n in all
-public interfaces.  Graphs are immutable and hashable.  Each graph memoizes
-its derived sets (adjacency, descendants, trek and half-trek reach),
-acyclicity and validity on the instance itself, so they are computed once
-per graph and freed with it.  Equality, hashing and repr ignore the memo.
+public interfaces.  Graphs are immutable and hashable.  Validity (a
+nonnegative vertex count, no self-loops, every endpoint in 1..n) is checked
+once when the graph is built, so no invalid graph exists.  Each graph
+memoizes its derived sets (adjacency, descendants, trek and half-trek reach)
+and acyclicity on the instance itself, so they are computed once per graph
+and freed with it.  Equality, hashing and repr ignore the memo.
 """
 
 from __future__ import annotations
@@ -21,6 +23,9 @@ DirectedEdge = tuple[int, int]
 @dataclass(frozen=True)
 class MixedGraph:
     """A mixed graph on vertices 1..n.
+
+    Raises ValueError naming every problem when ``n`` is negative, an edge
+    is a self-loop or an endpoint lies outside 1..n.
 
     Attributes:
         n: Number of vertices.
@@ -46,6 +51,9 @@ class MixedGraph:
             "bidirected",
             frozenset((min(u, w), max(u, w)) for u, w in bidirected),
         )
+        problems = _problems(self)
+        if problems:
+            raise ValueError("invalid mixed graph: " + "; ".join(problems))
         object.__setattr__(self, "_memo", {})
 
     @property
@@ -96,8 +104,8 @@ class MixedGraph:
         return _cached(self, _is_acyclic)
 
 
-def validate(g: MixedGraph) -> list[str]:
-    """Check all MixedGraph invariants; return one message per violation."""
+def _problems(g: MixedGraph) -> list[str]:
+    """One message per violated MixedGraph invariant."""
     problems = []
     if g.n < 0:
         problems.append(f"vertex count must be nonnegative, got {g.n}")
@@ -114,13 +122,6 @@ def validate(g: MixedGraph) -> list[str]:
             if not 1 <= x <= g.n:
                 problems.append(f"bidirected edge ({u},{w}): endpoint {x} outside 1..{g.n}")
     return problems
-
-
-def require_valid(g: MixedGraph) -> MixedGraph:
-    problems = _cached(g, validate)
-    if problems:
-        raise ValueError("invalid mixed graph: " + "; ".join(problems))
-    return g
 
 
 def _check_vertex(g: MixedGraph, v: int) -> None:
@@ -148,11 +149,7 @@ _NONE: frozenset[int] = frozenset()
 
 
 def _adjacency(g: MixedGraph) -> tuple[dict[int, frozenset[int]], ...]:
-    """Parent, child and sibling sets keyed by vertex; empty sets are absent.
-
-    Keys come from the edges, so an invalid graph's out-of-range endpoints
-    get entries too and traversals over them never fail.
-    """
+    """Parent, child and sibling sets keyed by vertex; empty sets are absent."""
     pa, ch, sib = {}, {}, {}
     for u, w in g.directed:
         pa.setdefault(w, set()).add(u)
@@ -285,8 +282,7 @@ def decode_id(gid: GraphId) -> MixedGraph:
 
 
 def encode_id(g: MixedGraph) -> GraphId:
-    """Inverse of decode_id on validated graphs."""
-    require_valid(g)
+    """Inverse of decode_id."""
     d = 0
     for bit, pair in enumerate(_directed_pair_order(g.n)):
         if pair in g.directed:
@@ -305,7 +301,6 @@ def bidirected_subdivision(g: MixedGraph) -> tuple[MixedGraph, dict[int, Directe
     x -> j.  Returns the subdivided graph (which has no bidirected edges)
     and the map from each new vertex to the bidirected edge it replaced.
     """
-    require_valid(g)
     directed = set(g.directed)
     vertex_map: dict[int, DirectedEdge] = {}
     next_vertex = g.n
@@ -347,8 +342,7 @@ def graph_from_json(text: str) -> MixedGraph:
             out.append((item[0], item[1]))
         return out
 
-    g = MixedGraph(n, read_edges("directed"), read_edges("bidirected"))
-    return require_valid(g)
+    return MixedGraph(n, read_edges("directed"), read_edges("bidirected"))
 
 
 def infinite_to_one_record(g: MixedGraph, v: int, w: int) -> dict[int, str] | None:

@@ -47,7 +47,7 @@ import numpy as np
 
 from . import modp, oracle
 from .flow import FlowNetwork, build_flow_graph, build_restricted_flow_graph
-from .graph import DirectedEdge, MixedGraph, _cached, _check_vertex, _vertex_list, infinite_to_one_record, require_valid
+from .graph import DirectedEdge, MixedGraph, _cached, _check_vertex, _vertex_list, infinite_to_one_record
 from .oracle import DegenerateSampleError, Parameters
 
 IDENTIFIABLE = "identifiable"
@@ -130,7 +130,6 @@ def half_trek_system_exists(
     g: MixedGraph,
     sources: Iterable[int],
     targets: Iterable[int],
-    avoid: Iterable[int] = (),
 ) -> tuple[bool, list[tuple[int, tuple[int, ...]]]]:
     """Decide whether a half-trek system with no sided intersection exists.
 
@@ -139,10 +138,6 @@ def half_trek_system_exists(
     a half-trek is its source alone, so left-disjointness is automatic.  The
     search is a max-flow on the doubled flow graph with the left-climbing
     arcs removed.
-
-    Args:
-        avoid: vertices that must not be used as sources (checked, not
-            searched around).
 
     Returns:
         (exists, system) where system pairs each active source with the
@@ -153,10 +148,6 @@ def half_trek_system_exists(
     # the smallest and largest of each sorted list bound the rest
     for x in sources[:1] + sources[-1:] + targets[:1] + targets[-1:]:
         _check_vertex(g, x)
-    avoid = set(avoid)
-    bad = avoid.intersection(sources)
-    if bad:
-        raise ValueError(f"sources {sorted(bad)} are in the avoid set")
     if not targets:
         return True, []
     if not sources:
@@ -198,7 +189,6 @@ def htc_identify(g: MixedGraph, state: SolverState | None = None) -> SolverState
     where any source half-trek reachable from v must already have all of its
     incoming edges solved.
     """
-    require_valid(g)
     state = state.copy() if state else SolverState()
     changed = True
     while changed:
@@ -214,7 +204,7 @@ def htc_identify(g: MixedGraph, state: SolverState | None = None) -> SolverState
                 if y not in banned
                 and (y not in htr_v or not state.unsolved_parents(g, y))
             ]
-            exists, system = half_trek_system_exists(g, allowed, parents, avoid=banned)
+            exists, system = half_trek_system_exists(g, allowed, parents)
             if not exists:
                 continue
             witness, prereqs = _recovery_witness(g, v, parents, [], system)
@@ -237,7 +227,6 @@ def eid_identify(g: MixedGraph, state: SolverState | None = None) -> SolverState
     inside E are admissible; a half-trek system from them onto E solves all
     of E at once.
     """
-    require_valid(g)
     state = state.copy() if state else SolverState()
     changed = True
     while changed:
@@ -265,7 +254,7 @@ def eid_identify(g: MixedGraph, state: SolverState | None = None) -> SolverState
                         y for y in maybe_allowed
                         if trek_reach[y].intersection(unsolved) <= set(E)
                     ]
-                    exists, system = half_trek_system_exists(g, allowed, E, avoid=banned)
+                    exists, system = half_trek_system_exists(g, allowed, E)
                     if not exists:
                         continue
                     solved_parents = state.solved_parents(g, v)
@@ -355,7 +344,6 @@ def tsid_identify(
     already-solved edges into v as prerequisites.  Each pair is swept once
     per call and its sweep probed for every edge.
     """
-    require_valid(g)
     if max_set_size is None:
         max_set_size = max(g.n, 1)
     if max_set_size < 1:
@@ -731,7 +719,6 @@ def certify(
         ValueError: ``seeds`` is below 1, with or without ``verify``, as on
             the command line.
     """
-    require_valid(g)
     _check_replay_settings(seeds)
     state = eid_tsid_identify(g, max_set_size)
     certificates: dict[DirectedEdge, EdgeCertificate] = {}

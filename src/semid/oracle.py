@@ -15,7 +15,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .graph import DirectedEdge, MixedGraph, Trek, _cached, infinite_to_one_record, require_valid
+from .graph import DirectedEdge, MixedGraph, Trek, _cached, infinite_to_one_record
 
 # Singular values below RANK_RTOL times the largest one count as zero.
 RANK_RTOL = 1e-8
@@ -111,7 +111,6 @@ def sample_parameters(g: MixedGraph, seed: int | Sequence[int]) -> Parameters:
         DegenerateSampleError: the rejection budget ran out (for the first
             such seed of a sequence).
     """
-    require_valid(g)
     tails, heads, ends_a, ends_b, acyclic = _cached(g, _sampling_layout)
     stacked = not isinstance(seed, (int, np.integer))
     seeds = list(seed) if stacked else [seed]
@@ -235,7 +234,6 @@ def enumerate_treks(g: MixedGraph, v: int, w: int) -> list[Trek]:
     Requires the directed part to be acyclic so the list is finite.  Used as
     a brute-force oracle against the linear-algebra covariance.
     """
-    require_valid(g)
     if not g.is_acyclic():
         raise ValueError("trek enumeration requires an acyclic directed part")
     memo: dict[int, tuple[tuple[int, ...], ...]] = {}

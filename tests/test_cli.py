@@ -62,6 +62,32 @@ def test_identify_malformed_json(tmp_path, capsys):
     assert code == 1 and "position" in err
 
 
+def test_identify_invalid_graph_names_every_problem(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.json").write_text('{"n": 2, "directed": [[1, 1], [1, 3]], "bidirected": []}')
+    code, out, err = run(capsys, "identify", "bad.json")
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: bad.json: invalid mixed graph: self-loop 1->1 in directed edges; "
+        "directed edge (1,3): endpoint 3 outside 1..2\n"
+    )
+
+
+@pytest.mark.parametrize("argv, start", [
+    (["identify", "{tmp}"], "error: cannot read {tmp}: "),
+    (["corpus", "{tmp}"], "error: cannot read {tmp}: "),
+    (["identify", "3:9:4", "--output", "{tmp}/missing/x.json"], "error: cannot write {tmp}/missing/x.json: "),
+    (["identify", "{tmp}/latin1.txt"], "error: cannot read {tmp}/latin1.txt: 'utf-8' codec can't decode"),
+    (["corpus", "{tmp}/latin1.txt"], "error: cannot read {tmp}/latin1.txt: 'utf-8' codec can't decode"),
+], ids=["graph-is-a-directory", "corpus-is-a-directory", "output-directory-missing",
+        "graph-not-utf8", "corpus-not-utf8"])
+def test_file_errors_are_input_errors(tmp_path, capsys, argv, start):
+    (tmp_path / "latin1.txt").write_bytes("3:9:4 # caf\xe9\n".encode("latin-1"))
+    code, out, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
+    assert (code, out) == (1, "")
+    assert err.startswith(start.format(tmp=tmp_path)) and err.count("\n") == 1
+
+
 def test_rank_and_cut(tmp_path, capsys):
     path = tmp_path / "ratio.json"
     path.write_text(
@@ -285,6 +311,8 @@ def test_usage_errors_are_input_errors(capsys, argv):
     (["verify", "3:9:4", "extra"], "usage: semid verify "),
     (["rank", "3:9:4", "-S", "1", "-T", "2", "--zzz"], "usage: semid rank "),
     (["--zzz", "identify", "3:9:4"], "usage: semid [-h] "),
+    (["decode", "3:9:4", "--format", "table"], "usage: semid decode "),
+    (["encode", "3:9:4", "--format", "json"], "usage: semid encode "),
 ])
 def test_unknown_argument_shows_the_usage_of_its_parser(capsys, argv, usage):
     code, out, err = run_usage_error(capsys, *argv)

@@ -13,7 +13,6 @@ from semid import (
     encode_id,
     graph_from_json,
     graph_to_json,
-    validate,
 )
 from semid.flow import build_restricted_flow_graph, generic_rank
 from semid.graph import infinite_to_one_record
@@ -23,18 +22,40 @@ from semid.oracle import enumerate_treks
 from conftest import HTC_FAIL_GRAPH, IV_GRAPH, corpus_codes, random_mixed_graph
 
 
-def test_validate_accepts_fixtures():
-    assert validate(IV_GRAPH) == []
-    assert validate(HTC_FAIL_GRAPH) == []
-    assert validate(MixedGraph(5)) == []
+def test_construction_accepts_fixtures():
+    for g in (IV_GRAPH, HTC_FAIL_GRAPH, MixedGraph(5), MixedGraph(0)):
+        assert MixedGraph(g.n, g.directed, g.bidirected) == g
 
 
-def test_validate_rejects_self_loop_and_range():
-    problems = validate(MixedGraph(2, [(1, 1)], []))
-    assert any("self-loop" in p for p in problems)
-    problems = validate(MixedGraph(2, [(1, 3)], [(2, 2)]))
-    assert any("outside" in p for p in problems)
-    assert any("self-loop" in p for p in problems)
+def invalid_graph_message(n, directed=(), bidirected=()):
+    with pytest.raises(ValueError) as exc:
+        MixedGraph(n, directed, bidirected)
+    return str(exc.value)
+
+
+def test_construction_rejects_self_loop_and_range():
+    assert invalid_graph_message(2, [(1, 1)]) == (
+        "invalid mixed graph: self-loop 1->1 in directed edges"
+    )
+    assert invalid_graph_message(2, [(1, 3)], [(2, 2)]) == (
+        "invalid mixed graph: directed edge (1,3): endpoint 3 outside 1..2; "
+        "self-loop 2<->2 in bidirected edges"
+    )
+
+
+@pytest.mark.parametrize("n, directed, bidirected, problems", [
+    (-1, [], [], "vertex count must be nonnegative, got -1"),
+    (3, [(2, 2)], [], "self-loop 2->2 in directed edges"),
+    (2, [(1, 2), (2, 5)], [], "directed edge (2,5): endpoint 5 outside 1..2"),
+    (2, [(0, 1)], [], "directed edge (0,1): endpoint 0 outside 1..2"),
+    (3, [], [(3, 3)], "self-loop 3<->3 in bidirected edges"),
+    (2, [], [(3, 1)], "bidirected edge (1,3): endpoint 3 outside 1..2"),
+    (2, [(1, 1)], [(0, 2)],
+     "self-loop 1->1 in directed edges; bidirected edge (0,2): endpoint 0 outside 1..2"),
+], ids=["negative-n", "directed-self-loop", "directed-head-out-of-range", "directed-tail-out-of-range",
+        "bidirected-self-loop", "bidirected-out-of-range", "two-problems"])
+def test_construction_names_every_problem(n, directed, bidirected, problems):
+    assert invalid_graph_message(n, directed, bidirected) == "invalid mixed graph: " + problems
 
 
 def test_bidirected_membership_is_symmetric():
@@ -183,7 +204,6 @@ def test_corpus_composition():
     assert len(graphs) == 55
     acyclic = sum(1 for g in graphs if g.is_acyclic())
     assert (acyclic, len(graphs) - acyclic) == (14, 41)
-    assert all(validate(g) == [] for g in graphs)
 
 
 def test_codec_roundtrip_exhaustive_small_n():
@@ -215,7 +235,6 @@ def test_subdivision_counts_and_validity():
     sub, vmap = bidirected_subdivision(HTC_FAIL_GRAPH)
     assert sub.n == 9
     assert len(sub.directed) == 12
-    assert validate(sub) == []
     g = MixedGraph(3, [(1, 2)], [])
     unchanged, vmap = bidirected_subdivision(g)
     assert unchanged == g and vmap == {}

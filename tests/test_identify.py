@@ -70,11 +70,6 @@ def test_htc_allowed_sources_empty_on_ratio_graph():
         assert not exists
 
 
-def test_half_trek_system_avoid_check():
-    with pytest.raises(ValueError):
-        half_trek_system_exists(IV_GRAPH, [1, 3], [2], avoid=[3])
-
-
 @pytest.mark.parametrize("sources, targets, bad", [([1], [0], 0), ([9], [1], 9), ([1], [9], 9)])
 def test_half_trek_system_names_a_vertex_outside_the_graph(sources, targets, bad):
     with pytest.raises(ValueError, match=rf"^vertex {bad} outside 1\.\.3$"):
