@@ -13,7 +13,7 @@ import json
 import re
 import sys
 from pathlib import Path
-from typing import NoReturn, Sequence
+from typing import Callable, NoReturn, Sequence
 
 import numpy as np
 
@@ -76,15 +76,19 @@ def _emit(text: str, output: str | None) -> None:
         print(text)
 
 
-def _at_least_one(text: str) -> int:
-    """argparse type of --seeds and --max-set-size: an integer of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _at_least(low: int) -> Callable[[str], int]:
+    """argparse type of an integer option that must be at least ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
 
 
 def _add_common(parser: argparse.ArgumentParser, seed: bool = True, fmt: bool = True) -> None:
@@ -93,7 +97,7 @@ def _add_common(parser: argparse.ArgumentParser, seed: bool = True, fmt: bool = 
         parser.add_argument("--format", choices=("json", "table"), default="table",
                             help="output format (json is the stable contract)")
     if seed:
-        parser.add_argument("--seed", type=int, default=0, help="base seed for all randomness")
+        parser.add_argument("--seed", type=_at_least(0), default=0, help="base seed for all randomness")
 
 
 def cmd_identify(args: argparse.Namespace) -> int:
@@ -313,10 +317,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("identify", help="certify every directed edge")
     p.add_argument("graph", help="graph JSON file or inline n:d:b code")
-    p.add_argument("--max-set-size", type=_at_least_one, default=None,
+    p.add_argument("--max-set-size", type=_at_least(1), default=None,
                    help="bound on |S| in the determinantal search (default: vertex count)")
     p.add_argument("--no-verify", action="store_true", help="skip the numeric replay of certificates")
-    p.add_argument("--seeds", type=_at_least_one, default=3, help="number of verification seeds")
+    p.add_argument("--seeds", type=_at_least(1), default=3, help="number of verification seeds")
     _add_common(p)
     p.set_defaults(func=cmd_identify)
 
@@ -345,8 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="replay identifiable edges over many seeds")
     p.add_argument("graph")
-    p.add_argument("--seeds", type=_at_least_one, default=100)
-    p.add_argument("--max-set-size", type=_at_least_one, default=None)
+    p.add_argument("--seeds", type=_at_least(1), default=100)
+    p.add_argument("--max-set-size", type=_at_least(1), default=None)
     _add_common(p)
     p.set_defaults(func=cmd_verify)
 
@@ -354,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("corpus", help="file with one n:d:b code per line, '#' comments")
     p.add_argument("--algorithms", default="htc,eid,tsid,eid+tsid",
                    help="comma-separated subset of: " + ", ".join(_ALGORITHMS))
-    p.add_argument("--max-set-size", type=_at_least_one, default=None)
+    p.add_argument("--max-set-size", type=_at_least(1), default=None)
     _add_common(p, seed=False)
     p.set_defaults(func=cmd_corpus)
 

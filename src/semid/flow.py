@@ -41,7 +41,8 @@ class FlowNetwork:
     node x splits into in-node 2x and out-node 2x + 1, arc 2k is the k-th
     forward arc and 2k + 1 its reverse.  Source and sink arcs are implicit.
     Each query works on its own copy of the capacities, so concurrent queries
-    on one network are safe.
+    on one network are safe.  Queries raise ValueError for a node outside
+    1..n_nodes, and an empty side gives value 0.
     """
 
     n_nodes: int
@@ -82,11 +83,6 @@ class FlowNetwork:
         """
         sources = sorted(set(sources))
         sinks = sorted(set(sinks))
-        if not sources or not sinks:
-            raise ValueError("sources and sinks must be nonempty")
-        for x in sources + sinks:
-            if not 1 <= x <= self.n_nodes:
-                raise ValueError(f"node {x} outside 1..{self.n_nodes}")
         value, *residual = self._saturate(sources, sinks)
         return FlowWitness(value, self._paths(sources, sinks, *residual))
 
@@ -139,6 +135,10 @@ class FlowNetwork:
         sources in the result.  They are the residual sweep from the free
         sources, so the sweep needs no traversal of its own.
         """
+        # sources and sinks are sorted, so their ends bound the rest
+        for x in sources[:1] + sources[-1:] + sinks[:1] + sinks[-1:]:
+            if not 1 <= x <= self.n_nodes:
+                raise ValueError(f"node {x} outside 1..{self.n_nodes}")
         to, adj = self._to, self._adj
         cap = self._cap[:]
         free_sources = [2 * s for s in sources]
@@ -244,8 +244,6 @@ def build_restricted_flow_graph(
 def generic_rank(g: MixedGraph, S: Iterable[int], T: Iterable[int]) -> int:
     """Generic rank of the covariance submatrix with rows S and columns T; 0 when either is empty."""
     S, T = _vertex_list(g, S), _vertex_list(g, T)
-    if not S or not T:
-        return 0
     net = _cached(g, build_flow_graph)
     return net.max_flow(S, [net.primed(t) for t in T]).value
 
@@ -261,8 +259,6 @@ def t_separating_cut(
     inputs give equal cuts.
     """
     S, T = _vertex_list(g, S), _vertex_list(g, T)
-    if not S or not T:
-        return (), ()
     net = _cached(g, build_flow_graph)
     owners = net.min_cut_nodes(S, [net.primed(t) for t in T])
     left = tuple(x for x in owners if x <= g.n)

@@ -329,7 +329,7 @@ def graph_from_json(text: str) -> MixedGraph:
     if not isinstance(payload, dict) or "n" not in payload:
         raise ValueError("graph JSON must be an object with keys n, directed, bidirected")
     n = payload["n"]
-    if not isinstance(n, int):
+    if type(n) is not int:  # nor a bool, which isinstance would count
         raise ValueError(f"vertex count must be an integer, got {n!r}")
 
     def read_edges(key: str) -> list[DirectedEdge]:
@@ -337,7 +337,7 @@ def graph_from_json(text: str) -> MixedGraph:
         out = []
         for item in edges:
             if not (isinstance(item, list) and len(item) == 2
-                    and all(isinstance(x, int) for x in item)):
+                    and all(type(x) is int for x in item)):
                 raise ValueError(f"{key} entry {item!r} is not a pair of integers")
             out.append((item[0], item[1]))
         return out

@@ -20,8 +20,8 @@ P = 2147483629
 POINT_SEED = 1702
 
 
-def field_point(g: MixedGraph) -> tuple[NDArray, NDArray] | None:
-    """Sigma and lambda mod P at the graph's fixed point, or None if I - lambda is singular mod P.
+def field_point(g: MixedGraph) -> tuple[NDArray, NDArray]:
+    """Sigma and lambda mod P at the graph's fixed point.
 
     Each directed edge, bidirected edge and vertex gets one draw in 1..P-1
     from ``POINT_SEED``: the coefficient lambda[u, w] of u -> w, the error
@@ -29,8 +29,9 @@ def field_point(g: MixedGraph) -> tuple[NDArray, NDArray] | None:
     omega.  With R = D (I - lambda)^-1 from ``_scaled_inverse``, sigma =
     R^T omega R mod P is the covariance (as in ``oracle.covariance``) at
     (lambda, D omega D).  That point has the support of (lambda, omega), so
-    a minor that is nonzero there is still not the zero polynomial.
-    Memoize it with ``graph._cached``.
+    a minor that is nonzero there is still not the zero polynomial.  When
+    I - lambda is singular mod P, D is 0 and so is sigma: every minor
+    vanishes and proves nothing.  Memoize it with ``graph._cached``.
     """
     n = g.n
     directed, bidirected = sorted(g.directed), sorted(g.bidirected)
@@ -44,8 +45,6 @@ def field_point(g: MixedGraph) -> tuple[NDArray, NDArray] | None:
     for x in range(n):
         omega[x, x] = next(draws)
     r = _scaled_inverse(np.eye(n, dtype=np.int64) - lam)
-    if r is None:
-        return None
     return _matmul(_matmul(r.T, omega), r), lam
 
 
@@ -91,13 +90,14 @@ def nonzero_minors(m: NDArray) -> NDArray:
     return invertible
 
 
-def _scaled_inverse(m: NDArray) -> NDArray | None:
-    """D m^-1 mod P for some invertible diagonal D, or None when m is singular mod P.
+def _scaled_inverse(m: NDArray) -> NDArray:
+    """D m^-1 mod P for some invertible diagonal D, or the zero matrix when m is singular mod P.
 
     Fraction-free Gauss-Jordan elimination on [m | I]: rows are swapped only
     when the pivot a of column j is 0, then each row r other than j becomes
     a * r - c * (row j) mod P, c being r's entry in column j.  The left
-    block ends diagonal, D, so the right block R satisfies R m = D.
+    block ends diagonal, D, so the right block R satisfies R m = D.  With
+    m singular, R = 0 satisfies it with D = 0.
     """
     n = len(m)
     a = np.concatenate([m % P, np.eye(n, dtype=np.int64)], axis=1)
@@ -105,7 +105,7 @@ def _scaled_inverse(m: NDArray) -> NDArray | None:
         if not a[j, j]:
             below = np.flatnonzero(a[j + 1:, j])
             if not len(below):
-                return None
+                return np.zeros((n, n), dtype=np.int64)
             a[[j, j + 1 + below[0]]] = a[[j + 1 + below[0], j]]
         pivot = a[j].copy()
         a = (pivot[j] * a - a[:, j, None] * pivot) % P

@@ -304,8 +304,6 @@ def numeric_rank(matrix: NDArray) -> int:
     if matrix.size == 0:
         return 0
     svals = np.linalg.svd(matrix, compute_uv=False)
-    if svals[0] == 0:
-        return 0
     return int(np.sum(svals > RANK_RTOL * svals[0]))
 
 

@@ -73,6 +73,24 @@ def test_identify_invalid_graph_names_every_problem(tmp_path, capsys, monkeypatc
     )
 
 
+@pytest.mark.parametrize("text, message", [
+    ("[1, 2]", "graph JSON must be an object with keys n, directed, bidirected"),
+    ('{"n": "3"}', "vertex count must be an integer, got '3'"),
+    ('{"n": true, "directed": [], "bidirected": []}', "vertex count must be an integer, got True"),
+    ('{"n": 3, "directed": [[1, true]], "bidirected": []}', "directed entry [1, True] is not a pair of integers"),
+    ('{"n": 3, "directed": [], "bidirected": [[false, 2]]}', "bidirected entry [False, 2] is not a pair of integers"),
+], ids=["not-an-object", "n-a-string", "n-true", "directed-endpoint-true", "bidirected-endpoint-false"])
+@pytest.mark.parametrize("command", ["identify", "encode"])
+def test_graph_json_that_is_no_graph_is_an_input_error(tmp_path, capsys, monkeypatch, command, text, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.json").write_text(text)
+    assert run(capsys, command, "bad.json") == (1, "", f"error: bad.json: {message}\n")
+
+
+def test_identify_code_out_of_range(capsys):
+    assert run(capsys, "identify", "3:64:0") == (1, "", "error: directed code 64 out of range for n=3\n")
+
+
 @pytest.mark.parametrize("argv, start", [
     (["identify", "{tmp}"], "error: cannot read {tmp}: "),
     (["corpus", "{tmp}"], "error: cannot read {tmp}: "),
@@ -116,6 +134,8 @@ def test_rank_out_of_range(capsys):
     assert code == 1 and "outside" in err
     code, _, err = run(capsys, "rank", "3:9:4", "-S", "1", "-T", "0")
     assert code == 1 and "vertex 0 outside 1..3" in err
+    code, _, err = run(capsys, "rank", "3:9:4", "-S", "1,x", "-T", "1")
+    assert code == 1 and "vertex list '1,x' must be comma-separated integers" in err
 
 
 def test_rank_empty_sources_is_zero(capsys):
@@ -304,6 +324,15 @@ def test_usage_errors_are_input_errors(capsys, argv):
     # argparse would exit 2, which identify reserves for infinite-to-one edges.
     code, out, err = run_usage_error(capsys, *argv)
     assert code == EXIT_INPUT_ERROR and out == "" and "usage: semid" in err
+
+
+@pytest.mark.parametrize("command", ["identify", "sample", "verify"])
+def test_negative_seed_is_a_usage_error(capsys, command):
+    # numpy's generators take no negative seed; argparse reports it instead.
+    code, out, err = run_usage_error(capsys, command, "3:9:4", "--seed", "-1")
+    assert (code, out) == (EXIT_INPUT_ERROR, "")
+    assert err.startswith(f"usage: semid {command} ") and "Traceback" not in err
+    assert f"semid {command}: error: argument --seed: must be at least 0, got -1" in err
 
 
 @pytest.mark.parametrize("argv, usage", [

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from semid import (
+    FlowWitness,
     MixedGraph,
     build_flow_graph,
     build_restricted_flow_graph,
@@ -166,8 +167,6 @@ def _cut_separates(g, S, T, left, right):
     arcs = [(u, w) for u, w in net.arcs if u not in removed and w not in removed]
     sources = [s for s in S if s not in removed]
     sinks = [net.primed(t) for t in T if net.primed(t) not in removed]
-    if not sources or not sinks:
-        return True
     from semid.flow import FlowNetwork
 
     pruned = FlowNetwork(net.n_nodes, arcs, n_base=net.n_base)
@@ -218,3 +217,24 @@ def test_empty_side_has_rank_zero_and_empty_cut():
     for S, T in (([], [1]), ([1], []), ([], [])):
         assert generic_rank(g, S, T) == 0
         assert t_separating_cut(g, S, T) == ((), ())
+
+
+@pytest.mark.parametrize("bad", [0, -1, 7])
+def test_network_queries_reject_nodes_outside_the_network(bad):
+    # -1 would index node 6's copy and 7 a node past the network.
+    net = build_flow_graph(MixedGraph(3, [(1, 2), (2, 3)], [(2, 3)]))
+    for query in (net.max_flow, net.residual_reach, net.min_cut_nodes):
+        for sources, sinks in (([1], [bad]), ([bad], [4]), ([bad], [])):
+            with pytest.raises(ValueError, match=f"node {bad} outside 1..6"):
+                query(sources, sinks)
+
+
+def test_network_queries_accept_an_empty_side():
+    net = build_flow_graph(MixedGraph(3, [(1, 2), (2, 3)], [(2, 3)]))
+    for sources, sinks in (([], [4]), ([1], []), ([], [])):
+        assert net.max_flow(sources, sinks) == FlowWitness(0, ())
+        assert net.min_cut_nodes(sources, sinks) == ()
+        value, reach = net.residual_reach(sources, sinks)
+        # with no sinks, the sweep reaches all that the sources reach
+        expected = sum(1 << z for z in range(1, 7) if net.max_flow(sources, [z]).value)
+        assert (value, reach) == (0, expected)

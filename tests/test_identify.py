@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -428,6 +429,27 @@ def test_joint_certificate_replay():
     assert {c.edge for c in certs} == {(4, 6), (5, 6)}
     errors = verify_certificates(g, certs, seeds=range(5))
     assert max(errors.values()) < 1e-6
+
+
+def test_joint_certificate_json():
+    certs = joint_certificate(JOINT_SYSTEM_GRAPH, 6, [5, 4], [([5, 3], [1]), ([4, 2], [1])])
+    assert certs[0].to_json_dict() == {
+        "edge": [4, 6], "status": IDENTIFIABLE, "method": "JOINT",
+        "witness": {"v": 6, "targets": [4, 5], "rows": [[[3, 5], [1]], [[2, 4], [1]]], "prerequisites": []},
+    }
+
+
+def test_replay_skips_certificates_that_are_not_identifiable():
+    # An unknown edge, even one with a method, recovers nothing.
+    sigma = covariance(sample_parameters(IV_GRAPH, seed=0))
+    certs = htc_identify(IV_GRAPH).certificates
+    unknown = replace(certs[(2, 3)], status=UNKNOWN)
+    assert set(replay_certificates([certs[(1, 2)], unknown], sigma)) == {(1, 2)}
+
+
+def test_tsid_rejects_a_search_bound_below_one():
+    with pytest.raises(ValueError, match="max_set_size must be >= 1, got 0"):
+        tsid_identify(IV_GRAPH, max_set_size=0)
 
 
 def test_solver_state_helpers():

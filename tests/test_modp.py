@@ -13,9 +13,9 @@ import numpy as np
 
 from semid import GraphId, MixedGraph, certify, decode_id, identify, modp, tsid_identify
 from semid.flow import build_flow_graph, build_restricted_flow_graph
-from semid.identify import _star_vanishing_pairs, _tsep_probe, _tsep_sweep
+from semid.identify import _search_order, _star_vanishing_pairs, _tsep_probe, _tsep_sweep
 
-from conftest import INCONCLUSIVE_CYCLIC_GRAPH, corpus_codes, random_mixed_graph
+from conftest import INCONCLUSIVE_ACYCLIC_GRAPH, INCONCLUSIVE_CYCLIC_GRAPH, corpus_codes, random_mixed_graph
 
 P = modp.P
 
@@ -64,10 +64,12 @@ def test_field_point_solves_the_covariance_equation():
     assert modp.field_point(g)[0].tobytes() == sigma.tobytes()  # the point is fixed
 
 
-def test_scaled_inverse_is_none_when_singular_mod_p():
-    assert modp._scaled_inverse(np.array([[2, 1], [P - 1, (P - 1) // 2]], dtype=np.int64)) is None
-    # R m is diagonal with nonzero entries, also when a zero pivot forces a
-    # row swap, and R is None whenever m is singular mod P.
+def test_scaled_inverse_is_zero_when_singular_mod_p():
+    m = np.array([[2, 1], [P - 1, (P - 1) // 2]], dtype=np.int64)
+    assert not modp._scaled_inverse(m).any()
+    # R m is diagonal, also when a zero pivot forces a row swap; its diagonal
+    # is nonzero exactly when m is invertible mod P, and R is the zero matrix
+    # when m is singular mod P.  The exact determinant decides which.
     rng = random.Random(11)
     swapped = singular = 0
     for _ in range(200):
@@ -76,14 +78,29 @@ def test_scaled_inverse_is_none_when_singular_mod_p():
         if n > 1 and rng.random() < 0.2:
             m[-1] = m[0] * 3 % P  # dependent rows
         r = modp._scaled_inverse(m)
+        assert r.shape == (n, n) and r.dtype == np.int64
+        d = modp._matmul(r, m)
+        assert np.array_equal(d, np.diag(np.diag(d)))
         if _det_mod_p(m.tolist()) == 0:
-            assert r is None
+            assert not r.any()
             singular += 1
             continue
-        d = modp._matmul(r, m)
-        assert np.array_equal(d, np.diag(np.diag(d))) and np.all(np.diag(d) != 0)
+        assert np.all(np.diag(d) != 0)
         swapped += m[0, 0] == 0
     assert singular >= 20 and swapped >= 20
+
+
+def test_field_point_is_zero_when_i_minus_lambda_is_singular(monkeypatch):
+    # A singular I - lambda mod P leaves sigma = 0, so every star minor
+    # vanishes and the search sweeps every pair in the unfiltered order.
+    g, (w0, v) = INCONCLUSIVE_ACYCLIC_GRAPH, (1, 5)
+    unfiltered = list(_unfiltered_order(g, v, w0, g.n))
+    assert len(list(_search_order(g, v, w0, [], g.n))) < len(unfiltered)
+    g = MixedGraph(g.n, g.directed, g.bidirected)  # nothing memoized
+    monkeypatch.setattr(modp, "_scaled_inverse", lambda m: np.zeros_like(m))
+    sigma, lam = modp.field_point(g)
+    assert not sigma.any() and lam.any()
+    assert list(_search_order(g, v, w0, [], g.n)) == unfiltered
 
 
 def test_star_filter_rejects_only_star_failures():
@@ -123,17 +140,30 @@ def test_star_filter_rejects_only_star_failures():
     assert rejected >= pairs // 2 and accepted >= 100
 
 
+def _unfiltered_order(g, v, w0, max_set_size):
+    """Every (S, T) pair the search may try for w0 -> v, by |S| and then lexicographic."""
+    t_candidates = [t for t in g.vertices if t not in (v, w0) and t not in g.descendants(v)]
+    for k in range(1, min(max_set_size, len(t_candidates) + 1) + 1):
+        yield from itertools.product(itertools.combinations(g.vertices, k), itertools.combinations(t_candidates, k - 1))
+
+
 def test_filtered_search_matches_the_unfiltered_one(monkeypatch):
-    # Same certificates with and without the filter, and with blocks so small
-    # that every level spans several, on cyclic and acyclic graphs.
+    # Same certificates as a search over every pair, with blocks so small
+    # that every level spans several, and at a zero sigma, where no minor
+    # rejects anything, on cyclic and acyclic graphs.
     rng = random.Random(17)
     graphs = [random_mixed_graph(rng, 5 + i % 3, acyclic=i % 2 == 0) for i in range(30)]
     graphs.append(INCONCLUSIVE_CYCLIC_GRAPH)
-    filtered = [tsid_identify(g).certificates for g in graphs]
+    fresh = lambda: [MixedGraph(g.n, g.directed, g.bidirected) for g in graphs]  # nothing memoized
+    filtered = [tsid_identify(g).certificates for g in fresh()]
     monkeypatch.setattr(identify, "FILTER_BLOCK", 5)
-    assert [tsid_identify(g).certificates for g in graphs] == filtered
-    monkeypatch.setattr(modp, "field_point", lambda g: None)
-    assert [tsid_identify(MixedGraph(g.n, g.directed, g.bidirected)).certificates for g in graphs] == filtered
+    assert [tsid_identify(g).certificates for g in fresh()] == filtered
+    monkeypatch.setattr(modp, "field_point", lambda g: (np.zeros((g.n, g.n), dtype=np.int64),) * 2)
+    assert [tsid_identify(g).certificates for g in fresh()] == filtered
+    monkeypatch.setattr(
+        identify, "_search_order", lambda g, v, w0, solved, max_set_size: _unfiltered_order(g, v, w0, max_set_size)
+    )
+    assert [tsid_identify(g).certificates for g in fresh()] == filtered
     assert sum(len(c) for c in filtered) >= 30
 
 
