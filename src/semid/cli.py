@@ -110,7 +110,7 @@ def cmd_identify(args: argparse.Namespace) -> int:
         seeds=args.seeds,
     )
     if args.format == "json":
-        _emit(json.dumps(report.to_json_dict(), indent=2), args.output)
+        _emit(report.to_json(), args.output)
     else:
         lines = []
         for edge, cert in report.certificates.items():

@@ -39,7 +39,10 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+import json
+import math
 from dataclasses import dataclass, field, replace
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -77,32 +80,91 @@ class EdgeCertificate:
     verification: dict | None = None
 
     def to_json_dict(self) -> dict:
-        payload: dict = {
-            "edge": list(self.edge),
-            "status": self.status,
-            "method": self.method,
-            "witness": _witness_to_json(self.witness),
-        }
-        payload["witness"]["prerequisites"] = [list(e) for e in self.prerequisites]
-        if self.verification is not None:
-            payload["verification"] = self.verification
-        return payload
+        """This certificate as a fresh JSON tree; callers may change it freely."""
+        return json.loads(_certificate_json(self, "", {}))
 
 
-def _witness_to_json(witness: dict) -> dict:
-    out = {}
+def _json(value, pad: str) -> str:
+    """``value`` as ``json.dumps(value, indent=2)`` writes it, nested at indentation ``pad``."""
+    if isinstance(value, (list, tuple)):
+        if all(type(x) is int for x in value):  # bool is a subclass of int, not int
+            return _json_block("[", list(map(int.__repr__, value)), "]", pad)
+        inner = pad + "  "
+        return _json_block("[", [_json(x, inner) for x in value], "]", pad)
+    if isinstance(value, dict):
+        inner = pad + "  "
+        return _json_block(
+            "{", [f"{encode_basestring_ascii(k)}: {_json(x, inner)}" for k, x in value.items()], "}", pad
+        )
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == math.inf:
+            return "Infinity"
+        if value == -math.inf:
+            return "-Infinity"
+        return float.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _json_block(opening: str, items: list[str], closing: str, pad: str) -> str:
+    """A JSON array or object at indentation ``pad`` from its written items."""
+    if not items:
+        return opening + closing
+    inner = "\n" + pad + "  "
+    return opening + inner + ("," + inner).join(items) + "\n" + pad + closing
+
+
+def _witness_json(witness: dict, prerequisites: tuple[DirectedEdge, ...], pad: str) -> str:
+    """The "witness" object of a certificate, with its prerequisites as the last key."""
+    inner = pad + "  "
+    items = []
     for key, value in witness.items():
         if key == "H":
-            out[key] = {str(y): sorted(hs) for y, hs in value.items()}
+            value = {str(y): sorted(hs) for y, hs in value.items()}
         elif key == "record":
-            out[key] = {str(z): reason for z, reason in sorted(value.items())}
+            value = {str(z): reason for z, reason in sorted(value.items())}
         elif key == "rows":
-            out[key] = [[sorted(s), sorted(t)] for s, t in value]
+            value = [[sorted(s), sorted(t)] for s, t in value]
         elif isinstance(value, (set, frozenset, tuple, list)):
-            out[key] = sorted(value)
-        else:
-            out[key] = value
-    return out
+            value = sorted(value)
+        items.append(f"{encode_basestring_ascii(key)}: {_json(value, inner)}")
+    items.append(f'"prerequisites": {_json(prerequisites, inner)}')
+    return _json_block("{", items, "}", pad)
+
+
+def _certificate_json(cert: EdgeCertificate, pad: str, witnesses: dict) -> str:
+    """One certificate as indented JSON text at indentation ``pad``.
+
+    HTC and EID give every edge of one half-trek system the same witness
+    dict and prerequisites tuple, so ``witnesses`` keeps each written
+    witness by the identity of that pair.  The certificates hold both
+    objects for as long as the dict lives, so no identity is reused.
+    """
+    inner = pad + "  "
+    key = (id(cert.witness), id(cert.prerequisites))
+    witness = witnesses.get(key)
+    if witness is None:
+        witness = witnesses[key] = _witness_json(cert.witness, cert.prerequisites, inner)
+    items = [
+        f'"edge": {_json(cert.edge, inner)}',
+        f'"status": {_json(cert.status, inner)}',
+        f'"method": {_json(cert.method, inner)}',
+        f'"witness": {witness}',
+    ]
+    if cert.verification is not None:
+        items.append(f'"verification": {_json(cert.verification, inner)}')
+    return _json_block("{", items, "}", pad)
 
 
 @dataclass
@@ -566,17 +628,27 @@ class CertificationReport:
     def fully_identifiable(self) -> bool:
         return all(c.status == IDENTIFIABLE for c in self.certificates.values())
 
+    def to_json(self) -> str:
+        """The report as ``json.dumps(self.to_json_dict(), indent=2)`` would write it.
+
+        Each shared witness is written once and its text reused.
+        """
+        witnesses: dict = {}
+        certificates = [
+            _certificate_json(self.certificates[e], "    ", witnesses) for e in sorted(self.certificates)
+        ]
+        return _json_block("{", [
+            f'"n": {_json(self.graph.n, "  ")}',
+            f'"certificates": {_json_block("[", certificates, "]", "  ")}',
+            f'"jacobian_rank": {_json(self.jacobian_rank, "  ")}',
+            f'"n_parameters": {_json(self.n_parameters, "  ")}',
+            f'"parameterization_infinite_to_one": {_json(self.parameterization_infinite_to_one, "  ")}',
+            f'"seed": {_json(self.seed, "  ")}',
+        ], "}", "")
+
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.graph.n,
-            "certificates": [
-                self.certificates[e].to_json_dict() for e in sorted(self.certificates)
-            ],
-            "jacobian_rank": self.jacobian_rank,
-            "n_parameters": self.n_parameters,
-            "parameterization_infinite_to_one": self.parameterization_infinite_to_one,
-            "seed": self.seed,
-        }
+        """The report as a fresh JSON tree; callers may change it freely."""
+        return json.loads(self.to_json())
 
 
 # Fresh samples tried per seed when its replay is degenerate.

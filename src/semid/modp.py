@@ -114,5 +114,10 @@ def _scaled_inverse(m: NDArray) -> NDArray:
 
 
 def _matmul(x: NDArray, y: NDArray) -> NDArray:
-    """x @ y mod P, summed in Python integers, which cannot overflow."""
-    return (x.astype(object) @ y.astype(object) % P).astype(np.int64)
+    """x @ y mod P for residues in 0..P-1, exact in int64.
+
+    y splits into 16-bit halves, y = hi * 2**16 + lo.  A product of a residue
+    and a half is below 2**47, so a sum of up to 2**15 of them fits in int64.
+    """
+    hi, lo = np.divmod(y, 1 << 16)
+    return ((x @ hi % P << 16) + x @ lo) % P

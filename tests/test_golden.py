@@ -19,6 +19,8 @@ from pathlib import Path
 import pytest
 
 from semid import (
+    CertificationReport,
+    EdgeCertificate,
     GraphId,
     MixedGraph,
     certify,
@@ -115,6 +117,29 @@ SLOW_SET_DIGESTS = {
     "11:289215538989695841:9007419377264193": "7659a30c4650cc56ca9724b625ab94f98dcc8f05185bb2e0428d369d9d7cefc4",
 }
 
+# Exit code and SHA-256 of the raw stdout of `semid identify CODE FLAGS
+# --format json`.  The digests above sort keys and drop whitespace; these pin
+# the bytes of the stable contract: key order, indentation and float digits.
+# The graphs are the seven fixtures, corpus graphs with no, one TSID and two
+# EID certificates, and two acyclic_verify pool graphs (all EID; EID with an
+# infinite-to-one record).
+STDOUT_DIGESTS = {
+    "3:9:4": (0, "efb537530f88f2f82c6359dff551af143909aa855f94b5700cabb09ea5bfd41e"),
+    "5:32775:15": (0, "19b8e38fe05887cc94600bdc90b9a7a3de6ba76f5116319b3175cc056d135848"),
+    "5:18465:265": (0, "dcc11d93a7acfa153230c400f1574ff217e97274065488dd2e438a45d23127f9"),
+    "5:33826:852": (2, "eee7a791fe679182a6edae910a4296628548fdd8a46e8b7fe8d9b22c3ff06c9a"),
+    "6:17309827:7040": (0, "692aab9f8e91aad180a137d3d377f0e0e353c788cbdfc4885b8dfea479a26fca"),
+    "5:4456:113": (3, "7b94f64a13efe45456bd9d638a85782e70a73c4a8d60e6ceaec902f9a4c0abe0"),
+    "5:70881:80": (3, "af252197e1e750527299d24aae2d3f0e5722aaf33370ea1f6acdde49f3477fe2"),
+    "5:360:117 --max-set-size 5": (3, "135563d203dfd297abab7ed0d52df3b3892a4be52717749233c118ffb674b956"),
+    "5:6629:512 --max-set-size 5": (3, "358e5ecacab1dc7c355929d146e942bd63212ae6f80ec4c52ed069a2e147e164"),
+    "5:75112:72 --max-set-size 5": (3, "ada9c66ac1ae83d2781e7d15629a1b18c2a8b19f3d6ea8c50728ccc095004277"),
+    "15:50216813883112000330706117495757874303122133945162150195716:634482993541222906178522071040"
+    " --max-set-size 1 --seeds 100": (0, "21a170eaeec62c8a9f0987db813ad938d9c33adf2d87bc329048a9ee991e3ded"),
+    "13:1361129467686232152116398343331764109382:9444733106476778848264"
+    " --max-set-size 1 --seeds 100": (2, "086d554742e389afd8603611c197f4e6d3b4c9f8996208816e8a183d75e388cd"),
+}
+
 # Seed 139 of this graph rejects its first coefficient draw (I - lambda too
 # close to singular), so sampling takes the rejection loop.
 REJECTING_CYCLIC_GRAPH = MixedGraph(
@@ -178,6 +203,49 @@ def test_benchmark_pool_verdicts_match_the_reference(name, monkeypatch, capsys):
         exit_code = main(workload.argv(code))
         why = workloads.check_verdict(reference[code], exit_code, capsys.readouterr().out)
         assert why is None, (code, why)
+
+
+@pytest.mark.parametrize("args", STDOUT_DIGESTS)
+def test_identify_stdout_bytes_unchanged(args, capsys):
+    exit_code = main(["identify", *args.split(), "--format", "json"])
+    stdout = capsys.readouterr().out
+    assert (exit_code, hashlib.sha256(stdout.encode()).hexdigest()) == STDOUT_DIGESTS[args]
+
+
+def test_report_text_is_indent_2_json():
+    graphs = list(FIXTURES.values())
+    graphs += [random_mixed_graph(random.Random(seed), 4 + seed % 3, acyclic=seed % 2 == 0) for seed in range(12)]
+    for g in graphs:
+        text = certify(g, max_set_size=3).to_json()
+        assert text == json.dumps(json.loads(text), indent=2)
+
+
+def test_report_writer_matches_json_dumps_on_every_value_kind():
+    # Values no solver writes today still come out as json.dumps writes them.
+    cert = EdgeCertificate(
+        edge=(1, 2), status="unknown", method=None,
+        witness={"note": 'caf\u00e9 "q"\n', "S": {3, 1}, "T": (), "H": {2: {5, 4}, 1: []},
+                 "record": {3: "x", 1: "y"}, "rows": [({2, 1}, [4, 3])], "flag": True},
+        prerequisites=((2, 1), (3, 1)),
+        verification={"seeds": 0, "max_rel_err": float("nan"), "low": -float("inf"), "high": float("inf"),
+                      "none": None, "off": False, "empty": {}, "nested": [[], [0.5, "s"]]},
+    )
+    report = CertificationReport(MixedGraph(3, [(1, 2)], []), {(1, 2): cert}, 5, 6, 7)
+    expected = {
+        "n": 3,
+        "certificates": [{
+            "edge": [1, 2], "status": "unknown", "method": None,
+            "witness": {"note": 'caf\u00e9 "q"\n', "S": [1, 3], "T": [], "H": {"2": [4, 5], "1": []},
+                        "record": {"1": "y", "3": "x"}, "rows": [[[1, 2], [3, 4]]], "flag": True,
+                        "prerequisites": [[2, 1], [3, 1]]},
+            "verification": cert.verification,
+        }],
+        "jacobian_rank": 5,
+        "n_parameters": 6,
+        "parameterization_infinite_to_one": True,
+        "seed": 7,
+    }
+    assert report.to_json() == json.dumps(expected, indent=2)
 
 
 def test_htc_witnesses_unchanged():

@@ -381,6 +381,22 @@ def test_certify_deterministic():
     assert a.to_json_dict() == b.to_json_dict()
 
 
+def test_json_trees_are_fresh():
+    # Changing a returned tree, as the golden digests do when they drop
+    # max_rel_err, must not reach the frozen report.
+    report = certify(IV_GRAPH, seed=0)
+    cert = report.certificates[(1, 2)]
+    payload = cert.to_json_dict()
+    payload["verification"].pop("max_rel_err")
+    payload["witness"]["E"].append(9)
+    again = cert.to_json_dict()
+    assert set(again["verification"]) == {"seeds", "max_rel_err"}
+    assert again["witness"]["E"] == [1]
+    tree = report.to_json_dict()
+    tree["certificates"][0]["verification"].clear()
+    assert report.to_json_dict()["certificates"][0]["verification"]["seeds"] == 3
+
+
 def test_replay_rejects_missing_prerequisites():
     state = eid_tsid_identify(HTC_FAIL_GRAPH)
     sig = covariance(sample_parameters(HTC_FAIL_GRAPH, seed=1))

@@ -6,8 +6,10 @@ sweep would reject it, and every pair it skips must be a star failure.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
+from pathlib import Path
 
 import numpy as np
 
@@ -48,6 +50,38 @@ def test_nonzero_minors_matches_exact_determinants():
         expected = [_det_mod_p(m) != 0 for m in stack]
         assert got.tolist() == expected
         assert 0 < sum(expected) < len(expected)
+
+
+def test_matmul_matches_python_integer_products():
+    rng = random.Random(11)
+    for n in (1, 2, 5, 20):
+        x, y = (
+            [[rng.choice((0, 1, P - 1, rng.randrange(P))) for _ in range(n)] for _ in range(n)] for _ in range(2)
+        )
+        expected = [[sum(a * b for a, b in zip(row, col)) % P for col in zip(*y)] for row in x]
+        got = modp._matmul(np.array(x, dtype=np.int64), np.array(y, dtype=np.int64))
+        assert got.dtype == np.int64 and got.tolist() == expected
+    top = np.full((64, 64), P - 1, dtype=np.int64)  # the largest sums of the largest products
+    assert (modp._matmul(top, top) == 64 * (P - 1) ** 2 % P).all()
+
+
+# SHA-256 of sigma and lambda of field_point over every benchmark pool graph,
+# pools in the order corpus_n5, random_n7, acyclic_verify.
+POOL_FIELD_POINT_DIGEST = "e66cadc2f24e17943bccd09d421c98c29babcbf1c7b831408229e7e68f4fdcd4"
+
+
+def test_field_points_of_the_benchmark_pools_unchanged(monkeypatch):
+    root = Path(__file__).resolve().parents[1]
+    monkeypatch.chdir(root)  # the corpus path of the workloads is relative
+    monkeypatch.syspath_prepend(str(root / "perfbench"))
+    import workloads
+    digest = hashlib.sha256()
+    for name in ("corpus_n5", "random_n7", "acyclic_verify"):
+        for code in workloads.WORKLOADS[name].pool():
+            sigma, lam = modp.field_point(decode_id(GraphId.parse(code)))
+            digest.update(sigma.tobytes())
+            digest.update(lam.tobytes())
+    assert digest.hexdigest() == POOL_FIELD_POINT_DIGEST
 
 
 def test_field_point_solves_the_covariance_equation():
