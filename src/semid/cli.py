@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from pathlib import Path
@@ -73,7 +74,7 @@ def _emit(text: str, output: str | None) -> None:
         except OSError as exc:
             raise InputError(f"cannot write {output}: {exc.strerror}") from None
     else:
-        print(text)
+        print(text, flush=True)  # a closed stdout raises here, inside main
 
 
 def _at_least(low: int) -> Callable[[str], int]:
@@ -385,6 +386,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except oracle.DegenerateSampleError as exc:
         print(f"degenerate sample: {exc}", file=sys.stderr)
         return EXIT_REPLAY_FAILED
+    except BrokenPipeError:
+        # The reader closed stdout (say, `| head`).  The text it did not read
+        # goes to devnull, so that the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_INPUT_ERROR
 
 
 if __name__ == "__main__":

@@ -334,6 +334,8 @@ def graph_from_json(text: str) -> MixedGraph:
 
     def read_edges(key: str) -> list[DirectedEdge]:
         edges = payload.get(key, [])
+        if not isinstance(edges, list):
+            raise ValueError(f"{key} must be a list of pairs, got {edges!r}")
         out = []
         for item in edges:
             if not (isinstance(item, list) and len(item) == 2

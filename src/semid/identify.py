@@ -30,9 +30,11 @@ A star minor that is nonzero mod P is not the zero polynomial (Schwartz
 minor that is zero proves nothing, and the pair is swept as before.  The
 filter thus removes only pairs the sweep would reject: the first accepted
 pair, and so every certificate, is the same at any point, which decides only
-how much work is done.  It runs from |S| = 2 on, over blocks of at most
-``FILTER_BLOCK`` pairs in search order.  At |S| = 1 a sweep depends on S
-alone, so at most n of them serve every edge.
+how much work is done.  It runs at every level |S| = 1..K, over blocks of
+at most ``FILTER_BLOCK`` pairs in search order; at |S| = 1 the minor is the
+one entry star[s, v].  Only the pairs that survive are swept, on the flow
+graph taken from the graph's memo, so a search that screens out every pair
+builds no network.
 """
 
 from __future__ import annotations
@@ -48,8 +50,8 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from . import modp, oracle
-from .flow import FlowNetwork, build_flow_graph, build_restricted_flow_graph
-from .graph import DirectedEdge, MixedGraph, _cached, _check_vertex, _vertex_list, infinite_to_one_record
+from .flow import build_flow_graph, build_restricted_flow_graph
+from .graph import DirectedEdge, MixedGraph, _cached, _vertex_list, infinite_to_one_record
 from .oracle import DegenerateSampleError, Parameters
 
 IDENTIFIABLE = "identifiable"
@@ -204,11 +206,7 @@ def half_trek_system_exists(
         (exists, system) where system pairs each active source with the
         right-hand side of its half-trek.
     """
-    sources = sorted(set(sources))
-    targets = sorted(set(targets))
-    # the smallest and largest of each sorted list bound the rest
-    for x in sources[:1] + sources[-1:] + targets[:1] + targets[-1:]:
-        _check_vertex(g, x)
+    sources, targets = _vertex_list(g, sources), _vertex_list(g, targets)
     # Most calls have no sources; returning here spares building the network.
     if not targets:
         return True, []
@@ -375,20 +373,23 @@ def tsep_accepts(
         return False
     if strict and (v in S or des_v.intersection(S)):
         return False
-    full = _cached(g, build_flow_graph)
-    return bool(_tsep_probe(g, full, v, w0, solved_siblings)(_tsep_sweep(full, S, T)))
+    return bool(_tsep_probe(g, v, w0, solved_siblings)(_tsep_sweep(g, S, T)))
 
 
-def _tsep_sweep(full: FlowNetwork, S: Sequence[int], T: Sequence[int]) -> int:
+def _tsep_sweep(g: MixedGraph, S: Sequence[int], T: Sequence[int]) -> int:
     """The residual sweep of a max flow from S to T', or 0 (nothing reached) when it misses a target."""
+    full = _cached(g, build_flow_graph)
     value, reach = full.residual_reach(S, [full.primed(t) for t in T])
     return reach if value == len(T) else 0
 
 
-def _tsep_probe(g: MixedGraph, full: FlowNetwork, v: int, w0: int, solved: Iterable[int]) -> Callable[[int], int]:
-    """The relaxed ``tsep_accepts`` test of w0 -> v as a predicate on sweeps."""
-    tails = [v, *g.siblings(v), *(full.primed(p) for p in g.parents(v) - {w0, *solved})]
-    need, star = 1 << full.primed(w0), sum(1 << x for x in tails)
+def _tsep_probe(g: MixedGraph, v: int, w0: int, solved: Iterable[int]) -> Callable[[int], int]:
+    """The relaxed ``tsep_accepts`` test of w0 -> v as a predicate on sweeps.
+
+    It needs no network: primed node p' of the flow graph is n + p.
+    """
+    tails = [v, *g.siblings(v), *(g.n + p for p in g.parents(v) - {w0, *solved})]
+    need, star = 1 << (g.n + w0), sum(1 << x for x in tails)
     return lambda reach: reach & need and not reach & star
 
 
@@ -411,7 +412,6 @@ def tsid_identify(
     if max_set_size < 1:
         raise ValueError(f"max_set_size must be >= 1, got {max_set_size}")
     state = state.copy() if state else SolverState()
-    full = _cached(g, build_flow_graph)
     # One sweep per (S, T), keyed by the bitmask of T with that of S above it.
     sweeps: dict[int, int] = {}
     changed = True
@@ -421,12 +421,12 @@ def tsid_identify(
             if (w0, v) in state.certificates or v in g.descendants(v):
                 continue  # solved, or on a cycle, where acceptance can never hold
             solved_sibs = [s for s in state.solved_parents(g, v) if s != w0]
-            accepts = _tsep_probe(g, full, v, w0, solved_sibs)
+            accepts = _tsep_probe(g, v, w0, solved_sibs)
             for S, T in _search_order(g, v, w0, solved_sibs, max_set_size):
                 key = sum(1 << s for s in S) << g.n | sum(1 << t for t in T)
                 reach = sweeps.get(key)
                 if reach is None:
-                    reach = sweeps[key] = _tsep_sweep(full, S, T)
+                    reach = sweeps[key] = _tsep_sweep(g, S, T)
                 if accepts(reach):
                     state.certificates[(w0, v)] = EdgeCertificate(
                         edge=(w0, v), status=IDENTIFIABLE, method="TSID",
@@ -443,17 +443,14 @@ def _search_order(
 ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     """The (S, T) pairs the search tries for w0 -> v: by increasing |S|, then lexicographic.
 
-    T ranges over the vertices outside des(v) + {v, w0}.  From |S| = 2 on,
-    pairs whose star minor is nonzero at the graph's GF(P) point are left
-    out: they fail for certain.
+    T ranges over the vertices outside des(v) + {v, w0}.  Pairs whose star
+    minor is nonzero at the graph's GF(P) point are left out: they fail for
+    certain.
     """
     t_candidates = [t for t in g.vertices if t not in (v, w0) and t not in g.descendants(v)]
-    yield from (((s,), ()) for s in g.vertices)
-    levels = range(2, min(max_set_size, len(t_candidates) + 1) + 1)
-    if levels:  # the point is made only once level 1 found nothing
-        star = modp.star_matrix(_cached(g, modp.field_point), v, [w0, *solved_sibs], t_candidates)
-        for k in levels:
-            yield from _star_vanishing_pairs(g, star, t_candidates, k)
+    star = modp.star_matrix(_cached(g, modp.field_point), v, [w0, *solved_sibs], t_candidates)
+    for k in range(1, min(max_set_size, len(t_candidates) + 1) + 1):
+        yield from _star_vanishing_pairs(g, star, t_candidates, k)
 
 
 # Pairs whose star minors are tested as one stack, which bounds the filter's

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import semid
 from semid import graph_from_json, graph_to_json, identify, oracle
 from semid.cli import EXIT_INPUT_ERROR, EXIT_REPLAY_FAILED, main
 
@@ -79,7 +84,10 @@ def test_identify_invalid_graph_names_every_problem(tmp_path, capsys, monkeypatc
     ('{"n": true, "directed": [], "bidirected": []}', "vertex count must be an integer, got True"),
     ('{"n": 3, "directed": [[1, true]], "bidirected": []}', "directed entry [1, True] is not a pair of integers"),
     ('{"n": 3, "directed": [], "bidirected": [[false, 2]]}', "bidirected entry [False, 2] is not a pair of integers"),
-], ids=["not-an-object", "n-a-string", "n-true", "directed-endpoint-true", "bidirected-endpoint-false"])
+    ('{"n": 3, "directed": null}', "directed must be a list of pairs, got None"),
+    ('{"n": 3, "directed": [], "bidirected": 5}', "bidirected must be a list of pairs, got 5"),
+], ids=["not-an-object", "n-a-string", "n-true", "directed-endpoint-true", "bidirected-endpoint-false",
+        "directed-null", "bidirected-a-number"])
 @pytest.mark.parametrize("command", ["identify", "encode"])
 def test_graph_json_that_is_no_graph_is_an_input_error(tmp_path, capsys, monkeypatch, command, text, message):
     monkeypatch.chdir(tmp_path)
@@ -355,6 +363,24 @@ def test_help_exits_0(capsys, argv):
         main(argv)
     assert exc.value.code == 0
     assert "usage: semid" in capsys.readouterr().out
+
+
+def test_closed_stdout_ends_quietly_with_exit_1():
+    # The reader of stdout is gone before anything is written, as after
+    # `semid identify ... | head`: no traceback, and no message at exit.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(semid.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    script = "import sys; from semid.cli import main; sys.exit(main())"
+    try:
+        done = subprocess.run(
+            [sys.executable, "-c", script, "identify", "3:9:4", "--format", "json"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=2,
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (EXIT_INPUT_ERROR, b"")
 
 
 def test_output_file_option(tmp_path, capsys):

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from semid import (
+    GraphId,
     MixedGraph,
     certify,
     covariance,
+    decode_id,
     edge_infinite_to_one,
     eid_identify,
     eid_tsid_identify,
@@ -272,13 +274,13 @@ def test_sweep_probe_matches_two_flow_predicate():
             removed = {(w0, v)} | {(s, v) for s in solved}
             star = build_restricted_flow_graph(g, g.directed, g.directed - removed)
             strict_star = build_restricted_flow_graph(g, g.directed - removed, g.directed - removed)
-            accepts = _tsep_probe(g, full, v, w0, solved)
+            accepts = _tsep_probe(g, v, w0, solved)
             t_candidates = [t for t in g.vertices if t not in (v, w0) and t not in g.descendants(v)]
             for k in range(1, 4):
                 for S in itertools.combinations(g.vertices, k):
                     for T in itertools.combinations(t_candidates, k - 1):
                         if (S, T) not in sweeps:
-                            sweeps[S, T] = _tsep_sweep(full, S, T)
+                            sweeps[S, T] = _tsep_sweep(g, S, T)
                         expected = _two_flow_tsep_accepts(full, star, v, w0, S, T)
                         assert bool(accepts(sweeps[S, T])) == expected, (g, w0, v, solved, S, T)
                         pairs += 1
@@ -437,6 +439,22 @@ def test_verify_catches_wrong_certificate():
     )
     with pytest.raises(CertificateError):
         verify_certificates(IV_GRAPH, [broken], seeds=[0])
+
+
+@pytest.mark.xfail(
+    raises=CertificateError, strict=True,
+    reason="the float replay gate rejects a correct certificate at an ill-conditioned sample",
+)
+def test_correct_certificate_passes_replay_at_an_ill_conditioned_sample():
+    # The EID certificate of 4->3 replays to 1e-13 at seed 1 (and at 2 and 3),
+    # but at seed 0, where det(I - L) = 0.0028 and cond(sigma) is about
+    # 6.7e6, its relative error is 1.606e-6, over the 1e-6 gate.  It was the
+    # one such graph among 1,500 drawn as random_mixed_graph(random.Random(11),
+    # randint(4, 9)), alternating acyclic and cyclic.  An exact replay could
+    # tell these cases apart.
+    g = decode_id(GraphId.parse("8:20831355919214592:231740674"))
+    assert certify(g, seed=1).certificates[(4, 3)].verification["max_rel_err"] < 1e-12
+    certify(g, seed=0)
 
 
 def test_joint_certificate_replay():

@@ -13,11 +13,11 @@ from pathlib import Path
 
 import numpy as np
 
-from semid import GraphId, MixedGraph, certify, decode_id, identify, modp, tsid_identify
+from semid import GraphId, MixedGraph, decode_id, identify, modp, tsid_identify
 from semid.flow import build_flow_graph, build_restricted_flow_graph
 from semid.identify import _search_order, _star_vanishing_pairs, _tsep_probe, _tsep_sweep
 
-from conftest import INCONCLUSIVE_ACYCLIC_GRAPH, INCONCLUSIVE_CYCLIC_GRAPH, corpus_codes, random_mixed_graph
+from conftest import HTC_FAIL_GRAPH, INCONCLUSIVE_ACYCLIC_GRAPH, INCONCLUSIVE_CYCLIC_GRAPH, corpus_codes, random_mixed_graph
 
 P = modp.P
 
@@ -139,12 +139,14 @@ def test_field_point_is_zero_when_i_minus_lambda_is_singular(monkeypatch):
 
 def test_star_filter_rejects_only_star_failures():
     # One random edge per graph whose head is off every cycle, with a random
-    # subset of its other parents as solved siblings, and one random level
-    # |S| in {2, 3}: every pair (S, T) that the filter skips must fail the
-    # sweep probe, and must be a star failure: S links fully to T' + v' once
-    # the stripped arcs into v' are removed.
+    # subset of its other parents as solved siblings, at level |S| = 1 and at
+    # one random level |S| in {2, 3}: every pair (S, T) that the filter skips
+    # must fail the sweep probe, and must be a star failure: S links fully to
+    # T' + v' once the stripped arcs into v' are removed.  Index 0 of each
+    # tally counts the singletons, index 1 the larger level.
     rng = random.Random(43)
-    graphs = cyclic = pairs = rejected = accepted = 0
+    graphs = cyclic = 0
+    pairs, rejected, accepted = [0, 0], [0, 0], [0, 0]
     for i in range(660):
         g = random_mixed_graph(rng, 3 + i % 5, acyclic=i % 2 == 0)
         edges = [(w0, v) for w0, v in sorted(g.directed) if v not in g.descendants(v)]
@@ -154,24 +156,25 @@ def test_star_filter_rejects_only_star_failures():
         cyclic += not g.is_acyclic()
         w0, v = rng.choice(edges)
         solved = [p for p in sorted(g.parents(v) - {w0}) if rng.random() < 0.5]
-        full = build_flow_graph(g)
-        accepts = _tsep_probe(g, full, v, w0, solved)
+        accepts = _tsep_probe(g, v, w0, solved)
         star = build_restricted_flow_graph(g, g.directed, g.directed - {(w, v) for w in [w0, *solved]})
         t_candidates = [t for t in g.vertices if t not in (v, w0) and t not in g.descendants(v)]
-        k = rng.choice((2, 3))
         star_minors = modp.star_matrix(modp.field_point(g), v, [w0, *solved], t_candidates)
-        kept = set(_star_vanishing_pairs(g, star_minors, t_candidates, k))
-        for S in itertools.combinations(g.vertices, k):
-            for T in itertools.combinations(t_candidates, k - 1):
-                pairs += 1
-                if accepts(_tsep_sweep(full, S, T)):
-                    accepted += 1
-                    assert (S, T) in kept, (g, w0, v, solved, S, T)
-                elif (S, T) not in kept:
-                    rejected += 1
-                    assert star.max_flow(S, [star.primed(t) for t in T + (v,)]).value == k, (g, w0, v, solved, S, T)
+        for k in (1, rng.choice((2, 3))):
+            level = int(k > 1)
+            kept = set(_star_vanishing_pairs(g, star_minors, t_candidates, k))
+            for S in itertools.combinations(g.vertices, k):
+                for T in itertools.combinations(t_candidates, k - 1):
+                    pairs[level] += 1
+                    if accepts(_tsep_sweep(g, S, T)):
+                        accepted[level] += 1
+                        assert (S, T) in kept, (g, w0, v, solved, S, T)
+                    elif (S, T) not in kept:
+                        rejected[level] += 1
+                        assert star.max_flow(S, [star.primed(t) for t in T + (v,)]).value == k, (g, w0, v, solved, S, T)
     assert graphs >= 500 and cyclic >= 100
-    assert rejected >= pairs // 2 and accepted >= 100
+    assert rejected[0] >= pairs[0] // 2 and accepted[0] >= 100
+    assert rejected[1] >= pairs[1] // 2 and accepted[1] >= 100
 
 
 def _unfiltered_order(g, v, w0, max_set_size):
@@ -201,9 +204,12 @@ def test_filtered_search_matches_the_unfiltered_one(monkeypatch):
     assert sum(len(c) for c in filtered) >= 30
 
 
-def test_search_limited_to_singletons_never_builds_the_point():
+def test_flow_network_is_built_only_for_a_pair_that_survives_the_screen():
+    # Every level, |S| = 1 included, is screened before any sweep, so a
+    # search that screens out every pair builds the point but no network.
     g = decode_id(GraphId.parse(corpus_codes()[0]))
-    certify(g, max_set_size=1)
-    assert (modp.field_point,) not in g._memo
-    certify(g, max_set_size=2)
-    assert (modp.field_point,) in g._memo
+    assert not tsid_identify(g).certificates
+    assert (modp.field_point,) in g._memo and (build_flow_graph,) not in g._memo
+    g = MixedGraph(HTC_FAIL_GRAPH.n, HTC_FAIL_GRAPH.directed, HTC_FAIL_GRAPH.bidirected)  # nothing memoized
+    assert tsid_identify(g).certificates
+    assert (build_flow_graph,) in g._memo
