@@ -5,16 +5,18 @@ A mixed graph has directed edges (linear effects) and bidirected edges
 public interfaces.  Graphs are immutable and hashable.  Validity (a
 nonnegative vertex count, no self-loops, every endpoint in 1..n) is checked
 once when the graph is built, so no invalid graph exists.  Each graph
-memoizes its derived sets (adjacency, descendants, trek and half-trek reach)
-and acyclicity on the instance itself, so they are computed once per graph
-and freed with it.  Equality, hashing and repr ignore the memo.
+computes its neighbourhoods, descendants, ancestors, trek and half-trek
+reach and acyclicity in one pass, as vertex bitmasks (``_reach_masks``), and
+memoizes them on the instance itself, so they are computed once per graph
+and freed with it.  The frozenset queries are views of those masks.
+Equality, hashing and repr ignore the memo.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 
 DirectedEdge = tuple[int, int]
@@ -67,16 +69,16 @@ class MixedGraph:
     def parents(self, v: int) -> frozenset[int]:
         """pa(v): tails of directed edges with head v."""
         _check_vertex(self, v)
-        return _cached(self, _adjacency)[0].get(v, _NONE)
+        return _cached(self, _members, "pa")[v]
 
     def children(self, v: int) -> frozenset[int]:
         _check_vertex(self, v)
-        return _cached(self, _adjacency)[1].get(v, _NONE)
+        return _cached(self, _members, "ch")[v]
 
     def siblings(self, v: int) -> frozenset[int]:
         """sib(v): vertices joined to v by a bidirected edge."""
         _check_vertex(self, v)
-        return _cached(self, _adjacency)[2].get(v, _NONE)
+        return _cached(self, _members, "sib")[v]
 
     def descendants(self, v: int) -> frozenset[int]:
         """des(v): heads of non-empty directed paths from v.
@@ -84,12 +86,12 @@ class MixedGraph:
         v is its own descendant exactly when v lies on a directed cycle.
         """
         _check_vertex(self, v)
-        return _cached(self, _descendants, v)
+        return _cached(self, _members, "des")[v]
 
     def trek_reachable(self, v: int) -> frozenset[int]:
         """tr(v): endpoints of non-empty treks starting at v."""
         _check_vertex(self, v)
-        return _cached(self, _trek_reach, v, True)
+        return _cached(self, _members, "tr")[v]
 
     def half_trek_reachable(self, v: int) -> frozenset[int]:
         """htr(v): endpoints of non-empty half-treks starting at v.
@@ -98,10 +100,10 @@ class MixedGraph:
         empty) directed path from a sibling of v.
         """
         _check_vertex(self, v)
-        return _cached(self, _trek_reach, v, False)
+        return _cached(self, _members, "htr")[v]
 
     def is_acyclic(self) -> bool:
-        return _cached(self, _is_acyclic)
+        return _cached(self, _reach_masks).acyclic
 
 
 def _problems(g: MixedGraph) -> list[str]:
@@ -145,54 +147,79 @@ def _cached(g: MixedGraph, compute, *args):
     return g._memo[key]
 
 
-_NONE: frozenset[int] = frozenset()
+class ReachMasks(NamedTuple):
+    """Per-vertex neighbourhoods and reach sets of a graph as int bitmasks.
 
-
-def _adjacency(g: MixedGraph) -> tuple[dict[int, frozenset[int]], ...]:
-    """Parent, child and sibling sets keyed by vertex; empty sets are absent."""
-    pa, ch, sib = {}, {}, {}
-    for u, w in g.directed:
-        pa.setdefault(w, set()).add(u)
-        ch.setdefault(u, set()).add(w)
-    for u, w in g.bidirected:
-        sib.setdefault(u, set()).add(w)
-        sib.setdefault(w, set()).add(u)
-    return tuple({x: frozenset(s) for x, s in m.items()} for m in (pa, ch, sib))
-
-
-def _reach(adj: dict[int, frozenset[int]], starts: Iterable[int]) -> set[int]:
-    """Heads of non-empty paths along ``adj`` from any vertex in ``starts``."""
-    seen: set[int] = set()
-    stack = list(starts)
-    while stack:
-        for y in adj.get(stack.pop(), _NONE):
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return seen
-
-
-def _descendants(g: MixedGraph, v: int) -> frozenset[int]:
-    return frozenset(_reach(_cached(g, _adjacency)[1], (v,)))
-
-
-def _is_acyclic(g: MixedGraph) -> bool:
-    return not any(v in _cached(g, _descendants, v) for v in g.vertices)
-
-
-def _trek_reach(g: MixedGraph, v: int, use_left: bool) -> frozenset[int]:
-    """Endpoints of non-empty treks (or half-treks) from v.
-
-    A trek climbs from v to a top among its ancestors-or-self L (just {v}
-    for a half-trek), may cross one bidirected edge, then descends.  So the
-    endpoints are L, the siblings of L and everything below those; v itself
-    counts only when a non-empty trek returns to it, that is when v is a
-    sibling of L or lies below L or its siblings.
+    Each field but ``acyclic`` is indexed by vertex (index 0 is unused and
+    0), and bit x of a mask stands for vertex x.  Memoize with ``_cached``.
     """
-    pa, ch, sib = _cached(g, _adjacency)
-    left = {v} | _reach(pa, (v,)) if use_left else {v}
-    tops = set().union(*(sib.get(x, _NONE) for x in left))
-    return frozenset((left - {v}) | tops | _reach(ch, left | tops))
+
+    pa: list[int]
+    ch: list[int]
+    sib: list[int]
+    des: list[int]
+    anc: list[int]
+    htr: list[int]
+    tr: list[int]
+    acyclic: bool
+
+
+def _reach_masks(g: MixedGraph) -> ReachMasks:
+    """Every reach set of g, from one transitive closure of its directed edges.
+
+    A half-trek from v either descends from v or crosses to a sibling s of
+    v and descends from s, so htr(v) is des(v) with every sibling and its
+    descendants.  A trek first climbs from v to a top among its ancestors
+    A, then runs a half-trek from the top.  So tr(v) is A and the half-trek
+    reach of v and of A.  v itself counts only when a non-empty (half-)trek
+    returns to it; v is in A only on a directed cycle, and then in des(v).
+    """
+    pa, ch, sib = ([0] * (g.n + 1) for _ in range(3))
+    for u, w in g.directed:
+        pa[w] |= 1 << u
+        ch[u] |= 1 << w
+    for u, w in g.bidirected:
+        sib[u] |= 1 << w
+        sib[w] |= 1 << u
+    des, anc = _closure(ch), _closure(pa)
+    htr = des[:]
+    for v in g.vertices:
+        for s in _bits(sib[v]):
+            htr[v] |= 1 << s | des[s]
+    tr = htr[:]
+    for v in g.vertices:
+        tr[v] |= anc[v]
+        for x in _bits(anc[v]):
+            tr[v] |= htr[x]
+    acyclic = not any(des[v] >> v & 1 for v in g.vertices)
+    return ReachMasks(pa, ch, sib, des, anc, htr, tr, acyclic)
+
+
+def _closure(adj: list[int]) -> list[int]:
+    """Heads of non-empty paths along ``adj`` from each vertex (Warshall)."""
+    reach = adj[:]
+    for k in range(1, len(reach)):
+        bit, via = 1 << k, reach[k]
+        if via:
+            for i in range(1, len(reach)):
+                if reach[i] & bit:
+                    reach[i] |= via
+    return reach
+
+
+def _bits(mask: int) -> list[int]:
+    """The positions of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _members(g: MixedGraph, field: str) -> list[frozenset[int]]:
+    """The ``_reach_masks`` field of that name as one frozenset per vertex."""
+    return [frozenset(_bits(m)) for m in getattr(_cached(g, _reach_masks), field)]
 
 
 @dataclass(frozen=True)
@@ -232,9 +259,9 @@ class GraphId:
     def __post_init__(self):
         if self.n < 0 or self.d < 0 or self.b < 0:
             raise ValueError(f"negative component in graph id {self}")
-        if self.d >= 1 << (self.n * (self.n - 1)):
+        if self.d.bit_length() > self.n * (self.n - 1):
             raise ValueError(f"directed code {self.d} out of range for n={self.n}")
-        if self.b >= 1 << (self.n * (self.n - 1) // 2):
+        if self.b.bit_length() > self.n * (self.n - 1) // 2:
             raise ValueError(f"bidirected code {self.b} out of range for n={self.n}")
 
     def __str__(self) -> str:
@@ -252,46 +279,35 @@ class GraphId:
         return cls(n, d, b)
 
 
-def _directed_pair_order(n: int) -> list[DirectedEdge]:
-    return [(v, w) for v in range(1, n + 1) for w in range(1, n + 1) if w != v]
-
-
-def _bidirected_pair_order(n: int) -> list[DirectedEdge]:
-    return [(v, w) for v in range(1, n) for w in range(v + 1, n + 1)]
-
-
 def decode_id(gid: GraphId) -> MixedGraph:
     """Expand an integer pair code into the mixed graph it encodes.
 
     Bit i of d (little-endian, outer loop v=1..n, inner loop w=1..n skipping
     v) sets the edge v -> w; bit j of b (outer v=1..n-1, inner w=v+1..n) sets
-    v <-> w.
+    v <-> w.  Only the set bits are visited, each mapped to its pair by
+    arithmetic, so no step walks all n(n - 1) pairs.
     """
-    d, b = gid.d, gid.b
-    directed = set()
-    for pair in _directed_pair_order(gid.n):
-        if d & 1:
-            directed.add(pair)
-        d >>= 1
-    bidirected = set()
-    for pair in _bidirected_pair_order(gid.n):
-        if b & 1:
-            bidirected.add(pair)
-        b >>= 1
-    return MixedGraph(gid.n, directed, bidirected)
+    n = gid.n
+    directed = []
+    for i in _bits(gid.d):
+        v, r = divmod(i, n - 1)
+        directed.append((v + 1, r + 1 if r < v else r + 2))
+    bidirected = []
+    v, first = 1, 0  # first: the bit of (v, v + 1)
+    for j in _bits(gid.b):
+        while j >= first + n - v:
+            first += n - v
+            v += 1
+        bidirected.append((v, v + 1 + j - first))
+    return MixedGraph(n, directed, bidirected)
 
 
 def encode_id(g: MixedGraph) -> GraphId:
     """Inverse of decode_id."""
-    d = 0
-    for bit, pair in enumerate(_directed_pair_order(g.n)):
-        if pair in g.directed:
-            d |= 1 << bit
-    b = 0
-    for bit, pair in enumerate(_bidirected_pair_order(g.n)):
-        if pair in g.bidirected:
-            b |= 1 << bit
-    return GraphId(g.n, d, b)
+    n = g.n
+    d = sum(1 << ((v - 1) * (n - 1) + w - 1 - (w > v)) for v, w in g.directed)
+    b = sum(1 << ((v - 1) * (2 * n - v) // 2 + w - v - 1) for v, w in g.bidirected)
+    return GraphId(n, d, b)
 
 
 def bidirected_subdivision(g: MixedGraph) -> tuple[MixedGraph, dict[int, DirectedEdge]]:
@@ -356,13 +372,14 @@ def infinite_to_one_record(g: MixedGraph, v: int, w: int) -> dict[int, str] | No
     """
     if (v, w) not in g.directed:
         raise ValueError(f"edge {v}->{w} not in graph")
+    masks = _cached(g, _reach_masks)
     record: dict[int, str] = {}
     for z in g.vertices:
         if z == w:
             continue
-        if g.has_bidirected(z, w):
+        if masks.sib[w] >> z & 1:
             record[z] = "sibling"
-        elif v not in g.half_trek_reachable(z):
+        elif not masks.htr[z] >> v & 1:
             record[z] = "not_half_trek_reachable"
         else:
             return None

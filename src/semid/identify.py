@@ -51,7 +51,7 @@ import numpy as np
 
 from . import modp, oracle
 from .flow import build_flow_graph, build_restricted_flow_graph
-from .graph import DirectedEdge, MixedGraph, _cached, _vertex_list, infinite_to_one_record
+from .graph import DirectedEdge, MixedGraph, _bits, _cached, _reach_masks, _vertex_list, infinite_to_one_record
 from .oracle import DegenerateSampleError, Parameters
 
 IDENTIFIABLE = "identifiable"
@@ -185,9 +185,6 @@ class SolverState:
     def solved_parents(self, g: MixedGraph, v: int) -> list[int]:
         return sorted(w for w in g.parents(v) if (w, v) in self.certificates)
 
-    def unsolved_parents(self, g: MixedGraph, v: int) -> list[int]:
-        return sorted(w for w in g.parents(v) if (w, v) not in self.certificates)
-
 
 def half_trek_system_exists(
     g: MixedGraph,
@@ -207,10 +204,11 @@ def half_trek_system_exists(
         right-hand side of its half-trek.
     """
     sources, targets = _vertex_list(g, sources), _vertex_list(g, targets)
-    # Most calls have no sources; returning here spares building the network.
+    # A system needs a distinct source per target.  Many calls have fewer
+    # sources, most often none; returning here spares the flow.
     if not targets:
         return True, []
-    if not sources:
+    if len(sources) < len(targets):
         return False, []
     net = _cached(g, build_restricted_flow_graph, (), g.directed)
     witness = net.max_flow(sources, [net.primed(t) for t in targets])
@@ -233,13 +231,22 @@ def _recovery_witness(
     by a half-trek; v itself counts even when no non-empty half-trek returns
     to it, because the edge v -> y alone feeds treks from y back to v.
     """
-    htr_v = g.half_trek_reachable(v) | {v}
+    masks = _cached(g, _reach_masks)
+    htr_v = masks.htr[v] | 1 << v
     Y = [y for y, _ in system]
-    H = {y: sorted(g.parents(y) & htr_v) for y in Y}
+    H = {y: _bits(masks.pa[y] & htr_v) for y in Y}
     prereqs = [(s, v) for s in solved_parents]
     prereqs += [(h, y) for y in Y for h in H[y]]
     witness = {"v": v, "E": sorted(E), "Y": Y, "S": sorted(solved_parents), "H": H}
     return witness, tuple(dict.fromkeys(prereqs))
+
+
+def _unsolved_masks(g: MixedGraph, state: SolverState) -> list[int]:
+    """Per vertex, the bitmask of its parents whose edges into it have no certificate."""
+    unsolved = _cached(g, _reach_masks).pa[:]
+    for w, v in state.certificates:
+        unsolved[v] &= ~(1 << w)
+    return unsolved
 
 
 def htc_identify(g: MixedGraph, state: SolverState | None = None) -> SolverState:
@@ -247,32 +254,36 @@ def htc_identify(g: MixedGraph, state: SolverState | None = None) -> SolverState
 
     A node v is solved from sources Y disjoint from {v} and its siblings,
     where any source half-trek reachable from v must already have all of its
-    incoming edges solved.
+    incoming edges solved.  An attempt depends only on the certificates, so
+    a node that failed is tried again only once a certificate has been added.
     """
     state = state.copy() if state else SolverState()
+    masks = _cached(g, _reach_masks)
+    unsolved = _unsolved_masks(g, state)
+    failed_at: dict[int, int] = {}  # node -> certificate count at its failed attempt
     changed = True
     while changed:
         changed = False
         for v in g.vertices:
-            parents = sorted(g.parents(v))
-            if not parents or not state.unsolved_parents(g, v):
+            if not unsolved[v] or failed_at.get(v) == len(state.certificates):
                 continue
-            htr_v = g.half_trek_reachable(v)
-            banned = {v} | g.siblings(v)
+            banned, htr_v = 1 << v | masks.sib[v], masks.htr[v]
             allowed = [
                 y for y in g.vertices
-                if y not in banned
-                and (y not in htr_v or not state.unsolved_parents(g, y))
+                if not (banned >> y & 1 or unsolved[y] and htr_v >> y & 1)
             ]
+            parents = _bits(masks.pa[v])
             exists, system = half_trek_system_exists(g, allowed, parents)
             if not exists:
+                failed_at[v] = len(state.certificates)
                 continue
             witness, prereqs = _recovery_witness(g, v, parents, [], system)
-            for w in state.unsolved_parents(g, v):
+            for w in _bits(unsolved[v]):
                 state.certificates[(w, v)] = EdgeCertificate(
                     edge=(w, v), status=IDENTIFIABLE, method="HTC",
                     witness=witness, prerequisites=prereqs,
                 )
+            unsolved[v] = 0
             changed = True
     return state
 
@@ -285,50 +296,50 @@ def eid_identify(g: MixedGraph, state: SolverState | None = None) -> SolverState
     each subset E of v's unsolved parents (largest first, lexicographic
     within a size), sources whose trek reach meets the unsolved parents only
     inside E are admissible; a half-trek system from them onto E solves all
-    of E at once.
+    of E at once.  As in ``htc_identify``, a node that failed is tried again
+    only once a certificate has been added.
     """
     state = state.copy() if state else SolverState()
+    masks = _cached(g, _reach_masks)
+    unsolved = _unsolved_masks(g, state)
+    failed_at: dict[int, int] = {}  # node -> certificate count at its failed attempt
     changed = True
     while changed:
         changed = False
         for v in g.vertices:
-            unsolved = state.unsolved_parents(g, v)
-            if not unsolved:
+            if not unsolved[v] or failed_at.get(v) == len(state.certificates):
                 continue
             # v joins the half-trek-reachable set: the bare edge v -> y
             # already carries treks from y back to v, empty prefix or not.
-            htr_v = g.half_trek_reachable(v) | {v}
-            banned = {v} | g.siblings(v)
-            maybe_allowed = [
-                y for y in g.vertices
-                if y not in banned
-                and all((z, y) in state.certificates for z in g.parents(y) & htr_v)
+            banned, htr_v = 1 << v | masks.sib[v], masks.htr[v] | 1 << v
+            # Per candidate source y, the unsolved parents of v in its trek
+            # reach; y joins that reach, since when y is itself a parent of
+            # v the edge y -> v is a trek from y with an empty prefix.
+            reach = [
+                (y, (masks.tr[y] | 1 << y) & unsolved[v]) for y in g.vertices
+                if not (banned >> y & 1 or unsolved[y] & htr_v)
             ]
-            # {y} joins y's trek reach: when y is itself a parent of v, the
-            # edge y -> v is a trek from y with an empty prefix.
-            trek_reach = {y: g.trek_reachable(y) | {y} for y in maybe_allowed}
-            for size in range(len(unsolved), 0, -1):
-                solved_here = False
-                for E in itertools.combinations(unsolved, size):
-                    allowed = [
-                        y for y in maybe_allowed
-                        if trek_reach[y].intersection(unsolved) <= set(E)
-                    ]
-                    exists, system = half_trek_system_exists(g, allowed, E)
-                    if not exists:
-                        continue
-                    solved_parents = state.solved_parents(g, v)
-                    witness, prereqs = _recovery_witness(g, v, list(E), solved_parents, system)
-                    for e in E:
-                        state.certificates[(e, v)] = EdgeCertificate(
-                            edge=(e, v), status=IDENTIFIABLE, method="EID",
-                            witness=witness, prerequisites=prereqs,
-                        )
-                    changed = True
-                    solved_here = True
-                    break
-                if solved_here:
-                    break
+            pending = _bits(unsolved[v])
+            subsets = itertools.chain.from_iterable(
+                itertools.combinations(pending, size) for size in range(len(pending), 0, -1)
+            )
+            for E in subsets:
+                inside = sum(1 << e for e in E)
+                exists, system = half_trek_system_exists(g, [y for y, r in reach if not r & ~inside], E)
+                if not exists:
+                    continue
+                solved_parents = _bits(masks.pa[v] & ~unsolved[v])
+                witness, prereqs = _recovery_witness(g, v, list(E), solved_parents, system)
+                for e in E:
+                    state.certificates[(e, v)] = EdgeCertificate(
+                        edge=(e, v), status=IDENTIFIABLE, method="EID",
+                        witness=witness, prerequisites=prereqs,
+                    )
+                unsolved[v] &= ~inside
+                changed = True
+                break
+            else:
+                failed_at[v] = len(state.certificates)
     return state
 
 

@@ -1,6 +1,7 @@
 import gc
 import random
 import sys
+import tracemalloc
 import weakref
 
 import pytest
@@ -15,7 +16,7 @@ from semid import (
     graph_to_json,
 )
 from semid.flow import build_restricted_flow_graph, generic_rank
-from semid.graph import infinite_to_one_record
+from semid.graph import _bits, _reach_masks, infinite_to_one_record
 from semid.identify import certify, htc_identify
 from semid.oracle import enumerate_treks
 
@@ -151,6 +152,94 @@ def test_reach_sets_match_flow_and_closure():
                 assert (w in htr) == (half_flow >= 1)
 
 
+def _walk(starts, steps) -> set:
+    """States reached from ``starts`` by one or more ``steps``."""
+    seen, stack = set(), list(starts)
+    while stack:
+        for nxt in steps(stack.pop()):
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return seen
+
+
+def _reference_reach(g: MixedGraph, v: int) -> tuple[set, set, set]:
+    """des(v), htr(v) and tr(v) by walking (half-)treks from v edge by edge.
+
+    A state is (vertex, climbing).  A climbing walk may step to a parent,
+    cross a bidirected edge or step to a child; once it has crossed or
+    stepped down it only steps to children.  A half-trek never climbs: its
+    first step crosses a bidirected edge or steps to a child.  Every
+    endpoint of a non-empty walk counts, v included.
+    """
+    pa = {x: {u for u, w in g.directed if w == x} for x in g.vertices}
+    ch = {x: {w for u, w in g.directed if u == x} for x in g.vertices}
+    sib = {x: {u for u in g.vertices if g.has_bidirected(u, x)} for x in g.vertices}
+
+    def steps(state):
+        x, climbing = state
+        out = [(w, False) for w in ch[x]]
+        if climbing:
+            out += [(u, True) for u in pa[x]] + [(s, False) for s in sib[x]]
+        return out
+
+    def half_steps(state):
+        x, first = state
+        return [(w, False) for w in ch[x]] + ([(s, False) for s in sib[x]] if first else [])
+
+    des = {x for x, _ in _walk([(v, False)], steps)}
+    htr = {x for x, _ in _walk([(v, True)], half_steps)}
+    tr = {x for x, _ in _walk([(v, True)], steps)}
+    return des, htr, tr
+
+
+def _edge_cases_and_seeded_graphs() -> list[MixedGraph]:
+    graphs = [
+        MixedGraph(0),
+        MixedGraph(1),
+        MixedGraph(3, [(1, 2), (2, 1)], [(2, 3)]),  # a 2-cycle
+        MixedGraph(5, [(1, 2), (2, 3), (3, 1), (3, 4)], [(4, 2)]),  # a 3-cycle, 5 isolated
+    ]
+    rng = random.Random(19)
+    for i in range(240):
+        p = rng.choice((0.1, 0.25, 0.4))
+        graphs.append(random_mixed_graph(rng, rng.randint(0, 9), p, p, acyclic=i % 3 == 0))
+    return graphs
+
+
+def test_reach_masks_match_a_walk_over_treks():
+    graphs = _edge_cases_and_seeded_graphs()
+    kinds = {"two-cycle": 0, "long-cycle": 0, "isolated": 0, "acyclic": 0}
+    for g in graphs:
+        masks = _reach_masks(g)
+        reference = {v: _reference_reach(g, v) for v in g.vertices}
+        for v, (des, htr, tr) in reference.items():
+            assert (set(_bits(masks.des[v])), set(_bits(masks.htr[v])), set(_bits(masks.tr[v]))) == (des, htr, tr)
+            assert (g.descendants(v), g.half_trek_reachable(v), g.trek_reachable(v)) == (des, htr, tr)
+            assert set(_bits(masks.anc[v])) == {u for u in g.vertices if v in reference[u][0]}
+        on_cycle = [v for v in g.vertices if v in reference[v][0]]
+        assert g.is_acyclic() == masks.acyclic == (not on_cycle)
+        kinds["two-cycle"] += any((w, u) in g.directed for u, w in g.directed)
+        kinds["long-cycle"] += any(not (g.parents(v) & g.children(v)) for v in on_cycle)
+        kinds["isolated"] += any(not (g.parents(v) | g.children(v) | g.siblings(v)) for v in g.vertices)
+        kinds["acyclic"] += not on_cycle
+        for v, w in g.directed:
+            record = {}
+            for z in g.vertices:
+                if z == w:
+                    continue
+                if g.has_bidirected(z, w):
+                    record[z] = "sibling"
+                elif v not in reference[z][1]:
+                    record[z] = "not_half_trek_reachable"
+                else:
+                    record = None
+                    break
+            assert infinite_to_one_record(g, v, w) == record
+    assert {g.n for g in graphs} == set(range(10))
+    assert min(kinds.values()) >= 20, kinds
+
+
 def test_graph_is_freed_after_use():
     g = MixedGraph(IV_GRAPH.n, IV_GRAPH.directed, IV_GRAPH.bidirected)
     certify(g)
@@ -214,7 +303,51 @@ def test_codec_roundtrip_exhaustive_small_n():
                 assert encode_id(decode_id(gid)) == gid
 
 
+def _enumerated_code(g: MixedGraph) -> GraphId:
+    """The n:d:b code by testing every pair in bit order, as the codec once did."""
+    directed_order = [(v, w) for v in range(1, g.n + 1) for w in range(1, g.n + 1) if w != v]
+    bidirected_order = [(v, w) for v in range(1, g.n) for w in range(v + 1, g.n + 1)]
+    d = sum(1 << i for i, pair in enumerate(directed_order) if pair in g.directed)
+    b = sum(1 << i for i, pair in enumerate(bidirected_order) if pair in g.bidirected)
+    return GraphId(g.n, d, b)
+
+
+def test_codec_matches_the_pair_enumeration():
+    rng = random.Random(31)
+    for n in range(10):
+        for _ in range(30):
+            p = rng.choice((0.1, 0.4, 0.9))
+            g = random_mixed_graph(rng, n, p, p)
+            gid = _enumerated_code(g)
+            assert encode_id(g) == gid
+            assert decode_id(gid) == g
+    full = MixedGraph(4, [(u, w) for u in range(1, 5) for w in range(1, 5) if u != w],
+                      [(u, w) for u in range(1, 5) for w in range(u + 1, 5)])
+    assert encode_id(full) == _enumerated_code(full) == GraphId(4, (1 << 12) - 1, (1 << 6) - 1)
+
+
+def test_decoding_a_sparse_code_on_many_vertices_stays_small():
+    # The codec visits only the set bits: no 2^(n(n-1)) bound, no walk over
+    # all n(n-1) pairs.
+    tracemalloc.start()
+    try:
+        g = decode_id(GraphId.parse("1000:1:1"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (g.n, g.directed, g.bidirected) == (1000, {(1, 2)}, {(1, 2)})
+    assert peak < 1 << 20
+    top = GraphId(1000, 1 << (1000 * 999 - 1), 1 << (1000 * 999 // 2 - 1))
+    assert decode_id(top) == MixedGraph(1000, [(1000, 999)], [(999, 1000)])
+    assert encode_id(decode_id(top)) == top
+
+
 def test_graph_id_range_checks():
+    for n, d, b in ((3, 63, 7), (1, 0, 0), (0, 0, 0)):
+        assert str(GraphId(n, d, b)) == f"{n}:{d}:{b}"
+    for n, d, b in ((1, 1, 0), (1, 0, 1), (0, 1, 0)):
+        with pytest.raises(ValueError):
+            GraphId(n, d, b)
     with pytest.raises(ValueError):
         GraphId(3, 64, 0)
     with pytest.raises(ValueError):

@@ -488,10 +488,9 @@ def test_tsid_rejects_a_search_bound_below_one():
 
 def test_solver_state_helpers():
     state = SolverState()
-    assert state.unsolved_parents(IV_GRAPH, 3) == [2]
+    assert state.solved_parents(IV_GRAPH, 3) == []
     state = htc_identify(IV_GRAPH, state)
     assert state.solved_parents(IV_GRAPH, 3) == [2]
-    assert state.unsolved_parents(IV_GRAPH, 3) == []
 
 
 def test_certificate_json_shape():

@@ -4,12 +4,15 @@ import json
 import random
 
 import numpy as np
+import pytest
 
 from semid import (
     EdgeCertificate,
+    GraphId,
     MixedGraph,
     certify,
     covariance,
+    decode_id,
     eid_identify,
     eid_tsid_identify,
     htc_identify,
@@ -158,3 +161,20 @@ def test_jacobian_rank_agrees_with_edge_verdicts():
             full += 1
             assert report.jacobian_rank == report.n_parameters
     assert infinite and full
+
+
+@pytest.mark.xfail(
+    raises=AssertionError, strict=True,
+    reason="the float Jacobian rank undercounts at an ill-conditioned cyclic sample",
+)
+@pytest.mark.parametrize("code", ["6:873995428:10400", "5:262577:312"])
+def test_fully_identifiable_report_is_finite_to_one(code):
+    # Every edge is certified and replayed, so the parameterization is
+    # generically one-to-one.  Yet at seed 0 the SVD finds rank 20 of 21 on
+    # the first graph and 5 of 15 on the second; a rank over GF(P) needs no
+    # tolerance.
+    report = certify(decode_id(GraphId.parse(code)))
+    if not (report.fully_identifiable()
+            and all(c.verification for c in report.certificates.values())):
+        pytest.fail(f"{code} is no longer certified and replayed in full")
+    assert not report.parameterization_infinite_to_one
