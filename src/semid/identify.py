@@ -204,11 +204,17 @@ def half_trek_system_exists(
         right-hand side of its half-trek.
     """
     sources, targets = _vertex_list(g, sources), _vertex_list(g, targets)
-    # A system needs a distinct source per target.  Many calls have fewer
-    # sources, most often none; returning here spares the flow.
+    # A system needs a distinct source per target, and from y the network
+    # reaches only y', sib(y)' and their descendants, so htr(y) and y.  Many
+    # calls fail one of these, most often for want of any source; returning
+    # here spares the flow.
     if not targets:
         return True, []
-    if len(sources) < len(targets):
+    masks = _cached(g, _reach_masks)
+    reach = 0
+    for y in sources:
+        reach |= masks.htr[y] | 1 << y
+    if len(sources) < len(targets) or any(not reach >> t & 1 for t in targets):
         return False, []
     net = _cached(g, build_restricted_flow_graph, (), g.directed)
     witness = net.max_flow(sources, [net.primed(t) for t in targets])
@@ -221,45 +227,35 @@ def half_trek_system_exists(
     return True, system
 
 
-def _recovery_witness(
-    g: MixedGraph, v: int, E: list[int], solved_parents: list[int],
-    system: list[tuple[int, tuple[int, ...]]],
-) -> tuple[dict, tuple[DirectedEdge, ...]]:
-    """Witness and prerequisites for a half-trek system solving E -> v.
+Attempt = tuple[Sequence[int], Sequence[int], Sequence[int]]
+
+
+def _half_trek_fixpoint(
+    g: MixedGraph,
+    state: SolverState | None,
+    method: str,
+    attempts: Callable[[int, list[int]], Iterable[Attempt]],
+) -> SolverState:
+    """Grow a copy of ``state`` by half-trek systems until no node gains an edge.
+
+    Each pass visits the nodes v in order.  ``attempts(v, unsolved)`` yields
+    the (sources, E, solved parents) attempts for v, where ``unsolved[x]``
+    masks the parents of x whose edges into x have no certificate; the first
+    E with a half-trek system from its sources certifies every unsolved edge
+    e -> v of E under ``method``.  The attempts depend only on the
+    certificates, so a node whose attempts all failed is tried again only
+    once a certificate has been added.  ``method`` only labels the
+    certificates, so HTC and EID differ in nothing but their attempts.
 
     The corrected row for source y strips the parents of y reachable from v
     by a half-trek; v itself counts even when no non-empty half-trek returns
     to it, because the edge v -> y alone feeds treks from y back to v.
     """
-    masks = _cached(g, _reach_masks)
-    htr_v = masks.htr[v] | 1 << v
-    Y = [y for y, _ in system]
-    H = {y: _bits(masks.pa[y] & htr_v) for y in Y}
-    prereqs = [(s, v) for s in solved_parents]
-    prereqs += [(h, y) for y in Y for h in H[y]]
-    witness = {"v": v, "E": sorted(E), "Y": Y, "S": sorted(solved_parents), "H": H}
-    return witness, tuple(dict.fromkeys(prereqs))
-
-
-def _unsolved_masks(g: MixedGraph, state: SolverState) -> list[int]:
-    """Per vertex, the bitmask of its parents whose edges into it have no certificate."""
-    unsolved = _cached(g, _reach_masks).pa[:]
-    for w, v in state.certificates:
-        unsolved[v] &= ~(1 << w)
-    return unsolved
-
-
-def htc_identify(g: MixedGraph, state: SolverState | None = None) -> SolverState:
-    """Half-trek criterion to fixpoint: solve all edges into a node at once.
-
-    A node v is solved from sources Y disjoint from {v} and its siblings,
-    where any source half-trek reachable from v must already have all of its
-    incoming edges solved.  An attempt depends only on the certificates, so
-    a node that failed is tried again only once a certificate has been added.
-    """
     state = state.copy() if state else SolverState()
     masks = _cached(g, _reach_masks)
-    unsolved = _unsolved_masks(g, state)
+    unsolved = masks.pa[:]
+    for w, v in state.certificates:
+        unsolved[v] &= ~(1 << w)
     failed_at: dict[int, int] = {}  # node -> certificate count at its failed attempt
     changed = True
     while changed:
@@ -267,25 +263,51 @@ def htc_identify(g: MixedGraph, state: SolverState | None = None) -> SolverState
         for v in g.vertices:
             if not unsolved[v] or failed_at.get(v) == len(state.certificates):
                 continue
-            banned, htr_v = 1 << v | masks.sib[v], masks.htr[v]
-            allowed = [
-                y for y in g.vertices
-                if not (banned >> y & 1 or unsolved[y] and htr_v >> y & 1)
-            ]
-            parents = _bits(masks.pa[v])
-            exists, system = half_trek_system_exists(g, allowed, parents)
-            if not exists:
+            for sources, E, solved_parents in attempts(v, unsolved):
+                exists, system = half_trek_system_exists(g, sources, E)
+                if exists:
+                    break
+            else:
                 failed_at[v] = len(state.certificates)
                 continue
-            witness, prereqs = _recovery_witness(g, v, parents, [], system)
-            for w in _bits(unsolved[v]):
-                state.certificates[(w, v)] = EdgeCertificate(
-                    edge=(w, v), status=IDENTIFIABLE, method="HTC",
+            htr_v = masks.htr[v] | 1 << v
+            Y = [y for y, _ in system]
+            H = {y: _bits(masks.pa[y] & htr_v) for y in Y}
+            prereqs = [(s, v) for s in solved_parents]
+            prereqs += [(h, y) for y in Y for h in H[y]]
+            witness = {"v": v, "E": sorted(E), "Y": Y, "S": sorted(solved_parents), "H": H}
+            prereqs = tuple(dict.fromkeys(prereqs))
+            inside = sum(1 << e for e in E)
+            for e in _bits(unsolved[v] & inside):
+                state.certificates[(e, v)] = EdgeCertificate(
+                    edge=(e, v), status=IDENTIFIABLE, method=method,
                     witness=witness, prerequisites=prereqs,
                 )
-            unsolved[v] = 0
+            unsolved[v] &= ~inside
             changed = True
     return state
+
+
+def htc_identify(g: MixedGraph, state: SolverState | None = None) -> SolverState:
+    """Half-trek criterion to fixpoint: solve all edges into a node at once.
+
+    A node v is solved from sources Y disjoint from {v} and its siblings,
+    where any source half-trek reachable from v must already have all of its
+    incoming edges solved.  The one attempt for v is a system onto all its
+    parents; ``_half_trek_fixpoint`` runs the passes and writes the
+    certificates.
+    """
+    masks = _cached(g, _reach_masks)
+
+    def attempts(v: int, unsolved: list[int]) -> Iterator[Attempt]:
+        banned, htr_v = 1 << v | masks.sib[v], masks.htr[v]
+        allowed = [
+            y for y in g.vertices
+            if not (banned >> y & 1 or unsolved[y] and htr_v >> y & 1)
+        ]
+        yield allowed, _bits(masks.pa[v]), ()
+
+    return _half_trek_fixpoint(g, state, "HTC", attempts)
 
 
 def eid_identify(g: MixedGraph, state: SolverState | None = None) -> SolverState:
@@ -296,51 +318,31 @@ def eid_identify(g: MixedGraph, state: SolverState | None = None) -> SolverState
     each subset E of v's unsolved parents (largest first, lexicographic
     within a size), sources whose trek reach meets the unsolved parents only
     inside E are admissible; a half-trek system from them onto E solves all
-    of E at once.  As in ``htc_identify``, a node that failed is tried again
-    only once a certificate has been added.
+    of E at once, with v's solved parents taken as known.  Each subset is
+    one attempt for v; ``_half_trek_fixpoint`` runs the passes and writes
+    the certificates.
     """
-    state = state.copy() if state else SolverState()
     masks = _cached(g, _reach_masks)
-    unsolved = _unsolved_masks(g, state)
-    failed_at: dict[int, int] = {}  # node -> certificate count at its failed attempt
-    changed = True
-    while changed:
-        changed = False
-        for v in g.vertices:
-            if not unsolved[v] or failed_at.get(v) == len(state.certificates):
-                continue
-            # v joins the half-trek-reachable set: the bare edge v -> y
-            # already carries treks from y back to v, empty prefix or not.
-            banned, htr_v = 1 << v | masks.sib[v], masks.htr[v] | 1 << v
-            # Per candidate source y, the unsolved parents of v in its trek
-            # reach; y joins that reach, since when y is itself a parent of
-            # v the edge y -> v is a trek from y with an empty prefix.
-            reach = [
-                (y, (masks.tr[y] | 1 << y) & unsolved[v]) for y in g.vertices
-                if not (banned >> y & 1 or unsolved[y] & htr_v)
-            ]
-            pending = _bits(unsolved[v])
-            subsets = itertools.chain.from_iterable(
-                itertools.combinations(pending, size) for size in range(len(pending), 0, -1)
-            )
-            for E in subsets:
+
+    def attempts(v: int, unsolved: list[int]) -> Iterator[Attempt]:
+        # v joins the half-trek-reachable set: the bare edge v -> y
+        # already carries treks from y back to v, empty prefix or not.
+        banned, htr_v = 1 << v | masks.sib[v], masks.htr[v] | 1 << v
+        # Per candidate source y, the unsolved parents of v in its trek
+        # reach; y joins that reach, since when y is itself a parent of
+        # v the edge y -> v is a trek from y with an empty prefix.
+        reach = [
+            (y, (masks.tr[y] | 1 << y) & unsolved[v]) for y in g.vertices
+            if not (banned >> y & 1 or unsolved[y] & htr_v)
+        ]
+        pending = _bits(unsolved[v])
+        solved_parents = _bits(masks.pa[v] & ~unsolved[v])
+        for size in range(len(pending), 0, -1):
+            for E in itertools.combinations(pending, size):
                 inside = sum(1 << e for e in E)
-                exists, system = half_trek_system_exists(g, [y for y, r in reach if not r & ~inside], E)
-                if not exists:
-                    continue
-                solved_parents = _bits(masks.pa[v] & ~unsolved[v])
-                witness, prereqs = _recovery_witness(g, v, list(E), solved_parents, system)
-                for e in E:
-                    state.certificates[(e, v)] = EdgeCertificate(
-                        edge=(e, v), status=IDENTIFIABLE, method="EID",
-                        witness=witness, prerequisites=prereqs,
-                    )
-                unsolved[v] &= ~inside
-                changed = True
-                break
-            else:
-                failed_at[v] = len(state.certificates)
-    return state
+                yield [y for y, r in reach if not r & ~inside], E, solved_parents
+
+    return _half_trek_fixpoint(g, state, "EID", attempts)
 
 
 def tsep_accepts(

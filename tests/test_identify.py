@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -77,6 +78,109 @@ def test_htc_allowed_sources_empty_on_ratio_graph():
 def test_half_trek_system_names_a_vertex_outside_the_graph(sources, targets, bad):
     with pytest.raises(ValueError, match=rf"^vertex {bad} outside 1\.\.3$"):
         half_trek_system_exists(IV_GRAPH, sources, targets)
+
+
+def test_half_trek_system_early_returns_agree_with_a_bare_flow():
+    # The system exists exactly when a max flow from the sources onto the
+    # primed targets, with no left-climbing arc, saturates every target.
+    rng = random.Random(2020)
+    seen = {"empty targets": 0, "too few sources": 0, "uncoverable target": 0, "flow": 0}
+    for i in range(300):
+        # Sparse graphs leave targets that no source covers.
+        density = rng.choice([0.1, 0.35])
+        g = random_mixed_graph(rng, rng.randint(2, 7), density, density, acyclic=i % 2 == 0)
+        sources = rng.sample(list(g.vertices), rng.randint(0, min(4, g.n)))
+        targets = rng.sample(list(g.vertices), rng.randint(0, min(3, g.n)))
+        covered = set().union(*(g.half_trek_reachable(y) | {y} for y in sources))
+        if not targets:
+            seen["empty targets"] += 1
+        elif len(sources) < len(targets):
+            seen["too few sources"] += 1
+        elif not covered >= set(targets):
+            seen["uncoverable target"] += 1
+        else:
+            seen["flow"] += 1
+        net = build_restricted_flow_graph(g, (), g.directed)
+        flow = net.max_flow(sources, [net.primed(t) for t in targets]).value
+        exists, system = half_trek_system_exists(g, sources, targets)
+        assert exists == (flow == len(targets)), (g, sources, targets)
+        assert len(system) == (len(targets) if exists else 0)
+    assert min(seen.values()) >= 20, seen
+
+
+# Node 4 is solved in the first pass, then 3, 2 and 1, one per pass, by HTC
+# and by EID alike.
+MULTI_PASS_GRAPH = MixedGraph(4, [(1, 2), (1, 4), (2, 1), (2, 4), (4, 3)], [(1, 3)])
+
+
+def _naive_half_trek_fixpoint(g, method):
+    """Solved edges of HTC or EID when every open node is retried every pass, and the calls made."""
+    solved, calls = set(), 0
+    changed = True
+    while changed:
+        changed = False
+        for v in g.vertices:
+            pending = sorted(w for w in g.parents(v) if (w, v) not in solved)
+            if not pending:
+                continue
+            banned = {v} | g.siblings(v)
+            if method == "HTC":
+                htr_v = g.half_trek_reachable(v)
+                sources = [
+                    y for y in g.vertices if y not in banned
+                    and not (y in htr_v and any((h, y) not in solved for h in g.parents(y)))
+                ]
+                tries = [(sources, sorted(g.parents(v)))]
+            else:
+                htr_v = g.half_trek_reachable(v) | {v}
+                candidates = [
+                    y for y in g.vertices if y not in banned
+                    and all((h, y) in solved for h in g.parents(y) & htr_v)
+                ]
+                tries = [
+                    ([y for y in candidates if (g.trek_reachable(y) | {y}) & set(pending) <= set(E)], E)
+                    for size in range(len(pending), 0, -1)
+                    for E in itertools.combinations(pending, size)
+                ]
+            for sources, E in tries:
+                calls += 1
+                if half_trek_system_exists(g, sources, E)[0]:
+                    solved |= {(e, v) for e in E}
+                    changed = True
+                    break
+    return solved, calls
+
+
+def test_half_trek_fixpoint_tries_each_node_once_per_certificate_count(monkeypatch):
+    # The calls come from ``_half_trek_fixpoint``, whose frame holds the node
+    # v being tried and the state its certificates are counted in.  A node
+    # tried twice at one count asks for the same targets twice.
+    asked = []
+    real = identify.half_trek_system_exists
+
+    def spy(g, sources, targets):
+        caller = sys._getframe(1)
+        assert caller.f_code.co_name == "_half_trek_fixpoint"
+        v, count = caller.f_locals["v"], len(caller.f_locals["state"].certificates)
+        asked.append((v, count, tuple(targets)))
+        return real(g, sources, targets)
+
+    monkeypatch.setattr(identify, "half_trek_system_exists", spy)
+    rng = random.Random(2021)
+    graphs = [HTC_FAIL_GRAPH, MULTI_PASS_GRAPH]
+    graphs += [random_mixed_graph(rng, rng.randint(3, 6), acyclic=i % 2 == 0) for i in range(60)]
+    for solver, method in ((htc_identify, "HTC"), (eid_identify, "EID")):
+        calls = naive_calls = 0
+        for g in graphs:
+            asked.clear()
+            solved = solver(g).solved_edges
+            assert len(asked) == len(set(asked)), (method, g)
+            naive_solved, naive_tries = _naive_half_trek_fixpoint(g, method)
+            assert solved == naive_solved, (method, g)
+            calls, naive_calls = calls + len(asked), naive_calls + naive_tries
+        # The rule skips the tries that could not succeed, so it makes fewer calls.
+        assert calls < naive_calls, method
+        assert solver(MULTI_PASS_GRAPH).solved_edges == set(MULTI_PASS_GRAPH.directed)
 
 
 def test_htc_identify_iv():
