@@ -39,7 +39,6 @@ builds no network.
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import json
 import math
@@ -709,7 +708,7 @@ def _replay_errors(
 
     Raises:
         CertificateError: for the first (seed, edge), seed-major, whose error
-            exceeds ``REPLAY_TOLERANCE``.
+            is not within ``REPLAY_TOLERANCE`` (a NaN error fails).
     """
     got = np.empty((len(seeds), len(ordered)))
     truth = np.empty_like(got)
@@ -718,7 +717,7 @@ def _replay_errors(
         got[:, j] = recovered[cert.edge]
         truth[:, j] = lam[..., u - 1, w - 1]
     rel = np.abs(got - truth) / np.maximum(np.abs(truth), 1e-12)
-    over = np.argwhere(rel > REPLAY_TOLERANCE)
+    over = np.argwhere(~(rel <= REPLAY_TOLERANCE))  # NaN fails too
     if len(over):
         i, j = over[0]
         u, w = ordered[j].edge
@@ -772,8 +771,31 @@ def verify_certificates(
             p, recovered = _replay_with_resampling(g, ordered, seed)
             rows.append(_replay_errors(ordered, [seed], p.lam, recovered))
         rel = np.concatenate(rows)
-    worst = np.fmax.reduce(rel, axis=0, initial=0.0)
+    worst = rel.max(axis=0)
     return {cert.edge: float(err) for cert, err in zip(ordered, worst)}
+
+
+def _screen_edge(g: MixedGraph, edge: DirectedEdge, params: Parameters) -> EdgeCertificate:
+    """Certificate of an edge no solver certified: infinite-to-one or unknown.
+
+    A hit of the infinite-to-one test is trusted only once the explicit
+    two-point construction at ``params`` goes through.
+    """
+    fires, record = edge_infinite_to_one(g, edge)
+    if not fires:
+        return EdgeCertificate(edge=edge, status=UNKNOWN)
+    u, w = edge
+    try:
+        oracle.alternative_parameters(g, params, edge, params.lam[u - 1, w - 1] + 1.0)
+    except DegenerateSampleError:
+        # Known boundary of the hypothesis (the check on z equal to the
+        # tail): the two-point construction does not go through, so the
+        # numeric oracle wins and the edge stays unknown.
+        return EdgeCertificate(
+            edge=edge, status=UNKNOWN,
+            witness={"record": record, "note": "hypothesis held but construction failed"},
+        )
+    return EdgeCertificate(edge=edge, status=INFINITE_TO_ONE, witness={"record": record})
 
 
 def certify(
@@ -796,63 +818,36 @@ def certify(
         CertificateError: a replay missed the sampled ground truth, which
             means a certificate is wrong; the report is never downgraded
             silently.
+        DegenerateSampleError: the verification stack could not be drawn,
+            or a seed stayed degenerate after resampling.
         ValueError: ``seeds`` is below 1, with or without ``verify``, as on
             the command line.
     """
     _check_replay_settings(seeds)
     state = eid_tsid_identify(g, max_set_size)
-    certificates: dict[DirectedEdge, EdgeCertificate] = {}
-    order: list[EdgeCertificate] = list(state.certificates.values())
 
     # Verification seed 0 is the base seed, so one stacked draw serves the
-    # replay, the infinite-to-one screen and the Jacobian.  If the stack is
-    # degenerate, the base seed is drawn alone and raises first if it is the
-    # degenerate one.
-    verify_seeds = _verification_seeds(seed, seeds) if verify and order else []
-    stack = None
-    if verify_seeds:
-        with contextlib.suppress(DegenerateSampleError):
-            stack = oracle.sample_parameters(g, verify_seeds)
-    if stack is not None:
+    # replay, the infinite-to-one screen and the Jacobian.
+    errors: dict[DirectedEdge, float] = {}
+    if verify and state.certificates:
+        verify_seeds = _verification_seeds(seed, seeds)
+        stack = oracle.sample_parameters(g, verify_seeds)
         params = Parameters(lam=stack.lam[0], omega=stack.omega[0])
+        errors = verify_certificates(g, state.certificates.values(), verify_seeds, sampled=stack)
     else:
         params = oracle.sample_parameters(g, seed)
+    certificates: dict[DirectedEdge, EdgeCertificate] = {}
     for edge in sorted(g.directed):
-        if edge in state.certificates:
-            certificates[edge] = state.certificates[edge]
-            continue
-        fires, record = edge_infinite_to_one(g, edge)
-        if fires:
-            try:
-                u, w = edge
-                gamma = params.lam[u - 1, w - 1] + 1.0
-                oracle.alternative_parameters(g, params, edge, gamma)
-                certificates[edge] = EdgeCertificate(
-                    edge=edge, status=INFINITE_TO_ONE, witness={"record": record}
-                )
-                continue
-            except DegenerateSampleError:
-                # Known boundary of the hypothesis (the check on z equal to
-                # the tail): the two-point construction does not go through,
-                # so the numeric oracle wins and the edge stays unknown.
-                certificates[edge] = EdgeCertificate(
-                    edge=edge, status=UNKNOWN,
-                    witness={"record": record, "note": "hypothesis held but construction failed"},
-                )
-                continue
-        certificates[edge] = EdgeCertificate(edge=edge, status=UNKNOWN)
-
-    if verify and order:
-        errors = verify_certificates(g, order, verify_seeds, sampled=stack)
-        for edge, err in errors.items():
-            certificates[edge] = replace(
-                certificates[edge],
-                verification={"seeds": seeds, "max_rel_err": err},
-            )
+        cert = state.certificates.get(edge)
+        if cert is None:
+            cert = _screen_edge(g, edge, params)
+        elif edge in errors:
+            cert = replace(cert, verification={"seeds": seeds, "max_rel_err": errors[edge]})
+        certificates[edge] = cert
 
     return CertificationReport(
         graph=g,
-        certificates={e: certificates[e] for e in sorted(certificates)},
+        certificates=certificates,
         jacobian_rank=oracle.jacobian_rank(g, params),
         n_parameters=oracle.n_free_parameters(g),
         seed=seed,

@@ -7,10 +7,10 @@ from pathlib import Path
 import pytest
 
 import semid
-from semid import graph_from_json, graph_to_json, identify, oracle
+from semid import encode_id, graph_from_json, graph_to_json, identify, oracle, verify_certificates
 from semid.cli import EXIT_INPUT_ERROR, EXIT_REPLAY_FAILED, main
 
-from conftest import CORPUS_PATH, IV_GRAPH, ONE_EDGE_NONID_GRAPH
+from conftest import CORPUS_PATH, HTC_FAIL_GRAPH, IV_GRAPH, ONE_EDGE_NONID_GRAPH
 
 
 def run(capsys, *argv):
@@ -400,7 +400,7 @@ def _broken_state(g, max_set_size=None):
 
 
 def _degenerate(g, seed):
-    raise oracle.DegenerateSampleError(f"forced at seed {seed}")
+    raise oracle.DegenerateSampleError(f"forced at seed {seed if isinstance(seed, int) else seed[0]}")
 
 
 def test_replay_failure_exit_code(capsys, monkeypatch):
@@ -419,3 +419,18 @@ def test_degenerate_sample_exit_code(capsys, monkeypatch):
         code, out, err = run(capsys, command, "3:9:4")
         assert code == EXIT_REPLAY_FAILED
         assert out == "" and "degenerate sample: forced at seed 0" in err
+
+
+def test_replay_that_stays_degenerate_exit_code(capsys, monkeypatch):
+    def degenerate(*args, **kwargs):
+        raise oracle.DegenerateSampleError("forced")
+
+    monkeypatch.setattr(oracle, "recover_edge_ratio", degenerate)
+    message = "replay stayed degenerate after 5 resamples (seed 0): forced"
+    certs = identify.eid_tsid_identify(HTC_FAIL_GRAPH).certificates.values()
+    with pytest.raises(oracle.DegenerateSampleError) as exc:
+        verify_certificates(HTC_FAIL_GRAPH, certs, [0])
+    assert str(exc.value) == message
+    code, out, err = run(capsys, "identify", encode_id(HTC_FAIL_GRAPH))
+    assert code == EXIT_REPLAY_FAILED
+    assert out == "" and message in err

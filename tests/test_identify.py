@@ -670,6 +670,31 @@ def test_verify_falls_back_per_seed_on_degenerate_batch(monkeypatch):
     assert errors == _per_seed_errors(g, certs, seeds)
 
 
+def test_verify_fails_a_nan_replay_error():
+    g = MixedGraph(3, [(1, 2), (2, 3)], [(2, 3)])
+    certs = list(eid_tsid_identify(g).certificates.values())
+    stack = sample_parameters(g, [0, 1])
+    stack.lam[0, 0, 1] = np.nan
+    with np.errstate(invalid="ignore"), pytest.raises(CertificateError) as exc:
+        verify_certificates(g, certs, [0, 1], sampled=stack)
+    assert str(exc.value) == (
+        "edge 1->2 (EID): recovered nan vs sampled nan (rel err nan > 1e-06, seed 0)"
+    )
+
+
+def test_certify_raises_for_the_first_seed_the_stack_cannot_draw(monkeypatch):
+    # With one draw per seed and a loose det bound, seed 0 of this cyclic
+    # graph can be drawn but verification seed 7919 cannot, so certify
+    # raises for 7919, whichever path draws it.
+    g = decode_id(GraphId.parse("7:31232253960:196612"))
+    monkeypatch.setattr(oracle, "MAX_REJECTIONS", 1)
+    monkeypatch.setattr(oracle, "REJECTION_TOLERANCE", 0.05)
+    sample_parameters(g, 0)
+    with pytest.raises(DegenerateSampleError) as exc:
+        certify(g, seeds=3)
+    assert str(exc.value) == "no invertible I - lambda found in 1 draws (seed 7919)"
+
+
 def test_verify_reports_first_failing_seed_then_edge(monkeypatch):
     # Both certificates are wrong; 2->3 fails only at seed 0, 1->2 at every
     # seed.  Seed order comes first, then replay order within a seed.
