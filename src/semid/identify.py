@@ -739,9 +739,10 @@ def verify_certificates(
 
     All seeds are sampled and replayed together on one stack of covariances;
     ``sampled`` is that stack, ``oracle.sample_parameters(g, seeds)``, when
-    the caller has already drawn it.  Its covariance is solved without the
-    singularity check of ``oracle.covariance``, which every stack the
-    sampler returns passes.  When any seed is degenerate, the seeds
+    the caller has already drawn it.  Its covariance is the path sum on an
+    acyclic graph and two solves on a cyclic one, without the singularity
+    check of ``oracle.covariance``, which every stack the sampler returns
+    passes.  When any seed is degenerate, the seeds
     replay one by one instead, each resampling on its own as
     ``_replay_with_resampling`` does.
 

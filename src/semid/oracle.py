@@ -162,34 +162,79 @@ def sample_parameters(g: MixedGraph, seed: int | Sequence[int]) -> Parameters:
 
 
 def covariance(p: Parameters) -> NDArray:
-    """The covariance matrix induced by the parameters.
+    """The covariance matrix (I - lambda)^-T omega (I - lambda)^-1, symmetrized.
 
-    Computed by two linear solves against I - lambda rather than explicit
-    inversion, then symmetrized.  ``p`` may hold stacks of shape (..., n, n);
-    the result then has the same shape.
+    On an acyclic support of lambda, (I - lambda)^-1 is the finite path
+    sum of ``_path_sum_inverse`` and det(I - lambda) = 1 exactly, so no
+    check is needed.  Otherwise it takes two linear solves against
+    I - lambda, guarded by the determinant.  ``p`` may hold stacks of shape
+    (..., n, n); the result then has the same shape.
 
     Raises:
-        DegenerateSampleError: some |det(I - lambda)| is at most SINGULAR_TOL.
+        DegenerateSampleError: on a cyclic or non-finite lambda, some
+            |det(I - lambda)| is not above SINGULAR_TOL (NaN included).
     """
-    if np.any(np.abs(np.linalg.det(np.eye(p.n) - p.lam)) <= SINGULAR_TOL):
-        raise DegenerateSampleError("I - lambda is numerically singular")
-    return _covariance_solve(p)
+    return _covariance_solve(p, guarded=True)
 
 
-def _covariance_solve(p: Parameters) -> NDArray:
-    """``covariance`` without its singularity guard.
+def _covariance_solve(p: Parameters, guarded: bool = False) -> NDArray:
+    """``covariance``, by default without its singularity guard.
 
     For points drawn by ``sample_parameters`` the guard is a postcondition
-    of the sampler: det(I - lambda) = 1 on acyclic graphs, and cyclic draws
+    of the sampler: the path sum applies on acyclic graphs, and cyclic draws
     are kept only when |det| > REJECTION_TOLERANCE > SINGULAR_TOL.
     """
-    m_t = np.swapaxes(np.eye(p.n) - p.lam, -1, -2)
-    half = np.linalg.solve(m_t, p.omega)
-    sigma = np.swapaxes(np.linalg.solve(m_t, np.swapaxes(half, -1, -2)), -1, -2)
-    del m_t, half  # bounds peak memory: only sigma and the result remain
+    inverse = _path_sum_inverse(p.lam)
+    if inverse is not None:
+        sigma = np.swapaxes(inverse, -1, -2) @ p.omega @ inverse
+        del inverse
+    else:
+        m_t = np.swapaxes(np.eye(p.n) - p.lam, -1, -2)
+        if guarded and not np.all(np.abs(np.linalg.det(m_t)) > SINGULAR_TOL):
+            raise DegenerateSampleError("I - lambda is numerically singular")
+        half = np.linalg.solve(m_t, p.omega)
+        sigma = np.swapaxes(np.linalg.solve(m_t, np.swapaxes(half, -1, -2)), -1, -2)
+        del m_t, half  # bounds peak memory: only sigma and the result remain
     out = sigma + np.swapaxes(sigma, -1, -2)
     out /= 2
     return out
+
+
+def _path_sum_inverse(lam: NDArray) -> NDArray | None:
+    """(I - lam)^-1 as the path sum (I + lam)(I + lam^2)(I + lam^4)..., or None.
+
+    Applies when the support of ``lam``, united over a stack, is acyclic:
+    then lam^n = 0 and the product is the finite sum of lam^k over k < n.
+    Returns None on a cyclic support (a self-loop included), found by a
+    Kahn pass before any product, and when a power fails to vanish within
+    n.bit_length() squarings, as one does on a NaN or infinite entry.
+    """
+    n = lam.shape[-1]
+    support = lam != 0  # NaN counts as an edge
+    if lam.ndim > 2:
+        support = support.any(axis=tuple(range(lam.ndim - 2)))
+    tails, heads = np.nonzero(support)
+    children: list[list[int]] = [[] for _ in range(n)]
+    indegree = [0] * n
+    for t, h in zip(tails.tolist(), heads.tolist()):
+        children[t].append(h)
+        indegree[h] += 1
+    ready = [v for v in range(n) if not indegree[v]]
+    for v in ready:  # grows while it is read
+        for h in children[v]:
+            indegree[h] -= 1
+            if not indegree[h]:
+                ready.append(h)
+    if len(ready) < n:
+        return None
+    inverse = lam + np.eye(n)
+    power = lam
+    for _ in range(n.bit_length()):
+        power = power @ power
+        if not power.any():
+            return inverse
+        inverse += inverse @ power
+    return None
 
 
 def restricted_covariance(
@@ -487,7 +532,8 @@ def alternative_parameters(
     the error covariance.  Feasible exactly when every non-sibling z of the
     edge's head cannot half-trek-reach the tail; the returned parameters are
     verified to respect the graph supports, stay positive definite, and
-    reproduce the covariance to within ALTERNATIVE_TOL.
+    reproduce the covariance to within ALTERNATIVE_TOL; a NaN fails each
+    check.
 
     Raises:
         InfeasibleEdgeError: the hypothesis fails for this edge.
@@ -510,15 +556,15 @@ def alternative_parameters(
         (x, y)
         for x in g.vertices
         for y in g.vertices
-        if x < y and not g.has_bidirected(x, y) and abs(psi[x - 1, y - 1]) > ALTERNATIVE_TOL * scale
+        if x < y and not g.has_bidirected(x, y) and not abs(psi[x - 1, y - 1]) <= ALTERNATIVE_TOL * scale
     ]
     if support_graph_errors:
         raise DegenerateSampleError(
             f"compensated covariance has support outside the graph at {support_graph_errors}"
         )
-    if np.min(np.linalg.eigvalsh(psi)) <= 0:
+    if not np.min(np.linalg.eigvalsh(psi)) > 0:
         raise DegenerateSampleError("compensated error covariance is not positive definite")
     alt = Parameters(lam=gam, omega=psi)
-    if np.max(np.abs(covariance(alt) - sigma)) > ALTERNATIVE_TOL:
+    if not np.max(np.abs(covariance(alt) - sigma)) <= ALTERNATIVE_TOL:
         raise DegenerateSampleError("alternative parameters do not reproduce the covariance")
     return alt

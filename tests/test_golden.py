@@ -124,20 +124,20 @@ SLOW_SET_DIGESTS = {
 # EID certificates, and two acyclic_verify pool graphs (all EID; EID with an
 # infinite-to-one record).
 STDOUT_DIGESTS = {
-    "3:9:4": (0, "efb537530f88f2f82c6359dff551af143909aa855f94b5700cabb09ea5bfd41e"),
-    "5:32775:15": (0, "19b8e38fe05887cc94600bdc90b9a7a3de6ba76f5116319b3175cc056d135848"),
-    "5:18465:265": (0, "dcc11d93a7acfa153230c400f1574ff217e97274065488dd2e438a45d23127f9"),
-    "5:33826:852": (2, "eee7a791fe679182a6edae910a4296628548fdd8a46e8b7fe8d9b22c3ff06c9a"),
-    "6:17309827:7040": (0, "692aab9f8e91aad180a137d3d377f0e0e353c788cbdfc4885b8dfea479a26fca"),
+    "3:9:4": (0, "fc97d481d7bd5e1be2bbdf5b26105c601ebe34cb4d439728835aebda3d7b4617"),
+    "5:32775:15": (0, "eb646f315cff8060cee1d1dbf51ed8aa027c76d9afb6d59c44689cfcdb2128b2"),
+    "5:18465:265": (0, "a6af1d747683f6df687721a29e17156c54734d14adfdec41aa9eb280b5e3e7f3"),
+    "5:33826:852": (2, "4be16d6e5feeeaa80f1ff56c485d2220392468578e22c0cacd396f34cac32dfc"),
+    "6:17309827:7040": (0, "21113c8b2019ef07aaffe0126506ebd773f9b12f93534c31b2aa7e8b6f080e7e"),
     "5:4456:113": (3, "7b94f64a13efe45456bd9d638a85782e70a73c4a8d60e6ceaec902f9a4c0abe0"),
     "5:70881:80": (3, "af252197e1e750527299d24aae2d3f0e5722aaf33370ea1f6acdde49f3477fe2"),
     "5:360:117 --max-set-size 5": (3, "135563d203dfd297abab7ed0d52df3b3892a4be52717749233c118ffb674b956"),
     "5:6629:512 --max-set-size 5": (3, "358e5ecacab1dc7c355929d146e942bd63212ae6f80ec4c52ed069a2e147e164"),
     "5:75112:72 --max-set-size 5": (3, "ada9c66ac1ae83d2781e7d15629a1b18c2a8b19f3d6ea8c50728ccc095004277"),
     "15:50216813883112000330706117495757874303122133945162150195716:634482993541222906178522071040"
-    " --max-set-size 1 --seeds 100": (0, "21a170eaeec62c8a9f0987db813ad938d9c33adf2d87bc329048a9ee991e3ded"),
+    " --max-set-size 1 --seeds 100": (0, "45e230223bbd3dfa9f4f971fc0c57eb99ac0699505d975c77fe06ad4ee5a2ed2"),
     "13:1361129467686232152116398343331764109382:9444733106476778848264"
-    " --max-set-size 1 --seeds 100": (2, "086d554742e389afd8603611c197f4e6d3b4c9f8996208816e8a183d75e388cd"),
+    " --max-set-size 1 --seeds 100": (2, "f2832d809e39214cef46e669e948bd2c83c44785bfe7df5e81feaf7cb51fac51"),
 }
 
 # Seed 139 of this graph rejects its first coefficient draw (I - lambda too
@@ -163,7 +163,7 @@ SAMPLE_DIGESTS = {
     "one_edge_nonid": "08ff526342bffd1248628bf8e928f4916d8e4ce4f327753c8e64764d2ce75e47",
     "rejecting_cyclic": "d82c0d88ae12a575311201b67dba1c378413778116bb60761ac5ef79c69c0b58",
 }
-VERIFY_ERRORS_DIGEST = "c83e693a08299f8c64f6167d35c5e41669d03ca9793551628ee2323d9a23f8db"
+VERIFY_ERRORS_DIGEST = "90ef04b862848b1c0f62287d3f9a7afd5f9934ddfb42b09c1686c3b5c3606d59"
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))

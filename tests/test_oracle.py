@@ -102,6 +102,14 @@ def test_covariance_singular_guard():
         covariance(Parameters(lam=lam, omega=np.eye(2)))
 
 
+def test_covariance_guard_rejects_a_nan_coefficient():
+    # det(I - lambda) is NaN, which no `<=` comparison with a tolerance catches.
+    p = sample_parameters(IV_GRAPH, seed=0)
+    p.lam[0, 1] = np.nan
+    with np.errstate(invalid="ignore"), pytest.raises(DegenerateSampleError):
+        covariance(p)
+
+
 def test_enumerate_treks_iv():
     treks = enumerate_treks(IV_GRAPH, 1, 3)
     assert len(treks) == 1
@@ -270,6 +278,34 @@ def test_alternative_parameters_infeasible():
     p = sample_parameters(IV_GRAPH, seed=43)
     with pytest.raises(InfeasibleEdgeError):
         alternative_parameters(IV_GRAPH, p, (2, 3), 0.5)
+
+
+def test_alternative_parameters_rejects_nan_off_the_support():
+    g = MixedGraph(3, [(1, 2)], [(1, 2)])
+    p = sample_parameters(g, seed=0)
+    with pytest.raises(DegenerateSampleError, match="support outside the graph"):
+        alternative_parameters(g, p, (1, 2), float("nan"))
+
+
+def test_alternative_parameters_rejects_a_nan_error_covariance():
+    # Every other vertex is a sibling of the head, so no support is checked.
+    g = MixedGraph(2, [(1, 2)], [(1, 2)])
+    p = sample_parameters(g, seed=0)
+    with pytest.raises(DegenerateSampleError, match="not positive definite"):
+        alternative_parameters(g, p, (1, 2), float("nan"))
+
+
+def test_alternative_parameters_rejects_a_nan_covariance_gap(monkeypatch):
+    g = ONE_EDGE_NONID_GRAPH
+    p = sample_parameters(g, seed=43)
+
+    def nan_at_the_alternative(q):
+        sigma = covariance(q)
+        return sigma if q is p else np.full_like(sigma, np.nan)
+
+    monkeypatch.setattr(oracle, "covariance", nan_at_the_alternative)
+    with pytest.raises(DegenerateSampleError, match="do not reproduce"):
+        alternative_parameters(g, p, (2, 3), p.lam[1, 2] + 1.0)
 
 
 def test_alternative_parameters_boundary_construction_fails():
