@@ -572,29 +572,55 @@ def replay_certificates(
     (discovery order always is); recovered values feed later replays, so the
     result depends on sigma alone, never on ground-truth parameters.  For a
     stack ``sigma`` of shape (..., n, n) every recovered value has shape
-    (...).  An HTC or EID system is solved once for all the edges E of its
+    (...).  An HTC or EID system is built once for all the edges E of its
     witness; later certificates with an equal witness take their value from
-    that solve.
+    that system.
+
+    Built systems wait in a batch, which is solved when a certificate needs
+    one of their values as a prerequisite, when a TSID or JOINT certificate
+    comes up, and at the end of the list.  The batch solves its systems of
+    each size together (``oracle._solve_systems``), and the values, the
+    errors and the order in which they are raised are those of solving every
+    system where its certificate stands.
     """
     recovered: dict[DirectedEdge, np.ndarray] = {}
-    systems: dict[DirectedEdge, tuple[dict, np.ndarray]] = {}
+    # Edge -> the witness of the system that recovers it, and that system's
+    # values, filled in when its batch is solved.
+    systems: dict[DirectedEdge, tuple[dict, dict]] = {}
+    batch: list[tuple[np.ndarray, np.ndarray, list[int], int]] = []
+    batch_values: list[dict] = []
+    waiting: list[tuple[DirectedEdge, dict]] = []  # certificates whose value is in the batch
+
+    def flush() -> None:
+        for values, solved in zip(batch_values, oracle._solve_systems(batch)):
+            values.update(solved)
+        recovered.update((edge, values[edge]) for edge, values in waiting)
+        batch.clear()
+        batch_values.clear()
+        waiting.clear()
+
     for cert in certificates:
         if cert.status != IDENTIFIABLE:
             continue
+        system_method = cert.method in ("HTC", "EID")
+        if not system_method or any(e not in recovered for e in cert.prerequisites):
+            flush()
         missing = [e for e in cert.prerequisites if e not in recovered]
         if missing:
             raise CertificateError(f"certificate for {cert.edge} replayed before prerequisites {missing}")
         w = cert.witness
-        if cert.method in ("HTC", "EID"):
-            solved = systems.get(cert.edge)
-            if solved is None or solved[0] != w:
+        if system_method:
+            system = systems.get(cert.edge)
+            if system is None or system[0] != w:
                 known = {e: recovered[e] for e in cert.prerequisites}
-                values = oracle.solve_recovery_system(
+                a, rhs = oracle._recovery_rows(
                     sigma, w["v"], w["E"], w["S"], w["Y"], [w["H"][y] for y in w["Y"]], known
                 )
-                systems.update((e, (w, x)) for e, x in values.items())
-                solved = systems[cert.edge]
-            recovered[cert.edge] = solved[1]
+                system = (w, {})
+                batch.append((a, rhs, w["E"], w["v"]))
+                batch_values.append(system[1])
+                systems.update(((e, w["v"]), system) for e in w["E"])
+            waiting.append((cert.edge, system[1]))
         elif cert.method == "TSID":
             known = {e: recovered[e] for e in cert.prerequisites}
             recovered[cert.edge] = oracle.recover_edge_ratio(
@@ -605,6 +631,7 @@ def replay_certificates(
             recovered[cert.edge] = values[cert.edge]
         else:
             raise CertificateError(f"unknown certificate method {cert.method!r}")
+    flush()
     return recovered
 
 
@@ -710,12 +737,11 @@ def _replay_errors(
         CertificateError: for the first (seed, edge), seed-major, whose error
             is not within ``REPLAY_TOLERANCE`` (a NaN error fails).
     """
-    got = np.empty((len(seeds), len(ordered)))
-    truth = np.empty_like(got)
-    for j, cert in enumerate(ordered):
-        u, w = cert.edge
-        got[:, j] = recovered[cert.edge]
-        truth[:, j] = lam[..., u - 1, w - 1]
+    shape = (len(seeds), len(ordered))
+    tails, heads = np.array([c.edge for c in ordered], dtype=np.intp).reshape(-1, 2).T - 1
+    truth = lam[..., tails, heads].reshape(shape)
+    values = [recovered[c.edge] for c in ordered]
+    got = np.stack(values, axis=-1).reshape(shape) if values else np.empty(shape)
     rel = np.abs(got - truth) / np.maximum(np.abs(truth), 1e-12)
     over = np.argwhere(~(rel <= REPLAY_TOLERANCE))  # NaN fails too
     if len(over):
@@ -742,9 +768,12 @@ def verify_certificates(
     the caller has already drawn it.  Its covariance is the path sum on an
     acyclic graph and two solves on a cyclic one, without the singularity
     check of ``oracle.covariance``, which every stack the sampler returns
-    passes.  When any seed is degenerate, the seeds
-    replay one by one instead, each resampling on its own as
-    ``_replay_with_resampling`` does.
+    passes.  ``replay_certificates`` solves the HTC and EID systems in
+    batches: those that wait between two TSID or JOINT certificates, or
+    before a certificate that needs their values, are solved together, one
+    determinant check and one solve per system size, for all seeds at once.
+    When any seed is degenerate, the seeds replay one by one instead, each
+    resampling on its own as ``_replay_with_resampling`` does.
 
     Returns the max relative recovery error per edge.
 
@@ -754,11 +783,17 @@ def verify_certificates(
             failing seed, then the first failing edge in replay order, is
             reported.
         DegenerateSampleError: a seed stayed degenerate after resampling.
-        ValueError: ``seeds`` is empty.
+        ValueError: ``seeds`` is empty, or ``sampled`` is not a stack of
+            one point per seed.
     """
     ordered = [c for c in certificates if c.status == IDENTIFIABLE]
     seeds = list(seeds)
     _check_replay_settings(len(seeds))
+    if sampled is not None and sampled.lam.shape[:-2] != (len(seeds),):
+        raise ValueError(
+            f"sampled holds a stack of shape {sampled.lam.shape[:-2]} for {len(seeds)} seeds; "
+            "it must hold one point per seed"
+        )
     try:
         if sampled is None:
             sampled = oracle.sample_parameters(g, seeds)

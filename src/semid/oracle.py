@@ -21,6 +21,8 @@ from .graph import DirectedEdge, MixedGraph, Trek, _cached, infinite_to_one_reco
 RANK_RTOL = 1e-8
 # Denominators and system determinants below this are treated as non-generic.
 DEGENERACY_TOL = 1e-10
+# The label of a degenerate half-trek system's DegenerateSampleError.
+_SYSTEM_LABEL = "system determinant"
 # covariance rejects an I - lambda whose |det| is at most this.
 SINGULAR_TOL = 1e-12
 # alternative_parameters' bound on off-support error covariance (relative to
@@ -106,11 +108,18 @@ def sample_parameters(g: MixedGraph, seed: int | Sequence[int]) -> Parameters:
 
     ``seed`` may also be a sequence of seeds; ``lam`` and ``omega`` then have
     shape (seeds, n, n), and slice i is the point drawn for seeds[i] alone.
+    Every seed draws from the stream of ``np.random.default_rng(seed)``; a
+    long stack derives all its generators' seed words in one vectorized
+    ``SeedSequence`` pass (``seeding.generators``).
 
     Raises:
         DegenerateSampleError: the rejection budget ran out (for the first
             such seed of a sequence).
     """
+    # Deferred: numpy 2 loads numpy.random on first use, about 14 ms and
+    # 6 MB that commands which never sample should not pay.
+    from .seeding import generators
+
     tails, heads, ends_a, ends_b, acyclic = _cached(g, _sampling_layout)
     stacked = not isinstance(seed, (int, np.integer))
     seeds = list(seed) if stacked else [seed]
@@ -131,8 +140,7 @@ def sample_parameters(g: MixedGraph, seed: int | Sequence[int]) -> Parameters:
     draws = np.empty((len(seeds), n_coef + n_off + n))
     if not acyclic:
         trial = np.eye(n)  # I - lambda of the current attempt
-    for i, s in enumerate(seeds):
-        rng = np.random.default_rng(s)
+    for i, (s, rng) in enumerate(zip(seeds, generators(seeds))):
         if acyclic:
             rng.random(out=draws[i])
             continue
@@ -340,7 +348,41 @@ def _solve(
 ) -> dict[DirectedEdge, NDArray]:
     """Solve the (..., k, k) systems a x = rhs; x[..., j] is the edge targets[j] -> v."""
     _require_generic(np.linalg.det(a), label)
-    solution = np.linalg.solve(a, rhs[..., None])[..., 0]
+    return _solution_edges(np.linalg.solve(a, rhs[..., None])[..., 0], targets, v)
+
+
+def _solve_systems(
+    systems: list[tuple[NDArray, NDArray, list[int], int]],
+) -> list[dict[DirectedEdge, NDArray]]:
+    """``_solve`` for several half-trek systems (a, rhs, E, v) of ``_recovery_rows``.
+
+    The systems of each size k are stacked and take one determinant and one
+    solve.  LAPACK factors every matrix on its own, so each value is the one
+    a solve of its system alone gives.  A degenerate determinant is reported
+    for the first such system in list order, as solving one by one would.
+    """
+    by_size: dict[int, list[int]] = {}
+    for i, (a, _, _, _) in enumerate(systems):
+        by_size.setdefault(a.shape[-1], []).append(i)
+    stacks = []
+    for members in by_size.values():
+        a = np.stack([systems[i][0] for i in members])
+        stacks.append((members, a, np.linalg.det(a)))
+    if any(np.any(np.abs(det) <= DEGENERACY_TOL) for _, _, det in stacks):
+        det_of = {i: d for members, _, det in stacks for i, d in zip(members, det)}
+        for i in range(len(systems)):
+            _require_generic(det_of[i], _SYSTEM_LABEL)
+    out: list[dict[DirectedEdge, NDArray]] = [{}] * len(systems)
+    for members, a, _ in stacks:
+        rhs = np.stack([systems[i][1] for i in members])
+        solution = np.linalg.solve(a, rhs[..., None])[..., 0]
+        for i, x in zip(members, solution):
+            out[i] = _solution_edges(x, systems[i][2], systems[i][3])
+    return out
+
+
+def _solution_edges(solution: NDArray, targets: list[int], v: int) -> dict[DirectedEdge, NDArray]:
+    """The (..., k) solution of a recovery system as values of the edges targets[j] -> v."""
     return {(w, v): x for w, x in zip(targets, np.moveaxis(solution, -1, 0))}
 
 
@@ -408,34 +450,51 @@ def solve_recovery_system(
             sample).
     """
     E = list(E)
+    a, rhs = _recovery_rows(sigma, v, E, S, Y, H, known)
+    if not E:
+        return {}
+    return _solve(a, rhs, E, v, _SYSTEM_LABEL)
+
+
+def _recovery_rows(
+    sigma: NDArray,
+    v: int,
+    E: Iterable[int],
+    S: Iterable[int],
+    Y: Iterable[int],
+    H: Iterable[Iterable[int]],
+    known: Mapping[DirectedEdge, NDArray] | None = None,
+) -> tuple[NDArray, NDArray]:
+    """The matrix A, shape (..., k, k), and right-hand side, (..., k), of ``solve_recovery_system``.
+
+    All rows Y are gathered at once; the corrections for the parents H[i]
+    and the solved parents S are applied only where they exist, entry by
+    entry in the same order as one row at a time.
+    """
+    E = list(E)
     S = list(S)
     Y = list(Y)
     H = [list(h) for h in H]
-    known = dict(known or {})
+    known = known or {}
     if len(Y) != len(E):
         raise ValueError(f"need |Y| = |E|, got {len(Y)} and {len(E)}")
     if len(H) != len(Y):
         raise ValueError(f"need one parent set per source, got {len(H)} for {len(Y)}")
     k = len(E)
-    if k == 0:
-        return {}
-
+    rows = np.array(Y, dtype=np.intp) - 1
     cols = [c - 1 for c in E + S]
-    rows = []
-    rhs = []
-    for y, hs in zip(Y, H):
-        # sigma[y, col] - sum_h sigma[h, col] known[h->y] for the columns E + S
-        corrected = sigma[..., y - 1, cols]
+    # corrected[i] = sigma[y_i, col] - sum_h sigma[h, col] known[h->y_i] for the columns E + S
+    corrected = sigma[..., rows[:, None], cols]
+    for i, (y, hs) in enumerate(zip(Y, H)):
         for h in hs:
-            corrected = corrected - sigma[..., h - 1, cols] * np.expand_dims(known[(h, y)], -1)
-        rows.append(corrected[..., :k])
-        r = sigma[..., y - 1, v - 1]
-        for j, s in enumerate(S):
-            r = r - corrected[..., k + j] * known[(s, v)]
+            corrected[..., i, :] -= sigma[..., h - 1, cols] * np.expand_dims(known[(h, y)], -1)
+    rhs = sigma[..., rows, v - 1]
+    for j, s in enumerate(S):
+        rhs -= corrected[..., k + j] * np.expand_dims(known[(s, v)], -1)
+    for i, (y, hs) in enumerate(zip(Y, H)):
         for h in hs:
-            r = r - sigma[..., v - 1, h - 1] * known[(h, y)]
-        rhs.append(r)
-    return _solve(np.stack(rows, axis=-2), np.stack(rhs, axis=-1), E, v, "system determinant")
+            rhs[..., i] -= sigma[..., v - 1, h - 1] * known[(h, y)]
+    return corrected[..., :k], rhs
 
 
 def solve_determinantal_system(

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import sys
 from dataclasses import replace
 
@@ -628,13 +629,131 @@ def test_batched_replay_matches_per_seed():
 
 
 def test_replay_solves_each_system_once(monkeypatch):
+    # Replay builds each system's rows once; the batch then solves them.
     calls = []
-    original = oracle.solve_recovery_system
-    monkeypatch.setattr(oracle, "solve_recovery_system",
+    original = oracle._recovery_rows
+    monkeypatch.setattr(oracle, "_recovery_rows",
                         lambda *args, **kwargs: calls.append(1) or original(*args, **kwargs))
     certs = list(htc_identify(JOINT_SYSTEM_GRAPH).certificates.values())
     replay_certificates(certs, covariance(sample_parameters(JOINT_SYSTEM_GRAPH, 0)))
     assert len(calls) == len({id(c.witness) for c in certs}) < len(certs)
+
+
+def _one_system_at_a_time(certificates, sigma):
+    """Replay that solves each HTC or EID system where its certificate stands."""
+    recovered = {}
+    systems = {}
+    for cert in certificates:
+        if cert.status != IDENTIFIABLE:
+            continue
+        missing = [e for e in cert.prerequisites if e not in recovered]
+        if missing:
+            raise CertificateError(f"certificate for {cert.edge} replayed before prerequisites {missing}")
+        w = cert.witness
+        known = {e: recovered[e] for e in cert.prerequisites}
+        if cert.method in ("HTC", "EID"):
+            solved = systems.get(cert.edge)
+            if solved is None or solved[0] != w:
+                values = oracle.solve_recovery_system(
+                    sigma, w["v"], w["E"], w["S"], w["Y"], [w["H"][y] for y in w["Y"]], known
+                )
+                systems.update((e, (w, x)) for e, x in values.items())
+                solved = systems[cert.edge]
+            recovered[cert.edge] = solved[1]
+        elif cert.method == "TSID":
+            recovered[cert.edge] = oracle.recover_edge_ratio(sigma, w["S"], w["T"], w["v"], w["w0"], known)
+        else:
+            recovered[cert.edge] = oracle.solve_determinantal_system(
+                sigma, w["rows"], w["v"], w["targets"]
+            )[cert.edge]
+    return recovered
+
+
+def _outcome(replay, certs, sigma):
+    """The recovered edges in order with their bytes, or the error raised."""
+    try:
+        return [(e, x.tobytes()) for e, x in replay(certs, sigma).items()]
+    except (CertificateError, DegenerateSampleError) as exc:
+        return type(exc), str(exc)
+
+
+def _replay_lists():
+    """Certificate lists of _replay_graphs, one of them with a JOINT after a waiting system."""
+    lists = []
+    for g in _replay_graphs():
+        for solver in (htc_identify, eid_tsid_identify):
+            lists.append((g, list(solver(g).certificates.values())))
+    htc = list(htc_identify(JOINT_SYSTEM_GRAPH).certificates.values())
+    joint = joint_certificate(JOINT_SYSTEM_GRAPH, 6, [4, 5], [([3, 5], [1]), ([2, 4], [1])])
+    lists.append((JOINT_SYSTEM_GRAPH, htc[:2] + joint + htc[2:]))
+    return lists
+
+
+@pytest.mark.parametrize("degenerate", [False, True])
+def test_batched_systems_equal_one_system_at_a_time(monkeypatch, degenerate):
+    if degenerate:
+        # Every determinant and denominator fails: the first in list order must be reported.
+        monkeypatch.setattr(oracle, "DEGENERACY_TOL", np.inf)
+    batch_sizes = []
+    original = oracle._solve_systems
+    monkeypatch.setattr(oracle, "_solve_systems",
+                        lambda systems: batch_sizes.append(len(systems)) or original(systems))
+    lists = _replay_lists()
+    follows_waiting = [
+        a.method in ("HTC", "EID") and b.method in ("TSID", "JOINT")
+        for _, certs in lists for a, b in zip(certs, certs[1:])
+    ]
+    assert follows_waiting.count(True) >= 3
+    for g, certs in lists:
+        stack = covariance(sample_parameters(g, [0, 1, 2, 3]))
+        for sigma in (*stack, stack):
+            expected = _outcome(_one_system_at_a_time, certs, sigma)
+            assert _outcome(replay_certificates, certs, sigma) == expected
+            assert isinstance(expected, tuple) == (degenerate and bool(certs))
+    assert max(batch_sizes) > 1
+
+
+def test_replay_before_prerequisites_names_the_missing_edges():
+    sigma = covariance(sample_parameters(JOINT_SYSTEM_GRAPH, 0))
+    certs = list(htc_identify(JOINT_SYSTEM_GRAPH).certificates.values())
+    late = next(c for c in certs if c.prerequisites)
+    message = f"certificate for {late.edge} replayed before prerequisites {list(late.prerequisites)}"
+    with pytest.raises(CertificateError, match=re.escape(message)):
+        replay_certificates([late] + [c for c in certs if c is not late], sigma)
+    # A prerequisite whose system is already waiting, but whose own
+    # certificate comes later, is still missing.
+    g = random_mixed_graph(random.Random(314), 6, acyclic=True)
+    certs = list(htc_identify(g).certificates.values())
+    sigma = covariance(sample_parameters(g, 0))
+    found = 0
+    for first, late in itertools.permutations(certs, 2):
+        shared = [c for c in certs if c.witness is first.witness and c is not first]
+        if not any(c.edge in late.prerequisites for c in shared):
+            continue
+        head = certs[:certs.index(first) + 1]
+        order = head + [late] + [c for c in certs if c not in head and c is not late]
+        missing = [e for e in late.prerequisites if e not in {c.edge for c in head}]
+        if not missing:
+            continue
+        message = f"certificate for {late.edge} replayed before prerequisites {missing}"
+        with pytest.raises(CertificateError, match=re.escape(message)):
+            replay_certificates(order, sigma)
+        assert _outcome(_one_system_at_a_time, order, sigma) == (CertificateError, message)
+        found += 1
+    assert found >= 3, found
+
+
+def test_verify_rejects_a_sampled_stack_of_another_size():
+    g = decode_id(GraphId.parse("3:9:4"))
+    certs = list(eid_tsid_identify(g).certificates.values())
+    seeds = [0, 7919, 15838]
+    for sampled, shape in ((sample_parameters(g, [0]), r"\(1,\)"),
+                           (sample_parameters(g, range(5)), r"\(5,\)"),
+                           (sample_parameters(g, 0), r"\(\)")):
+        with pytest.raises(ValueError, match=rf"shape {shape} for 3 seeds"):
+            verify_certificates(g, certs, seeds, sampled=sampled)
+    assert verify_certificates(g, certs, seeds, sampled=sample_parameters(g, seeds)) == \
+        verify_certificates(g, certs, seeds)
 
 
 def _per_seed_errors(g, certs, seeds):

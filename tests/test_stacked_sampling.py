@@ -2,8 +2,10 @@
 
 ``sample_parameters`` and ``covariance`` take a list of seeds or a stack of
 parameters; every slice must match what the 2-D call returns for that seed
-alone.  The reference implementations below are the per-seed rejection loop
-and the per-entry Jacobian row loop that the vectorized code replaced.
+alone.  A single seed is seeded by ``default_rng`` and a long stack by the
+vectorized SeedSequence hash, so the slice tests compare the two.  The
+reference implementations below are the per-seed rejection loop and the
+per-entry Jacobian row loop that the vectorized code replaced.
 """
 
 from __future__ import annotations
@@ -20,7 +22,9 @@ from semid import (
     covariance,
     oracle,
     sample_parameters,
+    seeding,
 )
+from semid.identify import _verification_seeds
 from semid.oracle import _free_parameters, sigma_jacobian
 
 from conftest import random_mixed_graph
@@ -183,3 +187,41 @@ def test_jacobian_equals_the_row_loop():
     for k, g in enumerate(graphs):
         p = sample_parameters(g, k)
         assert sigma_jacobian(g, p).tobytes() == _row_loop_jacobian(g, p).tobytes()
+
+
+# Seeds at the 32-bit word boundaries of SeedSequence's entropy; 2**128 has
+# five words and takes default_rng.
+WORD_BOUNDARY_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96 + 5, 2**128]
+
+
+def test_seed_words_equal_seed_sequence():
+    seeds = WORD_BOUNDARY_SEEDS[:-1] + [2**128 - 1] + _verification_seeds(0, 100)
+    words = seeding.seed_words(seeds)
+    assert words.shape == (len(seeds), 4) and words.dtype == np.uint64
+    for s, w in zip(seeds, words):
+        assert w.tobytes() == np.random.SeedSequence(s).generate_state(4, np.uint64).tobytes()
+
+
+@pytest.mark.parametrize("name", ["htc_fail", "rejecting_cyclic"])
+def test_vectorized_seeding_equals_single_seed_draws(monkeypatch, name):
+    g = SAMPLE_GRAPHS[name]
+    hashed = []
+    original = seeding.seed_words
+    monkeypatch.setattr(seeding, "seed_words", lambda seeds: hashed.append(len(seeds)) or original(seeds))
+    in_range = WORD_BOUNDARY_SEEDS[:-1] + _verification_seeds(0, 100) + [139]
+    for seeds, vectorized in ((in_range, True), (WORD_BOUNDARY_SEEDS, False),
+                              (in_range[:seeding.VECTOR_SEEDING_MIN - 1], False),
+                              (in_range[:seeding.VECTOR_SEEDING_MIN], True)):
+        hashed.clear()
+        _assert_slices_match(g, seeds)
+        assert hashed == ([len(seeds)] if vectorized else [])
+    stack = sample_parameters(g, np.array(in_range[7:-1], dtype=np.uint64))
+    assert stack.lam.tobytes() == sample_parameters(g, in_range[7:-1]).lam.tobytes()
+
+
+def test_vectorized_seeding_falls_back_for_seeds_default_rng_rejects():
+    g = SAMPLE_GRAPHS["iv"]
+    with pytest.raises(ValueError):
+        sample_parameters(g, list(range(20)) + [-1])
+    with pytest.raises(TypeError):
+        sample_parameters(g, list(range(20)) + [1.5])
