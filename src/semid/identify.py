@@ -547,14 +547,22 @@ def joint_certificate(
     The automated solvers never emit these; they package a hand-constructed
     determinantal system (one (S_i, T_i) row per target edge) for replay by
     the same machinery.
+
+    Raises:
+        ValueError: some w -> v is not an edge of g, the rows are not one
+            per target, or a row (S, T) names a vertex outside 1..n or does
+            not have |S| = |T| + 1 distinct vertices.
     """
     targets = sorted(set(targets))
-    rows = [(sorted(set(s)), sorted(set(t))) for s, t in rows]
+    rows = [(_vertex_list(g, s), _vertex_list(g, t)) for s, t in rows]
     for w in targets:
         if (w, v) not in g.directed:
             raise ValueError(f"edge {w}->{v} not in graph")
     if len(rows) != len(targets):
         raise ValueError("need one (S, T) row per target")
+    for s, t in rows:
+        if len(s) != len(t) + 1:
+            raise ValueError(f"row ({s}, {t}) must have |S| = |T| + 1")
     witness = {"v": v, "targets": targets, "rows": rows}
     return [
         EdgeCertificate(edge=(w, v), status=IDENTIFIABLE, method="JOINT", witness=witness)
@@ -572,16 +580,26 @@ def replay_certificates(
     (discovery order always is); recovered values feed later replays, so the
     result depends on sigma alone, never on ground-truth parameters.  For a
     stack ``sigma`` of shape (..., n, n) every recovered value has shape
-    (...).  An HTC or EID system is built once for all the edges E of its
-    witness; later certificates with an equal witness take their value from
-    that system.
+    (...).
+
+    Every certificate is a linear system: HTC and EID witnesses give the
+    rows of ``oracle._recovery_rows``, TSID (one row) and JOINT witnesses
+    those of ``oracle._determinantal_rows``.  A system is built once for all
+    the edges of its witness (E, or the JOINT targets); later certificates
+    with an equal witness take their value from it.
 
     Built systems wait in a batch, which is solved when a certificate needs
-    one of their values as a prerequisite, when a TSID or JOINT certificate
-    comes up, and at the end of the list.  The batch solves its systems of
-    each size together (``oracle._solve_systems``), and the values, the
-    errors and the order in which they are raised are those of solving every
-    system where its certificate stands.
+    a value not yet recovered, before an unknown method is reported, and at
+    the end of the list.  The batch solves its systems of each size together
+    (``oracle._solve_systems``), and the values, the errors and the order in
+    which they are raised are those of solving every system where its
+    certificate stands.
+
+    Raises:
+        CertificateError: a certificate comes before its prerequisites, or
+            has an unknown method.
+        DegenerateSampleError: some system determinant is below tolerance.
+        ValueError: a witness names a vertex outside 1..n.
     """
     recovered: dict[DirectedEdge, np.ndarray] = {}
     # Edge -> the witness of the system that recovers it, and that system's
@@ -602,35 +620,34 @@ def replay_certificates(
     for cert in certificates:
         if cert.status != IDENTIFIABLE:
             continue
-        system_method = cert.method in ("HTC", "EID")
-        if not system_method or any(e not in recovered for e in cert.prerequisites):
+        if any(e not in recovered for e in cert.prerequisites):
             flush()
         missing = [e for e in cert.prerequisites if e not in recovered]
         if missing:
             raise CertificateError(f"certificate for {cert.edge} replayed before prerequisites {missing}")
-        w = cert.witness
-        if system_method:
-            system = systems.get(cert.edge)
-            if system is None or system[0] != w:
-                known = {e: recovered[e] for e in cert.prerequisites}
-                a, rhs = oracle._recovery_rows(
-                    sigma, w["v"], w["E"], w["S"], w["Y"], [w["H"][y] for y in w["Y"]], known
-                )
-                system = (w, {})
-                batch.append((a, rhs, w["E"], w["v"]))
-                batch_values.append(system[1])
-                systems.update(((e, w["v"]), system) for e in w["E"])
-            waiting.append((cert.edge, system[1]))
-        elif cert.method == "TSID":
-            known = {e: recovered[e] for e in cert.prerequisites}
-            recovered[cert.edge] = oracle.recover_edge_ratio(
-                sigma, w["S"], w["T"], w["v"], w["w0"], known
-            )
-        elif cert.method == "JOINT":
-            values = oracle.solve_determinantal_system(sigma, w["rows"], w["v"], w["targets"])
-            recovered[cert.edge] = values[cert.edge]
-        else:
+        if cert.method not in ("HTC", "EID", "TSID", "JOINT"):
+            flush()
             raise CertificateError(f"unknown certificate method {cert.method!r}")
+        w = cert.witness
+        system = systems.get(cert.edge)
+        if system is None or system[0] != w:
+            known = {e: recovered[e] for e in cert.prerequisites}
+            if cert.method in ("HTC", "EID"):
+                targets = w["E"]
+                a, rhs = oracle._recovery_rows(
+                    sigma, w["v"], targets, w["S"], w["Y"], [w["H"][y] for y in w["Y"]], known
+                )
+            elif cert.method == "TSID":
+                targets = [w["w0"]]
+                a, rhs = oracle._determinantal_rows(sigma, [(w["S"], w["T"])], w["v"], targets, known)
+            else:
+                targets = w["targets"]
+                a, rhs = oracle._determinantal_rows(sigma, w["rows"], w["v"], targets, known)
+            system = (w, {})
+            batch.append((a, rhs, targets, w["v"]))
+            batch_values.append(system[1])
+            systems.update(((t, w["v"]), system) for t in targets)
+        waiting.append((cert.edge, system[1]))
     flush()
     return recovered
 
@@ -768,10 +785,10 @@ def verify_certificates(
     the caller has already drawn it.  Its covariance is the path sum on an
     acyclic graph and two solves on a cyclic one, without the singularity
     check of ``oracle.covariance``, which every stack the sampler returns
-    passes.  ``replay_certificates`` solves the HTC and EID systems in
-    batches: those that wait between two TSID or JOINT certificates, or
-    before a certificate that needs their values, are solved together, one
-    determinant check and one solve per system size, for all seeds at once.
+    passes.  ``replay_certificates`` solves the certificates' systems in
+    batches: those that wait until a certificate needs one of their values,
+    or until the end of the list, are solved together, one determinant
+    check and one solve per system size, for all seeds at once.
     When any seed is degenerate, the seeds replay one by one instead, each
     resampling on its own as ``_replay_with_resampling`` does.
 

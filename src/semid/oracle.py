@@ -19,10 +19,8 @@ from .graph import DirectedEdge, MixedGraph, Trek, _cached, infinite_to_one_reco
 
 # Singular values below RANK_RTOL times the largest one count as zero.
 RANK_RTOL = 1e-8
-# Denominators and system determinants below this are treated as non-generic.
+# Recovery system determinants below this are treated as non-generic.
 DEGENERACY_TOL = 1e-10
-# The label of a degenerate half-trek system's DegenerateSampleError.
-_SYSTEM_LABEL = "system determinant"
 # covariance rejects an I - lambda whose |det| is at most this.
 SINGULAR_TOL = 1e-12
 # alternative_parameters' bound on off-support error covariance (relative to
@@ -40,7 +38,11 @@ MAX_REJECTIONS = 100
 
 
 class DegenerateSampleError(RuntimeError):
-    """A determinant or denominator fell below tolerance at the sampled point."""
+    """A determinant fell below tolerance at the sampled point, or a sampled point failed a check.
+
+    A degenerate recovery reports ``system determinant <value> below
+    tolerance`` whatever its certificate's method.
+    """
 
 
 class InfeasibleEdgeError(ValueError):
@@ -318,48 +320,46 @@ def trek_monomial(trek: Trek, p: Parameters) -> float:
     return value
 
 
+def _check_vertices(sigma: NDArray, vertices: Iterable[int]) -> None:
+    """Raise ValueError for the first of ``vertices`` outside 1..n, n the order of ``sigma``."""
+    n = sigma.shape[-1]
+    for x in vertices:
+        if not 1 <= x <= n:
+            raise ValueError(f"vertex {x} outside 1..{n}")
+
+
 def subdeterminant(sigma: NDArray, rows: Iterable[int], cols: Iterable[int]) -> NDArray:
     """Determinant of the submatrix with the given ordered rows and columns.
 
     ``sigma`` may be a stack of shape (..., n, n); the result then has shape
     (...).  The sign depends on the orderings; callers that take ratios must
     use consistent orderings on both sides.
+
+    Raises:
+        ValueError: the submatrix is not square, or a row or column is not
+            a vertex 1..n of ``sigma``.
     """
     rows = list(rows)
     cols = list(cols)
     if len(rows) != len(cols):
         raise ValueError(f"need a square submatrix, got {len(rows)} rows, {len(cols)} cols")
+    _check_vertices(sigma, rows + cols)
     if not rows:
         return np.ones(sigma.shape[:-2])[()]
     sub = sigma[(..., *np.ix_([r - 1 for r in rows], [c - 1 for c in cols]))]
     return np.linalg.det(sub)
 
 
-def _require_generic(values: NDArray, label: str) -> None:
-    """Raise when any of the values is within DEGENERACY_TOL of zero."""
-    small = np.abs(values) <= DEGENERACY_TOL
-    if np.any(small):
-        first = np.asarray(values)[small][0]
-        raise DegenerateSampleError(f"{label} {first:.3e} below tolerance")
-
-
-def _solve(
-    a: NDArray, rhs: NDArray, targets: list[int], v: int, label: str
-) -> dict[DirectedEdge, NDArray]:
-    """Solve the (..., k, k) systems a x = rhs; x[..., j] is the edge targets[j] -> v."""
-    _require_generic(np.linalg.det(a), label)
-    return _solution_edges(np.linalg.solve(a, rhs[..., None])[..., 0], targets, v)
-
-
 def _solve_systems(
     systems: list[tuple[NDArray, NDArray, list[int], int]],
 ) -> list[dict[DirectedEdge, NDArray]]:
-    """``_solve`` for several half-trek systems (a, rhs, E, v) of ``_recovery_rows``.
+    """Solve the (..., k, k) systems (a, rhs, targets, v); x[..., j] is the edge targets[j] -> v.
 
     The systems of each size k are stacked and take one determinant and one
     solve.  LAPACK factors every matrix on its own, so each value is the one
-    a solve of its system alone gives.  A degenerate determinant is reported
-    for the first such system in list order, as solving one by one would.
+    a solve of its system alone gives (for k = 1, rhs / a bit for bit).  A
+    degenerate determinant is reported for the first such system in list
+    order, as solving one by one would.
     """
     by_size: dict[int, list[int]] = {}
     for i, (a, _, _, _) in enumerate(systems):
@@ -371,19 +371,18 @@ def _solve_systems(
     if any(np.any(np.abs(det) <= DEGENERACY_TOL) for _, _, det in stacks):
         det_of = {i: d for members, _, det in stacks for i, d in zip(members, det)}
         for i in range(len(systems)):
-            _require_generic(det_of[i], _SYSTEM_LABEL)
+            small = np.abs(det_of[i]) <= DEGENERACY_TOL
+            if np.any(small):
+                first = np.asarray(det_of[i])[small][0]
+                raise DegenerateSampleError(f"system determinant {first:.3e} below tolerance")
     out: list[dict[DirectedEdge, NDArray]] = [{}] * len(systems)
     for members, a, _ in stacks:
         rhs = np.stack([systems[i][1] for i in members])
         solution = np.linalg.solve(a, rhs[..., None])[..., 0]
         for i, x in zip(members, solution):
-            out[i] = _solution_edges(x, systems[i][2], systems[i][3])
+            _, _, targets, v = systems[i]
+            out[i] = {(w, v): xj for w, xj in zip(targets, np.moveaxis(x, -1, 0))}
     return out
-
-
-def _solution_edges(solution: NDArray, targets: list[int], v: int) -> dict[DirectedEdge, NDArray]:
-    """The (..., k) solution of a recovery system as values of the edges targets[j] -> v."""
-    return {(w, v): x for w, x in zip(targets, np.moveaxis(solution, -1, 0))}
 
 
 def numeric_rank(matrix: NDArray) -> int:
@@ -406,25 +405,17 @@ def recover_edge_ratio(
 
     Evaluates (|S x (T+v)| - sum_i known[wi->v] |S x (T+wi)|) / |S x (T+w0)|
     where the sum runs over the already-known coefficients of other edges
-    into v supplied in ``known``.  For a stack ``sigma`` of shape (..., n, n)
-    the known values and the result have shape (...).
+    into v supplied in ``known``: the one-row ``solve_determinantal_system``.
+    For a stack ``sigma`` of shape (..., n, n) the known values and the
+    result have shape (...).
 
     Raises:
-        DegenerateSampleError: some denominator is below tolerance, which
-            signals a non-generic sample; the caller should resample.
+        DegenerateSampleError: some |S x (T+w0)|, the system determinant, is
+            below tolerance: a non-generic sample; the caller should resample.
+        ValueError: |S| is not |T| + 1, a vertex is outside 1..n, or a
+            known edge does not point into v.
     """
-    S = list(S)
-    T = list(T)
-    if len(S) != len(T) + 1:
-        raise ValueError(f"need |S| = |T| + 1, got {len(S)} and {len(T)}")
-    denominator = subdeterminant(sigma, S, T + [w0])
-    _require_generic(denominator, f"denominator |sigma[S, T+{w0}]| =")
-    numerator = subdeterminant(sigma, S, T + [v])
-    for (wi, head), value in (known or {}).items():
-        if head != v:
-            raise ValueError(f"known edge {wi}->{head} does not point into {v}")
-        numerator -= value * subdeterminant(sigma, S, T + [wi])
-    return numerator / denominator
+    return solve_determinantal_system(sigma, [(S, T)], v, [w0], known)[(w0, v)]
 
 
 def solve_recovery_system(
@@ -453,7 +444,7 @@ def solve_recovery_system(
     a, rhs = _recovery_rows(sigma, v, E, S, Y, H, known)
     if not E:
         return {}
-    return _solve(a, rhs, E, v, _SYSTEM_LABEL)
+    return _solve_systems([(a, rhs, E, v)])[0]
 
 
 def _recovery_rows(
@@ -480,6 +471,7 @@ def _recovery_rows(
         raise ValueError(f"need |Y| = |E|, got {len(Y)} and {len(E)}")
     if len(H) != len(Y):
         raise ValueError(f"need one parent set per source, got {len(H)} for {len(Y)}")
+    _check_vertices(sigma, [v, *E, *S, *Y, *(h for hs in H for h in hs)])
     k = len(E)
     rows = np.array(Y, dtype=np.intp) - 1
     cols = [c - 1 for c in E + S]
@@ -502,32 +494,56 @@ def solve_determinantal_system(
     rows: Iterable[tuple[Iterable[int], Iterable[int]]],
     v: int,
     targets: Iterable[int],
+    known: Mapping[DirectedEdge, NDArray] | None = None,
 ) -> dict[DirectedEdge, NDArray]:
     """Jointly recover several edges into v from determinantal equations.
 
     Row i is built from the source/target pair (S_i, T_i): the matrix entry
     for target w_j is |sigma[S_i, T_i + w_j]| and the right-hand side is
-    |sigma[S_i, T_i + v]|.  ``sigma`` may be a stack of shape (..., n, n).
+    |sigma[S_i, T_i + v]| - sum_w known[w->v] |sigma[S_i, T_i + w]| over
+    the already-known coefficients of other edges into v.  ``sigma`` may be
+    a stack of shape (..., n, n); the known values then have shape (...).
 
     Raises:
         DegenerateSampleError: some system determinant is below tolerance.
     """
+    rows, targets = list(rows), list(targets)
+    if not rows and not targets:
+        return {}
+    a, rhs = _determinantal_rows(sigma, rows, v, targets, known)
+    return _solve_systems([(a, rhs, targets, v)])[0]
+
+
+def _determinantal_rows(
+    sigma: NDArray,
+    rows: Iterable[tuple[Iterable[int], Iterable[int]]],
+    v: int,
+    targets: list[int],
+    known: Mapping[DirectedEdge, NDArray] | None = None,
+) -> tuple[NDArray, NDArray]:
+    """The matrix, shape (..., k, k), and right-hand side, (..., k), of ``solve_determinantal_system``."""
     rows = [(list(s), list(t)) for s, t in rows]
-    targets = list(targets)
+    known = known or {}
     if len(rows) != len(targets):
         raise ValueError(f"need one row per target, got {len(rows)} and {len(targets)}")
     for s, t in rows:
         if len(s) != len(t) + 1:
             raise ValueError(f"row ({s}, {t}) must have |S| = |T| + 1")
-    k = len(targets)
-    if k == 0:
-        return {}
+    for w, head in known:
+        if head != v:
+            raise ValueError(f"known edge {w}->{head} does not point into {v}")
+
+    def rhs(s: list[int], t: list[int]) -> NDArray:
+        value = subdeterminant(sigma, s, t + [v])
+        for (w, _), x in known.items():
+            value = value - x * subdeterminant(sigma, s, t + [w])
+        return value
+
     a = np.stack([
         np.stack([subdeterminant(sigma, s, t + [w]) for w in targets], axis=-1)
         for s, t in rows
     ], axis=-2)
-    rhs = np.stack([subdeterminant(sigma, s, t + [v]) for s, t in rows], axis=-1)
-    return _solve(a, rhs, targets, v, "joint system determinant")
+    return a, np.stack([rhs(s, t) for s, t in rows], axis=-1)
 
 
 def _free_parameters(g: MixedGraph) -> list[tuple[str, int, int]]:

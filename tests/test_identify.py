@@ -570,6 +570,29 @@ def test_joint_certificate_replay():
     assert max(errors.values()) < 1e-6
 
 
+def test_joint_certificate_rejects_rows_that_cannot_replay():
+    g = JOINT_SYSTEM_GRAPH
+    for rows, message in (
+        ([([3], [1]), ([2, 4], [1])], "row ([3], [1]) must have |S| = |T| + 1"),
+        ([([3, 3], [1]), ([2, 4], [1])], "row ([3], [1]) must have |S| = |T| + 1"),
+        ([([3, 5, 0], [1, 2]), ([2, 4], [1])], "vertex 0 outside 1..6"),
+        ([([3, 5], [7]), ([2, 4], [1])], "vertex 7 outside 1..6"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            joint_certificate(g, 6, [4, 5], rows)
+
+
+def test_replay_rejects_a_witness_vertex_outside_the_graph():
+    sigma = covariance(sample_parameters(IV_GRAPH, seed=0))
+    tsid = EdgeCertificate(edge=(2, 3), status=IDENTIFIABLE, method="TSID",
+                           witness={"v": 3, "w0": 2, "S": [0], "T": []})
+    htc = EdgeCertificate(edge=(2, 3), status=IDENTIFIABLE, method="HTC",
+                          witness={"v": 3, "E": [2], "S": [], "Y": [4], "H": {4: []}})
+    for cert, vertex in ((tsid, 0), (htc, 4)):
+        with pytest.raises(ValueError, match=re.escape(f"vertex {vertex} outside 1..3")):
+            replay_certificates([cert], sigma)
+
+
 def test_joint_certificate_json():
     certs = joint_certificate(JOINT_SYSTEM_GRAPH, 6, [5, 4], [([5, 3], [1]), ([4, 2], [1])])
     assert certs[0].to_json_dict() == {
@@ -637,6 +660,36 @@ def test_replay_solves_each_system_once(monkeypatch):
     certs = list(htc_identify(JOINT_SYSTEM_GRAPH).certificates.values())
     replay_certificates(certs, covariance(sample_parameters(JOINT_SYSTEM_GRAPH, 0)))
     assert len(calls) == len({id(c.witness) for c in certs}) < len(certs)
+
+
+def test_replay_builds_a_joint_system_once(monkeypatch):
+    calls = []
+    original = oracle._determinantal_rows
+    monkeypatch.setattr(oracle, "_determinantal_rows",
+                        lambda *args, **kwargs: calls.append(1) or original(*args, **kwargs))
+    certs = joint_certificate(JOINT_SYSTEM_GRAPH, 6, [4, 5], [([3, 5], [1]), ([2, 4], [1])])
+    sigma = covariance(sample_parameters(JOINT_SYSTEM_GRAPH, 0))
+    assert set(replay_certificates(certs, sigma)) == {(4, 6), (5, 6)}
+    assert len(calls) == 1
+
+
+def test_tsid_and_joint_systems_join_the_waiting_batch(monkeypatch):
+    # A certificate whose prerequisites are all recovered adds its system to
+    # the batch, whatever its method; only a missing value flushes it.
+    batches = []
+    original = oracle._solve_systems
+    monkeypatch.setattr(oracle, "_solve_systems",
+                        lambda systems: batches.append([(s[2], s[3]) for s in systems]) or original(systems))
+    htc = htc_identify(IV_GRAPH).certificates
+    tsid = EdgeCertificate(edge=(2, 3), status=IDENTIFIABLE, method="TSID",
+                           witness={"v": 3, "w0": 2, "S": [1], "T": []})
+    replay_certificates([htc[(1, 2)], tsid], covariance(sample_parameters(IV_GRAPH, 0)))
+    assert batches == [[([1], 2), ([2], 3)]]
+    batches.clear()
+    htc = list(htc_identify(JOINT_SYSTEM_GRAPH).certificates.values())
+    joint = joint_certificate(JOINT_SYSTEM_GRAPH, 6, [4, 5], [([3, 5], [1]), ([2, 4], [1])])
+    replay_certificates(htc[:2] + joint + htc[2:], covariance(sample_parameters(JOINT_SYSTEM_GRAPH, 0)))
+    assert batches[0][:3] == [([1], 2), ([1], 3), ([4, 5], 6)]
 
 
 def _one_system_at_a_time(certificates, sigma):
@@ -774,7 +827,7 @@ def test_verify_falls_back_per_seed_on_degenerate_batch(monkeypatch):
     certs = list(eid_tsid_identify(g).certificates.values())
     seeds = [7919 * i for i in range(5)]
     bad = covariance(sample_parameters(g, seeds[2]))
-    original = oracle.recover_edge_ratio
+    original = oracle._determinantal_rows
     raised = []
 
     def flaky(sigma, *args, **kwargs):
@@ -783,7 +836,7 @@ def test_verify_falls_back_per_seed_on_degenerate_batch(monkeypatch):
             raise DegenerateSampleError("forced")
         return original(sigma, *args, **kwargs)
 
-    monkeypatch.setattr(oracle, "recover_edge_ratio", flaky)
+    monkeypatch.setattr(oracle, "_determinantal_rows", flaky)
     errors = verify_certificates(g, certs, seeds)
     assert raised == [(5, 5, 5), (5, 5)]  # the batch, then seed 2 before it resamples
     assert errors == _per_seed_errors(g, certs, seeds)

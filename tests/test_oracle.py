@@ -203,6 +203,33 @@ def test_recover_edge_ratio_degenerate_denominator():
         recover_edge_ratio(sig, [1, 2], [3], 4, 3)
 
 
+def test_recover_edge_ratio_is_the_explicit_quotient_bit_for_bit():
+    # TSID replay solves a 1 x 1 system; the golden digests rest on its
+    # bytes being those of (num - known * det) / den.
+    g = JOINT_SYSTEM_GRAPH
+    p = sample_parameters(g, range(100))
+    sigma = covariance(p)
+    known = p.lam[:, 4, 5]
+    got = recover_edge_ratio(sigma, [3, 5], [1], 6, 4, known={(5, 6): known})
+    num = subdeterminant(sigma, [3, 5], [1, 6]) - known * subdeterminant(sigma, [3, 5], [1, 5])
+    assert got.tobytes() == (num / subdeterminant(sigma, [3, 5], [1, 4])).tobytes()
+    assert np.allclose(got, p.lam[:, 3, 5], rtol=1e-9, atol=0)
+
+
+@pytest.mark.parametrize("vertex, call", [
+    (0, lambda sig: subdeterminant(sig, [0], [1])),
+    (4, lambda sig: subdeterminant(sig, [1], [4])),
+    (0, lambda sig: recover_edge_ratio(sig, [0], [], 3, 2)),
+    (0, lambda sig: solve_recovery_system(sig, 3, [2], [], [0], [[]])),
+    (4, lambda sig: solve_recovery_system(sig, 3, [2], [], [1], [[4]])),
+    (0, lambda sig: solve_recovery_system(sig, 0, [2], [], [1], [[]])),
+], ids=["subdet-row", "subdet-col", "ratio-source", "system-source", "system-parent", "system-head"])
+def test_oracle_rejects_a_vertex_outside_the_graph(vertex, call):
+    sig = covariance(sample_parameters(IV_GRAPH, seed=0))
+    with pytest.raises(ValueError, match=rf"vertex {vertex} outside 1\.\.3"):
+        call(sig)
+
+
 def test_solve_recovery_system_iv():
     p = sample_parameters(IV_GRAPH, seed=23)
     sig = covariance(p)
