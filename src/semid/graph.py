@@ -3,18 +3,19 @@
 A mixed graph has directed edges (linear effects) and bidirected edges
 (correlated errors / latent confounding).  Vertices are labeled 1..n in all
 public interfaces.  Graphs are immutable and hashable.  Validity (a
-nonnegative vertex count, no self-loops, every endpoint in 1..n) is checked
-once when the graph is built, so no invalid graph exists.  Each graph
-computes its neighbourhoods, descendants, ancestors, trek and half-trek
-reach and acyclicity in one pass, as vertex bitmasks (``_reach_masks``), and
-memoizes them on the instance itself, so they are computed once per graph
-and freed with it.  The frozenset queries are views of those masks.
+nonnegative integer vertex count, no self-loops, every endpoint an integer
+in 1..n) is checked once when the graph is built, so no invalid graph
+exists.  Each graph computes its neighbourhoods, descendants, ancestors,
+trek and half-trek reach and acyclicity in one pass, as vertex bitmasks
+(``_reach_masks``), and memoizes them on the instance itself, so they are
+computed once per graph and freed with it.  The frozenset queries are views of those masks.
 Equality, hashing and repr ignore the memo.
 """
 
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
@@ -26,8 +27,10 @@ DirectedEdge = tuple[int, int]
 class MixedGraph:
     """A mixed graph on vertices 1..n.
 
-    Raises ValueError naming every problem when ``n`` is negative, an edge
-    is a self-loop or an endpoint lies outside 1..n.
+    Raises ValueError naming every problem when ``n`` or an endpoint is not
+    an integer (a bool is not), ``n`` is negative, an edge is a self-loop or
+    an endpoint lies outside 1..n.  Integer endpoints of any type, such as
+    ``np.int64``, are stored as ``int``.
 
     Attributes:
         n: Number of vertices.
@@ -46,14 +49,15 @@ class MixedGraph:
         directed: Iterable[DirectedEdge] = (),
         bidirected: Iterable[DirectedEdge] = (),
     ):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "directed", frozenset((u, w) for u, w in directed))
-        object.__setattr__(
-            self,
-            "bidirected",
-            frozenset((min(u, w), max(u, w)) for u, w in bidirected),
-        )
-        problems = _problems(self)
+        n = _vertex(n)
+        directed = [(_vertex(u), _vertex(w)) for u, w in directed]
+        bidirected = [(_vertex(u), _vertex(w)) for u, w in bidirected]
+        problems = _type_problems(n, directed, bidirected)
+        if not problems:
+            object.__setattr__(self, "n", n)
+            object.__setattr__(self, "directed", frozenset(directed))
+            object.__setattr__(self, "bidirected", frozenset((min(u, w), max(u, w)) for u, w in bidirected))
+            problems = _problems(self)
         if problems:
             raise ValueError("invalid mixed graph: " + "; ".join(problems))
         object.__setattr__(self, "_memo", {})
@@ -106,8 +110,26 @@ class MixedGraph:
         return _cached(self, _reach_masks).acyclic
 
 
+def _vertex(x: object) -> object:
+    """``x`` as a plain int when it is an integer other than a bool, else ``x`` itself."""
+    if type(x) is int or isinstance(x, bool) or not isinstance(x, numbers.Integral):
+        return x
+    return int(x)
+
+
+def _type_problems(n: object, directed: list[tuple], bidirected: list[tuple]) -> list[str]:
+    """One message per count or endpoint, passed through ``_vertex``, that is not an int, in input order."""
+    problems = [] if type(n) is int else [f"vertex count {n!r} is not an integer"]
+    for kind, edges in (("directed", directed), ("bidirected", bidirected)):
+        problems += [
+            f"{kind} edge ({u!r},{w!r}): endpoint {x!r} is not an integer"
+            for u, w in edges for x in (u, w) if type(x) is not int
+        ]
+    return problems
+
+
 def _problems(g: MixedGraph) -> list[str]:
-    """One message per violated MixedGraph invariant."""
+    """One message per violated MixedGraph invariant of a graph with int vertices."""
     problems = []
     if g.n < 0:
         problems.append(f"vertex count must be nonnegative, got {g.n}")

@@ -658,8 +658,9 @@ class CertificationReport:
 
     ``certificates`` maps every directed edge to its certificate, in sorted
     edge order.  ``parameterization_infinite_to_one`` flags a rank-deficient
-    Jacobian of the whole parameterization (a global obstruction independent
-    of the per-edge statuses).
+    Jacobian of the whole parameterization, independent of the per-edge
+    statuses.  It is evidence of a global obstruction, not a certificate:
+    the rank is a float rank at one sampled point (``oracle.jacobian_rank``).
     """
 
     graph: MixedGraph
@@ -724,39 +725,27 @@ def _verification_seeds(seed: int, count: int) -> list[int]:
     return [seed + 7919 * i for i in range(count)]
 
 
-def _replay_with_resampling(
-    g: MixedGraph,
-    ordered: list[EdgeCertificate],
-    seed: int,
-) -> tuple[Parameters, dict[DirectedEdge, float]]:
-    """Replay at a sampled point, resampling on tolerance-triggered degeneracy."""
-    last_error: DegenerateSampleError | None = None
-    for attempt in range(REPLAY_RESAMPLES):
-        params = oracle.sample_parameters(g, seed + 104729 * attempt)
-        try:
-            return params, replay_certificates(ordered, oracle._covariance_solve(params))
-        except DegenerateSampleError as exc:
-            last_error = exc
-    raise DegenerateSampleError(
-        f"replay stayed degenerate after {REPLAY_RESAMPLES} resamples (seed {seed}): {last_error}"
-    )
-
-
 def _replay_errors(
     ordered: list[EdgeCertificate],
     seeds: list[int],
-    lam: np.ndarray,
-    recovered: dict[DirectedEdge, np.ndarray],
+    sampled: Parameters,
 ) -> np.ndarray:
-    """Relative errors, seeds x edges, of values replayed at the sampled ``lam``.
+    """Replay at a stack of sampled points; relative errors, seeds x edges.
+
+    ``sampled`` holds one point per seed; its covariance is the path sum on
+    an acyclic graph and two solves on a cyclic one, without the singularity
+    check of ``oracle.covariance``, which every stack the sampler returns
+    passes.
 
     Raises:
         CertificateError: for the first (seed, edge), seed-major, whose error
             is not within ``REPLAY_TOLERANCE`` (a NaN error fails).
+        DegenerateSampleError: some system determinant is below tolerance.
     """
+    recovered = replay_certificates(ordered, oracle._covariance_solve(sampled))
     shape = (len(seeds), len(ordered))
     tails, heads = np.array([c.edge for c in ordered], dtype=np.intp).reshape(-1, 2).T - 1
-    truth = lam[..., tails, heads].reshape(shape)
+    truth = sampled.lam[..., tails, heads].reshape(shape)
     values = [recovered[c.edge] for c in ordered]
     got = np.stack(values, axis=-1).reshape(shape) if values else np.empty(shape)
     rel = np.abs(got - truth) / np.maximum(np.abs(truth), 1e-12)
@@ -780,17 +769,16 @@ def verify_certificates(
 ) -> dict[DirectedEdge, float]:
     """Replay identifiable certificates over several seeds against ground truth.
 
-    All seeds are sampled and replayed together on one stack of covariances;
-    ``sampled`` is that stack, ``oracle.sample_parameters(g, seeds)``, when
-    the caller has already drawn it.  Its covariance is the path sum on an
-    acyclic graph and two solves on a cyclic one, without the singularity
-    check of ``oracle.covariance``, which every stack the sampler returns
-    passes.  ``replay_certificates`` solves the certificates' systems in
+    All seeds are sampled and replayed together on one stack of covariances
+    by ``_replay_errors``; ``sampled`` is that stack,
+    ``oracle.sample_parameters(g, seeds)``, when the caller has already
+    drawn it.  ``replay_certificates`` solves the certificates' systems in
     batches: those that wait until a certificate needs one of their values,
     or until the end of the list, are solved together, one determinant
     check and one solve per system size, for all seeds at once.
     When any seed is degenerate, the seeds replay one by one instead, each
-    resampling on its own as ``_replay_with_resampling`` does.
+    through ``_replay_errors`` on a one-point stack: attempt a draws
+    ``seed + 104729 * a``, for up to ``REPLAY_RESAMPLES`` attempts.
 
     Returns the max relative recovery error per edge.
 
@@ -814,15 +802,23 @@ def verify_certificates(
     try:
         if sampled is None:
             sampled = oracle.sample_parameters(g, seeds)
-        recovered = replay_certificates(ordered, oracle._covariance_solve(sampled))
-        rel = _replay_errors(ordered, seeds, sampled.lam, recovered)
+        rel = _replay_errors(ordered, seeds, sampled)
     except DegenerateSampleError:
         # The oracle raises for the whole stack, so only a one-seed replay
         # shows which seed is degenerate and needs resampling.
         rows = []
         for seed in seeds:
-            p, recovered = _replay_with_resampling(g, ordered, seed)
-            rows.append(_replay_errors(ordered, [seed], p.lam, recovered))
+            for attempt in range(REPLAY_RESAMPLES):
+                one = oracle.sample_parameters(g, [seed + 104729 * attempt])
+                try:
+                    rows.append(_replay_errors(ordered, [seed], one))
+                    break
+                except DegenerateSampleError as exc:
+                    last_error = exc
+            else:
+                raise DegenerateSampleError(
+                    f"replay stayed degenerate after {REPLAY_RESAMPLES} resamples (seed {seed}): {last_error}"
+                )
         rel = np.concatenate(rows)
     worst = rel.max(axis=0)
     return {cert.edge: float(err) for cert, err in zip(ordered, worst)}

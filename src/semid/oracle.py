@@ -67,24 +67,34 @@ class Parameters:
 
 
 def validate_parameters(g: MixedGraph, p: Parameters, tol: float = 1e-12) -> list[str]:
-    """Check the Parameters invariants against the graph supports."""
-    problems = []
+    """Check the Parameters invariants against the graph supports.
+
+    Every non-finite entry is named, and the checks of the whole matrices
+    (symmetry, definiteness, singularity) run only when there is none.
+    Every check is written so that a NaN fails it.
+    """
     n = g.n
     if p.lam.shape != (n, n) or p.omega.shape != (n, n):
         return [f"matrix shapes {p.lam.shape}, {p.omega.shape} do not match n={n}"]
-    if np.max(np.abs(p.omega - p.omega.T)) > tol:
-        problems.append("omega is not symmetric")
-    if np.min(np.linalg.eigvalsh((p.omega + p.omega.T) / 2)) <= 0:
-        problems.append("omega is not positive definite")
-    if abs(np.linalg.det(np.eye(n) - p.lam)) <= tol:
-        problems.append("I - lambda is numerically singular")
+    problems = [
+        f"{name}[{v + 1},{w + 1}] is not finite"
+        for name, m in (("lambda", p.lam), ("omega", p.omega))
+        for v, w in np.argwhere(~np.isfinite(m)).tolist()
+    ]
+    if not problems:  # eigvalsh need not converge on a non-finite matrix
+        if not np.max(np.abs(p.omega - p.omega.T)) <= tol:
+            problems.append("omega is not symmetric")
+        if not np.min(np.linalg.eigvalsh((p.omega + p.omega.T) / 2)) > 0:
+            problems.append("omega is not positive definite")
+        if not abs(np.linalg.det(np.eye(n) - p.lam)) > tol:
+            problems.append("I - lambda is numerically singular")
     for v in range(1, n + 1):
         for w in range(1, n + 1):
-            if v != w and abs(p.lam[v - 1, w - 1]) > tol and (v, w) not in g.directed:
+            if v != w and not abs(p.lam[v - 1, w - 1]) <= tol and (v, w) not in g.directed:
                 problems.append(f"lambda[{v},{w}] nonzero without edge {v}->{w}")
-            if v == w and abs(p.lam[v - 1, w - 1]) > tol:
+            if v == w and not abs(p.lam[v - 1, w - 1]) <= tol:
                 problems.append(f"lambda[{v},{v}] nonzero on the diagonal")
-            if v < w and abs(p.omega[v - 1, w - 1]) > tol and not g.has_bidirected(v, w):
+            if v < w and not abs(p.omega[v - 1, w - 1]) <= tol and not g.has_bidirected(v, w):
                 problems.append(f"omega[{v},{w}] nonzero without edge {v}<->{w}")
     return problems
 
@@ -559,34 +569,30 @@ def sigma_jacobian(g: MixedGraph, p: Parameters) -> NDArray:
 
     Rows index the upper triangle of sigma (row-major, diagonal included),
     columns index the free parameters in the order of _free_parameters.
-    Uses the closed-form derivatives: for an edge coefficient at (u, v),
-    d sigma = M^-T E_vu sigma + sigma E_uv M^-1 with M = I - lambda; for an
-    omega entry, d sigma = M^-T (E_uv + E_vu [u != v]) M^-1.
+    With R = (I - lambda)^-1, one inverse, and sigma = R^T omega R, every
+    column is a symmetrized outer product x (x) y + y (x) x of two rows:
+    R[w] and sigma[u] for the edge u -> w, R[u] and R[w] for u <-> w, and
+    half of that, R[x] (x) R[x], for omega[x, x].
     """
     n = g.n
-    m_inv = np.linalg.inv(np.eye(n) - p.lam)
-    sigma = covariance(p)
-    upper = ~np.tri(n, k=-1, dtype=bool)  # a boolean mask reads row-major
+    r = np.linalg.inv(np.eye(n) - p.lam)
+    sigma = r.T @ p.omega @ r
+    rows, cols = np.triu_indices(n)  # row-major, like a boolean upper mask
     tails, heads, ends_a, ends_b, _ = _cached(g, _sampling_layout)
-    # Edge (u, v): the outer product of column v of M^-T with row u of sigma.
-    left = m_inv[heads, :, None] * sigma[tails, None, :]
-    # Omega entry (u, v): one basis matrix per coordinate, sandwiched at once.
-    basis = np.zeros((len(ends_a) + n, n, n))
-    pairs, diag = np.arange(len(ends_a)), np.arange(n)
-    basis[pairs, ends_a, ends_b] = 1.0
-    basis[pairs, ends_b, ends_a] = 1.0
-    basis[len(ends_a) + diag, diag, diag] = 1.0
-    jac = np.empty((n * (n + 1) // 2, len(tails) + len(basis)))
-    jac[:, :len(tails)] = (left + np.swapaxes(left, -1, -2))[:, upper].T
-    jac[:, len(tails):] = (m_inv.T @ basis @ m_inv)[:, upper].T
+    x = np.concatenate([r[heads], r[ends_a], r])
+    y = np.concatenate([sigma[tails], r[ends_b], r])
+    jac = (x[:, rows] * y[:, cols] + x[:, cols] * y[:, rows]).T
+    jac[:, len(tails) + len(ends_a):] /= 2
     return jac
 
 
 def jacobian_rank(g: MixedGraph, p: Parameters) -> int:
     """Numeric column rank of the parameterization Jacobian at p.
 
-    A rank below the number of free parameters certifies that the
-    parameterization is generically infinite-to-one.
+    A rank below the number of free parameters is evidence, not proof,
+    that the parameterization is generically infinite-to-one: the rank is
+    taken in floating point at one sampled point, and at an ill-conditioned
+    point it can count too few columns.
     """
     return numeric_rank(sigma_jacobian(g, p))
 

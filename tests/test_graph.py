@@ -4,6 +4,7 @@ import sys
 import tracemalloc
 import weakref
 
+import numpy as np
 import pytest
 
 from semid import (
@@ -57,6 +58,28 @@ def test_construction_rejects_self_loop_and_range():
         "bidirected-self-loop", "bidirected-out-of-range", "two-problems"])
 def test_construction_names_every_problem(n, directed, bidirected, problems):
     assert invalid_graph_message(n, directed, bidirected) == "invalid mixed graph: " + problems
+
+
+@pytest.mark.parametrize("n, directed, bidirected, problems", [
+    (3, [(1, 2.0)], [], "directed edge (1,2.0): endpoint 2.0 is not an integer"),
+    (3, [(1, 2)], [(1, 3.0)], "bidirected edge (1,3.0): endpoint 3.0 is not an integer"),
+    (2.5, [], [], "vertex count 2.5 is not an integer"),
+    (True, [], [], "vertex count True is not an integer"),
+    (3, [(1, "2")], [], "directed edge (1,'2'): endpoint '2' is not an integer"),
+    (np.float64(3), [(False, 9)], [(1, 2)],
+     "vertex count np.float64(3.0) is not an integer; directed edge (False,9): endpoint False is not an integer"),
+], ids=["float-head", "float-bidirected", "float-count", "bool-count", "str-head", "count-and-bool-tail"])
+def test_construction_names_every_non_integer(n, directed, bidirected, problems):
+    assert invalid_graph_message(n, directed, bidirected) == "invalid mixed graph: " + problems
+
+
+def test_construction_stores_integer_endpoints_as_int():
+    g = MixedGraph(np.int64(3), [(np.int64(1), np.int32(2))], [(np.int64(3), np.uint8(2))])
+    assert g == MixedGraph(3, [(1, 2)], [(2, 3)])
+    values = [g.n, *(x for e in g.directed | g.bidirected for x in e)]
+    assert all(type(x) is int for x in values)
+    assert graph_to_json(g) == '{"n": 3, "directed": [[1, 2]], "bidirected": [[2, 3]]}'
+    assert str(encode_id(g)) == "3:1:4"
 
 
 def test_bidirected_membership_is_symmetric():

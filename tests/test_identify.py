@@ -34,7 +34,6 @@ from semid.identify import (
     CertificateError,
     EdgeCertificate,
     SolverState,
-    _replay_with_resampling,
     _tsep_probe,
     _tsep_sweep,
 )
@@ -810,10 +809,22 @@ def test_verify_rejects_a_sampled_stack_of_another_size():
 
 
 def _per_seed_errors(g, certs, seeds):
-    """The replay loop that verify_certificates batches: one seed at a time."""
+    """The replay loop that verify_certificates batches: one 2-D point per seed.
+
+    A degenerate seed is resampled as verify_certificates does, at
+    seed + 104729 * attempt.
+    """
     errors = {c.edge: 0.0 for c in certs}
     for seed in seeds:
-        params, recovered = _replay_with_resampling(g, certs, seed)
+        for attempt in range(identify.REPLAY_RESAMPLES):
+            params = sample_parameters(g, seed + 104729 * attempt)
+            try:
+                recovered = replay_certificates(certs, oracle._covariance_solve(params))
+                break
+            except DegenerateSampleError:
+                pass
+        else:
+            raise AssertionError(f"seed {seed} stayed degenerate")
         for c in certs:
             u, w = c.edge
             truth = params.lam[u - 1, w - 1]
@@ -838,7 +849,7 @@ def test_verify_falls_back_per_seed_on_degenerate_batch(monkeypatch):
 
     monkeypatch.setattr(oracle, "_determinantal_rows", flaky)
     errors = verify_certificates(g, certs, seeds)
-    assert raised == [(5, 5, 5), (5, 5)]  # the batch, then seed 2 before it resamples
+    assert raised == [(5, 5, 5), (1, 5, 5)]  # the batch, then seed 2 before it resamples
     assert errors == _per_seed_errors(g, certs, seeds)
 
 

@@ -37,6 +37,34 @@ from conftest import (
 )
 
 
+@pytest.mark.parametrize("matrix, entries, value, problems", [
+    ("lam", [(0, 1)], np.nan, ["lambda[1,2] is not finite"]),
+    ("lam", [(0, 1)], np.inf, ["lambda[1,2] is not finite"]),
+    ("omega", [(1, 2), (2, 1)], np.nan, ["omega[2,3] is not finite", "omega[3,2] is not finite"]),
+    ("omega", [(0, 0)], -np.inf, ["omega[1,1] is not finite"]),
+    ("lam", [(0, 2)], np.nan, ["lambda[1,3] is not finite", "lambda[1,3] nonzero without edge 1->3"]),
+], ids=["nan-lambda", "inf-lambda", "nan-omega-pair", "inf-omega-diagonal", "nan-off-support"])
+def test_validate_parameters_names_non_finite_entries(matrix, entries, value, problems):
+    g = MixedGraph(3, [(1, 2), (2, 3)], [(2, 3)])
+    p = sample_parameters(g, 0)
+    assert validate_parameters(g, p) == []
+    changed = {"lam": p.lam.copy(), "omega": p.omega.copy()}
+    for entry in entries:
+        changed[matrix][entry] = value
+    assert validate_parameters(g, Parameters(**changed)) == problems
+
+
+def test_validate_parameters_checks_finite_matrices_whole():
+    # All entries finite: an asymmetric, indefinite omega and a singular
+    # I - lambda each fail their check.
+    g = MixedGraph(2, [(1, 2), (2, 1)], [(1, 2)])
+    lam = np.array([[0.0, 1.0], [1.0, 0.0]])
+    omega = np.array([[1.0, 2.0], [3.0, 1.0]])
+    assert validate_parameters(g, Parameters(lam, omega)) == [
+        "omega is not symmetric", "omega is not positive definite", "I - lambda is numerically singular",
+    ]
+
+
 def test_sampling_respects_supports_and_determinism():
     p = sample_parameters(IV_GRAPH, seed=4)
     assert validate_parameters(IV_GRAPH, p) == []

@@ -4,8 +4,9 @@
 parameters; every slice must match what the 2-D call returns for that seed
 alone.  A single seed is seeded by ``default_rng`` and a long stack by the
 vectorized SeedSequence hash, so the slice tests compare the two.  The
-reference implementations below are the per-seed rejection loop and the
-per-entry Jacobian row loop that the vectorized code replaced.
+reference implementations below are the per-seed rejection loop, the
+per-entry Jacobian row loop, and the Jacobian from 0/1 basis matrices that
+the closed-form columns replaced.
 """
 
 from __future__ import annotations
@@ -17,15 +18,17 @@ import pytest
 
 from semid import (
     DegenerateSampleError,
+    GraphId,
     MixedGraph,
     Parameters,
     covariance,
+    decode_id,
     oracle,
     sample_parameters,
     seeding,
 )
 from semid.identify import _verification_seeds
-from semid.oracle import _free_parameters, sigma_jacobian
+from semid.oracle import _free_parameters, n_free_parameters, numeric_rank, sigma_jacobian
 
 from conftest import random_mixed_graph
 from test_golden import SAMPLE_GRAPHS, SAMPLE_SEEDS
@@ -80,26 +83,43 @@ def _rejection_loop_sample(g: MixedGraph, seed: int) -> Parameters:
 
 
 def _row_loop_jacobian(g: MixedGraph, p: Parameters) -> np.ndarray:
-    """sigma_jacobian with one Python loop over the upper-triangle entries."""
+    """sigma_jacobian with one Python loop over the upper-triangle entries, column by column."""
     n = g.n
-    m_inv = np.linalg.inv(np.eye(n) - p.lam)
-    sigma = covariance(p)
+    r = np.linalg.inv(np.eye(n) - p.lam)
+    sigma = r.T @ p.omega @ r
     tri = [(i, j) for i in range(n) for j in range(i, n)]
     coords = _free_parameters(g)
     jac = np.empty((len(tri), len(coords)))
     for c, (kind, u, w) in enumerate(coords):
-        eu, ew = u - 1, w - 1
-        if kind == "lam":
-            left = np.outer(m_inv.T[:, ew], sigma[eu, :])
-            d = left + left.T
-        else:
-            basis = np.zeros((n, n))
-            basis[eu, ew] = 1.0
-            if eu != ew:
-                basis[ew, eu] = 1.0
-            d = m_inv.T @ basis @ m_inv
-        jac[:, c] = [d[i, j] for i, j in tri]
+        x, y = (r[w - 1], sigma[u - 1]) if kind == "lam" else (r[u - 1], r[w - 1])
+        column = [x[i] * y[j] + x[j] * y[i] for i, j in tri]
+        if kind == "omega" and u == w:
+            column = [value / 2 for value in column]
+        jac[:, c] = column
     return jac
+
+
+def _basis_sandwich_jacobian(g: MixedGraph, p: Parameters) -> np.ndarray:
+    """The Jacobian from 0/1 basis matrices, with sigma from ``covariance``.
+
+    With M = I - lambda: d sigma = M^-T E_wu sigma + sigma E_uw M^-1 for
+    the edge u -> w, and M^-T (E_uw + E_wu [u != w]) M^-1 for omega[u, w].
+    """
+    n = g.n
+    m_inv = np.linalg.inv(np.eye(n) - p.lam)
+    sigma = covariance(p)
+    upper = ~np.tri(n, k=-1, dtype=bool)
+    columns = []
+    for kind, u, w in _free_parameters(g):
+        basis = np.zeros((n, n))
+        basis[u - 1, w - 1] = 1.0
+        if kind == "lam":
+            d = m_inv.T @ basis.T @ sigma + sigma @ basis @ m_inv
+        else:
+            basis[w - 1, u - 1] = 1.0
+            d = m_inv.T @ basis @ m_inv
+        columns.append(d[upper])
+    return np.array(columns).reshape(-1, n * (n + 1) // 2).T
 
 
 def _assert_slices_match(g: MixedGraph, seeds: list[int]) -> None:
@@ -187,6 +207,25 @@ def test_jacobian_equals_the_row_loop():
     for k, g in enumerate(graphs):
         p = sample_parameters(g, k)
         assert sigma_jacobian(g, p).tobytes() == _row_loop_jacobian(g, p).tobytes()
+
+
+# Graphs whose seed-0 point is ill-conditioned enough that the float rank
+# drops: 20 of 21 and 5 of 15 columns.
+ILL_CONDITIONED_CODES = ["6:873995428:10400", "5:262577:312"]
+
+
+def test_jacobian_matches_the_basis_sandwich():
+    points = [(g, k) for k, g in enumerate(SAMPLE_GRAPHS.values())]
+    points += [(g, seed) for g in _seeded_graphs(60, 3, 12) for seed in (0, 7919)]
+    ill = [decode_id(GraphId.parse(code)) for code in ILL_CONDITIONED_CODES]
+    points += [(g, seed) for g in ill for seed in range(4)]
+    assert [numeric_rank(sigma_jacobian(g, sample_parameters(g, 0))) for g in ill] == [20, 5]
+    for g, seed in points:
+        p = sample_parameters(g, seed)
+        got, reference = sigma_jacobian(g, p), _basis_sandwich_jacobian(g, p)
+        assert got.shape == reference.shape == (g.n * (g.n + 1) // 2, n_free_parameters(g))
+        assert np.max(np.abs(got - reference)) <= 1e-12 * np.max(np.abs(reference))
+        assert numeric_rank(got) == numeric_rank(reference)
 
 
 # Seeds at the 32-bit word boundaries of SeedSequence's entropy; 2**128 has
