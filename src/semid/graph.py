@@ -3,12 +3,13 @@
 A mixed graph has directed edges (linear effects) and bidirected edges
 (correlated errors / latent confounding).  Vertices are labeled 1..n in all
 public interfaces.  Graphs are immutable and hashable.  Validity (a
-nonnegative integer vertex count, no self-loops, every endpoint an integer
-in 1..n) is checked once when the graph is built, so no invalid graph
-exists.  Each graph computes its neighbourhoods, descendants, ancestors,
-trek and half-trek reach and acyclicity in one pass, as vertex bitmasks
-(``_reach_masks``), and memoizes them on the instance itself, so they are
-computed once per graph and freed with it.  The frozenset queries are views of those masks.
+nonnegative integer vertex count, every edge a pair of endpoints, no
+self-loops, every endpoint an integer in 1..n) is checked once when the
+graph is built, so no invalid graph exists.  Each graph computes its
+neighbourhoods, descendants, ancestors, trek and half-trek reach and
+acyclicity in one pass, as vertex bitmasks (``_reach_masks``), and
+memoizes them on the instance itself, so they are computed once per graph
+and freed with it.  The frozenset queries are views of those masks.
 Equality, hashing and repr ignore the memo.
 """
 
@@ -27,7 +28,8 @@ DirectedEdge = tuple[int, int]
 class MixedGraph:
     """A mixed graph on vertices 1..n.
 
-    Raises ValueError naming every problem when ``n`` or an endpoint is not
+    Raises ValueError naming every problem when ``directed`` or
+    ``bidirected`` is not an iterable of pairs, ``n`` or an endpoint is not
     an integer (a bool is not), ``n`` is negative, an edge is a self-loop or
     an endpoint lies outside 1..n.  Integer endpoints of any type, such as
     ``np.int64``, are stored as ``int``.
@@ -50,9 +52,9 @@ class MixedGraph:
         bidirected: Iterable[DirectedEdge] = (),
     ):
         n = _vertex(n)
-        directed = [(_vertex(u), _vertex(w)) for u, w in directed]
-        bidirected = [(_vertex(u), _vertex(w)) for u, w in bidirected]
-        problems = _type_problems(n, directed, bidirected)
+        problems = [] if type(n) is int else [f"vertex count {n!r} is not an integer"]
+        directed = _pairs("directed", directed, problems)
+        bidirected = _pairs("bidirected", bidirected, problems)
         if not problems:
             object.__setattr__(self, "n", n)
             object.__setattr__(self, "directed", frozenset(directed))
@@ -117,15 +119,32 @@ def _vertex(x: object) -> object:
     return int(x)
 
 
-def _type_problems(n: object, directed: list[tuple], bidirected: list[tuple]) -> list[str]:
-    """One message per count or endpoint, passed through ``_vertex``, that is not an int, in input order."""
-    problems = [] if type(n) is int else [f"vertex count {n!r} is not an integer"]
-    for kind, edges in (("directed", directed), ("bidirected", bidirected)):
+def _pairs(kind: str, edges: object, problems: list[str]) -> list[tuple]:
+    """The entries of ``edges`` as pairs of endpoints passed through ``_vertex``.
+
+    Appends to ``problems``, in input order, one message per entry that is
+    not a pair and per endpoint that is not an int; ``edges`` that is not
+    iterable is one problem.
+    """
+    try:
+        entries = iter(edges)
+    except TypeError:
+        problems.append(f"{kind} edges {edges!r} are not an iterable of pairs")
+        return []
+    pairs = []
+    for entry in entries:
+        try:
+            u, w = entry
+        except (TypeError, ValueError):
+            problems.append(f"{kind} entry {entry!r} is not a pair of endpoints")
+            continue
+        u, w = _vertex(u), _vertex(w)
         problems += [
             f"{kind} edge ({u!r},{w!r}): endpoint {x!r} is not an integer"
-            for u, w in edges for x in (u, w) if type(x) is not int
+            for x in (u, w) if type(x) is not int
         ]
-    return problems
+        pairs.append((u, w))
+    return pairs
 
 
 def _problems(g: MixedGraph) -> list[str]:

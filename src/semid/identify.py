@@ -659,8 +659,11 @@ class CertificationReport:
     ``certificates`` maps every directed edge to its certificate, in sorted
     edge order.  ``parameterization_infinite_to_one`` flags a rank-deficient
     Jacobian of the whole parameterization, independent of the per-edge
-    statuses.  It is evidence of a global obstruction, not a certificate:
-    the rank is a float rank at one sampled point (``oracle.jacobian_rank``).
+    statuses.  When every directed edge is certified the rank is
+    ``n_parameters`` by the certificates themselves: they invert the
+    parameterization rationally.  Otherwise it is a float rank at one
+    sampled point (``oracle.jacobian_rank``), and a deficient one is
+    evidence of a global obstruction, not a certificate.
     """
 
     graph: MixedGraph
@@ -858,8 +861,9 @@ def certify(
 
     Runs the alternating edgewise / trek-separation pipeline, screens the
     remaining edges with the infinite-to-one test (confirming each hit with
-    the explicit two-point construction before trusting it), and evaluates
-    the Jacobian rank of the parameterization at a sampled point.  With
+    the explicit two-point construction before trusting it), and takes the
+    Jacobian rank of the parameterization: full when every edge is
+    certified, else the float rank at a sampled point.  With
     ``verify``, every identifiable certificate is replayed over ``seeds``
     sampled covariances and the max relative error is attached.
 
@@ -894,10 +898,15 @@ def certify(
             cert = replace(cert, verification={"seeds": seeds, "max_rel_err": errors[edge]})
         certificates[edge] = cert
 
+    # Certified coefficients are rational functions of sigma, and so is
+    # omega = (I - lambda)^T sigma (I - lambda): the parameterization has a
+    # rational inverse, and its Jacobian full column rank generically.
+    n_parameters = oracle.n_free_parameters(g)
+    full = len(state.certificates) == len(g.directed)
     return CertificationReport(
         graph=g,
         certificates=certificates,
-        jacobian_rank=oracle.jacobian_rank(g, params),
-        n_parameters=oracle.n_free_parameters(g),
+        jacobian_rank=n_parameters if full else oracle.jacobian_rank(g, params),
+        n_parameters=n_parameters,
         seed=seed,
     )

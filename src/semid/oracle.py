@@ -224,10 +224,12 @@ def _path_sum_inverse(lam: NDArray) -> NDArray | None:
     """(I - lam)^-1 as the path sum (I + lam)(I + lam^2)(I + lam^4)..., or None.
 
     Applies when the support of ``lam``, united over a stack, is acyclic:
-    then lam^n = 0 and the product is the finite sum of lam^k over k < n.
-    Returns None on a cyclic support (a self-loop included), found by a
-    Kahn pass before any product, and when a power fails to vanish within
-    n.bit_length() squarings, as one does on a NaN or infinite entry.
+    then lam^k = 0 for every k above the longest path length L, and the
+    product is the finite sum of lam^k over k <= L.  A Kahn pass, before any
+    product, finds the cycles and L, and the squaring stops once the
+    product covers L.  Returns None on a cyclic support (a self-loop
+    included) and when the result is not finite, as on a NaN or infinite
+    entry.
     """
     n = lam.shape[-1]
     support = lam != 0  # NaN counts as an edge
@@ -239,22 +241,23 @@ def _path_sum_inverse(lam: NDArray) -> NDArray | None:
     for t, h in zip(tails.tolist(), heads.tolist()):
         children[t].append(h)
         indegree[h] += 1
+    depth = [0] * n  # edges on the longest path into each vertex
     ready = [v for v in range(n) if not indegree[v]]
     for v in ready:  # grows while it is read
         for h in children[v]:
+            depth[h] = max(depth[h], depth[v] + 1)
             indegree[h] -= 1
             if not indegree[h]:
                 ready.append(h)
     if len(ready) < n:
         return None
-    inverse = lam + np.eye(n)
-    power = lam
-    for _ in range(n.bit_length()):
+    power, covered = lam, 2
+    inverse = lam + np.eye(n)  # the sum of lam^k over k < covered
+    while covered <= max(depth, default=0):
         power = power @ power
-        if not power.any():
-            return inverse
         inverse += inverse @ power
-    return None
+        covered *= 2
+    return inverse if np.isfinite(inverse).all() else None
 
 
 def restricted_covariance(
@@ -367,8 +370,9 @@ def _solve_systems(
 
     The systems of each size k are stacked and take one determinant and one
     solve.  LAPACK factors every matrix on its own, so each value is the one
-    a solve of its system alone gives (for k = 1, rhs / a bit for bit).  A
-    degenerate determinant is reported for the first such system in list
+    a solve of its system alone gives.  A 1 x 1 stack takes no LAPACK call:
+    its determinant is a and its solution rhs / a, the bytes LAPACK gives.
+    A degenerate determinant is reported for the first such system in list
     order, as solving one by one would.
     """
     by_size: dict[int, list[int]] = {}
@@ -377,7 +381,7 @@ def _solve_systems(
     stacks = []
     for members in by_size.values():
         a = np.stack([systems[i][0] for i in members])
-        stacks.append((members, a, np.linalg.det(a)))
+        stacks.append((members, a, a[..., 0, 0] if a.shape[-1] == 1 else np.linalg.det(a)))
     if any(np.any(np.abs(det) <= DEGENERACY_TOL) for _, _, det in stacks):
         det_of = {i: d for members, _, det in stacks for i, d in zip(members, det)}
         for i in range(len(systems)):
@@ -388,10 +392,13 @@ def _solve_systems(
     out: list[dict[DirectedEdge, NDArray]] = [{}] * len(systems)
     for members, a, _ in stacks:
         rhs = np.stack([systems[i][1] for i in members])
-        solution = np.linalg.solve(a, rhs[..., None])[..., 0]
+        if a.shape[-1] == 1:
+            solution = rhs / a[..., 0]
+        else:
+            solution = np.linalg.solve(a, rhs[..., None])[..., 0]
         for i, x in zip(members, solution):
             _, _, targets, v = systems[i]
-            out[i] = {(w, v): xj for w, xj in zip(targets, np.moveaxis(x, -1, 0))}
+            out[i] = {(w, v): x[..., j] for j, w in enumerate(targets)}
     return out
 
 

@@ -54,8 +54,16 @@ def test_construction_rejects_self_loop_and_range():
     (2, [], [(3, 1)], "bidirected edge (1,3): endpoint 3 outside 1..2"),
     (2, [(1, 1)], [(0, 2)],
      "self-loop 1->1 in directed edges; bidirected edge (0,2): endpoint 0 outside 1..2"),
+    (3, [1], [], "directed entry 1 is not a pair of endpoints"),
+    (3, [(1, 2, 3)], [], "directed entry (1, 2, 3) is not a pair of endpoints"),
+    (3, None, [], "directed edges None are not an iterable of pairs"),
+    (3, [], [5], "bidirected entry 5 is not a pair of endpoints"),
+    (2.5, [(1, 2), ()], 7,
+     "vertex count 2.5 is not an integer; directed entry () is not a pair of endpoints; "
+     "bidirected edges 7 are not an iterable of pairs"),
 ], ids=["negative-n", "directed-self-loop", "directed-head-out-of-range", "directed-tail-out-of-range",
-        "bidirected-self-loop", "bidirected-out-of-range", "two-problems"])
+        "bidirected-self-loop", "bidirected-out-of-range", "two-problems", "directed-int-entry",
+        "directed-triple", "directed-none", "bidirected-int-entry", "malformed-in-input-order"])
 def test_construction_names_every_problem(n, directed, bidirected, problems):
     assert invalid_graph_message(n, directed, bidirected) == "invalid mixed graph: " + problems
 

@@ -29,6 +29,23 @@ def _two_solve_covariance(p: Parameters) -> np.ndarray:
     return out
 
 
+def _squaring_until_zero(lam: np.ndarray) -> np.ndarray | None:
+    """The path sum that squared until a power of lambda was exactly zero.
+
+    It stopped after n.bit_length() squarings, returning None, when no
+    power vanished.  Only acyclic supports reach it here.
+    """
+    n = lam.shape[-1]
+    inverse = lam + np.eye(n)
+    power = lam
+    for _ in range(n.bit_length()):
+        power = power @ power
+        if not power.any():
+            return inverse
+        inverse += inverse @ power
+    return None
+
+
 def _graphs(acyclic: bool) -> list:
     graphs = [g for g in SAMPLE_GRAPHS.values() if g.is_acyclic() == acyclic]
     graphs += [g for g in _seeded_graphs(40, 2, 20) if g.is_acyclic() == acyclic]
@@ -66,6 +83,15 @@ def test_path_sum_matches_the_two_solves_on_acyclic_graphs():
         assert got.shape == expected.shape
         assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
         assert oracle._covariance_solve(p).tobytes() == got.tobytes()
+
+
+def test_path_sum_stops_at_the_longest_path_byte_for_byte():
+    # Squaring past the longest path only adds exact zeros, so stopping
+    # there gives the bytes of squaring until the power vanishes.
+    for p in _points(ACYCLIC):
+        expected = _squaring_until_zero(p.lam)
+        assert expected is not None
+        assert oracle._path_sum_inverse(p.lam).tobytes() == expected.tobytes()
 
 
 def test_cyclic_graphs_keep_the_two_solves_byte_for_byte():
@@ -123,7 +149,7 @@ def test_stack_uses_the_union_of_the_supports():
 
 @pytest.mark.parametrize("shape", [(3, 3), (2, 3, 3)])
 def test_nan_on_an_acyclic_support_returns(shape):
-    # NaN * 0 = NaN, so no power of lambda vanishes; the bounded loop gives up.
+    # NaN * 0 = NaN, so the path sum is not finite; the two solves run.
     lam = np.zeros(shape)
     lam[..., 0, 1] = np.nan
     lam[..., 1, 2] = 0.5
@@ -132,3 +158,17 @@ def test_nan_on_an_acyclic_support_returns(shape):
     with np.errstate(invalid="ignore"):
         sigma = oracle._covariance_solve(p)
     assert sigma.shape == shape and np.isnan(sigma).all()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_path_sum_returns_none_like_the_squaring_loop(bad):
+    # With an infinite entry too (inf * 0 = NaN), no power vanished and
+    # the squaring loop gave up; the sum stopped at the longest path is
+    # not finite.
+    lam = np.zeros((2, 3, 3))
+    lam[..., 0, 1] = bad
+    lam[..., 1, 2] = 0.5
+    with np.errstate(invalid="ignore"):
+        assert _squaring_until_zero(lam) is None
+        assert oracle._path_sum_inverse(lam) is None
+        assert oracle._path_sum_inverse(lam[0]) is None

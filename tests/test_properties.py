@@ -16,6 +16,7 @@ from semid import (
     eid_identify,
     eid_tsid_identify,
     htc_identify,
+    oracle,
     replay_certificates,
     sample_parameters,
     tsid_identify,
@@ -23,7 +24,7 @@ from semid import (
 )
 from semid.identify import IDENTIFIABLE, INFINITE_TO_ONE
 
-from conftest import random_mixed_graph
+from conftest import INCONCLUSIVE_ACYCLIC_GRAPH, IV_GRAPH, ONE_EDGE_NONID_GRAPH, random_mixed_graph
 
 
 def test_prerequisite_order_is_topological():
@@ -148,6 +149,8 @@ def test_identifiable_statuses_have_methods():
 def test_jacobian_rank_agrees_with_edge_verdicts():
     # An infinite-to-one edge makes the whole parameterization infinite-to-one,
     # so the Jacobian loses rank; a fully identified graph keeps full rank.
+    # certify takes that full rank from the certificates, so the float rank
+    # at the same point checks them independently.
     rng = random.Random(219)
     infinite, full = 0, 0
     for i in range(150):
@@ -160,21 +163,35 @@ def test_jacobian_rank_agrees_with_edge_verdicts():
         if report.fully_identifiable():
             full += 1
             assert report.jacobian_rank == report.n_parameters
+            assert oracle.jacobian_rank(g, sample_parameters(g, i)) == report.n_parameters
     assert infinite and full
 
 
-@pytest.mark.xfail(
-    raises=AssertionError, strict=True,
-    reason="the float Jacobian rank undercounts at an ill-conditioned cyclic sample",
-)
 @pytest.mark.parametrize("code", ["6:873995428:10400", "5:262577:312"])
 def test_fully_identifiable_report_is_finite_to_one(code):
     # Every edge is certified and replayed, so the parameterization is
-    # generically one-to-one.  Yet at seed 0 the SVD finds rank 20 of 21 on
-    # the first graph and 5 of 15 on the second; a rank over GF(P) needs no
-    # tolerance.
+    # generically one-to-one, and the report says so.  The float SVD rank at
+    # seed 0 would find only 20 of 21 on the first graph and 5 of 15 on the
+    # second: the sample is ill-conditioned.
     report = certify(decode_id(GraphId.parse(code)))
     if not (report.fully_identifiable()
             and all(c.verification for c in report.certificates.values())):
         pytest.fail(f"{code} is no longer certified and replayed in full")
     assert not report.parameterization_infinite_to_one
+    assert report.jacobian_rank == report.n_parameters
+
+
+def test_certify_takes_only_an_uncertified_graph_to_the_float_rank(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("float Jacobian rank of a fully certified graph")
+
+    monkeypatch.setattr(oracle, "jacobian_rank", forbidden)
+    for g in (IV_GRAPH, MixedGraph(3)):
+        for verify in (True, False):
+            report = certify(g, verify=verify)
+            assert report.fully_identifiable()
+            assert report.jacobian_rank == report.n_parameters
+    # One graph with unknown edges, one with an infinite-to-one edge.
+    for g in (INCONCLUSIVE_ACYCLIC_GRAPH, ONE_EDGE_NONID_GRAPH):
+        with pytest.raises(AssertionError, match="fully certified"):
+            certify(g)
