@@ -879,15 +879,23 @@ def certify(
     _check_replay_settings(seeds)
     state = eid_tsid_identify(g, max_set_size)
 
+    # Certified coefficients are rational functions of sigma, and so is
+    # omega = (I - lambda)^T sigma (I - lambda): when every edge is
+    # certified the parameterization has a rational inverse, its Jacobian
+    # full column rank generically, and no edge is left to screen.
+    full = len(state.certificates) == len(g.directed)
+
     # Verification seed 0 is the base seed, so one stacked draw serves the
-    # replay, the infinite-to-one screen and the Jacobian.
+    # replay, the infinite-to-one screen and the Jacobian.  Without a
+    # replay, a fully certified graph needs no sample at all.
     errors: dict[DirectedEdge, float] = {}
+    params = None
     if verify and state.certificates:
         verify_seeds = _verification_seeds(seed, seeds)
         stack = oracle.sample_parameters(g, verify_seeds)
         params = Parameters(lam=stack.lam[0], omega=stack.omega[0])
         errors = verify_certificates(g, state.certificates.values(), verify_seeds, sampled=stack)
-    else:
+    elif not full:
         params = oracle.sample_parameters(g, seed)
     certificates: dict[DirectedEdge, EdgeCertificate] = {}
     for edge in sorted(g.directed):
@@ -898,11 +906,7 @@ def certify(
             cert = replace(cert, verification={"seeds": seeds, "max_rel_err": errors[edge]})
         certificates[edge] = cert
 
-    # Certified coefficients are rational functions of sigma, and so is
-    # omega = (I - lambda)^T sigma (I - lambda): the parameterization has a
-    # rational inverse, and its Jacobian full column rank generically.
     n_parameters = oracle.n_free_parameters(g)
-    full = len(state.certificates) == len(g.directed)
     return CertificationReport(
         graph=g,
         certificates=certificates,

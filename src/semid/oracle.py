@@ -370,9 +370,8 @@ def _solve_systems(
 
     The systems of each size k are stacked and take one determinant and one
     solve.  LAPACK factors every matrix on its own, so each value is the one
-    a solve of its system alone gives.  A 1 x 1 stack takes no LAPACK call:
-    its determinant is a and its solution rhs / a, the bytes LAPACK gives.
-    A degenerate determinant is reported for the first such system in list
+    a solve of its system alone gives (for k = 1, rhs / a bit for bit).  A
+    degenerate determinant is reported for the first such system in list
     order, as solving one by one would.
     """
     by_size: dict[int, list[int]] = {}
@@ -381,7 +380,7 @@ def _solve_systems(
     stacks = []
     for members in by_size.values():
         a = np.stack([systems[i][0] for i in members])
-        stacks.append((members, a, a[..., 0, 0] if a.shape[-1] == 1 else np.linalg.det(a)))
+        stacks.append((members, a, np.linalg.det(a)))
     if any(np.any(np.abs(det) <= DEGENERACY_TOL) for _, _, det in stacks):
         det_of = {i: d for members, _, det in stacks for i, d in zip(members, det)}
         for i in range(len(systems)):
@@ -392,10 +391,7 @@ def _solve_systems(
     out: list[dict[DirectedEdge, NDArray]] = [{}] * len(systems)
     for members, a, _ in stacks:
         rhs = np.stack([systems[i][1] for i in members])
-        if a.shape[-1] == 1:
-            solution = rhs / a[..., 0]
-        else:
-            solution = np.linalg.solve(a, rhs[..., None])[..., 0]
+        solution = np.linalg.solve(a, rhs[..., None])[..., 0]
         for i, x in zip(members, solution):
             _, _, targets, v = systems[i]
             out[i] = {(w, v): x[..., j] for j, w in enumerate(targets)}

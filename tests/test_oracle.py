@@ -244,29 +244,6 @@ def test_recover_edge_ratio_is_the_explicit_quotient_bit_for_bit():
     assert np.allclose(got, p.lam[:, 3, 5], rtol=1e-9, atol=0)
 
 
-def test_one_by_one_systems_take_no_lapack_call(monkeypatch):
-    # A 1 x 1 stack is solved as rhs / a with determinant a: the bytes and
-    # the degenerate message of the LAPACK det and solve it replaces.
-    sigma = covariance(sample_parameters(JOINT_SYSTEM_GRAPH, range(100)))
-    systems = [(sigma[:, [[r]], [c]], sigma[:, [r], 5], [c + 1], 6) for r, c in [(2, 3), (0, 4), (1, 1)]]
-    expected = [np.linalg.solve(a, rhs[..., None])[..., 0, 0].tobytes() for a, rhs, _, _ in systems]
-    tiny = systems[1][0].copy()
-    tiny[7] = -3e-12
-    message = f"system determinant {np.linalg.det(tiny)[7]:.3e} below tolerance"
-    degenerate = [systems[0], (tiny, *systems[1][1:]), systems[2]]
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("LAPACK routine called on a 1 x 1 stack")
-
-    monkeypatch.setattr(np.linalg, "solve", forbidden)
-    monkeypatch.setattr(np.linalg, "det", forbidden)
-    got = oracle._solve_systems(systems)
-    assert [x[(c, 6)].tobytes() for x, (_, _, [c], _) in zip(got, systems)] == expected
-    with pytest.raises(oracle.DegenerateSampleError) as exc:
-        oracle._solve_systems(degenerate)
-    assert str(exc.value) == message == "system determinant -3.000e-12 below tolerance"
-
-
 @pytest.mark.parametrize("vertex, call", [
     (0, lambda sig: subdeterminant(sig, [0], [1])),
     (4, lambda sig: subdeterminant(sig, [1], [4])),
