@@ -13,28 +13,10 @@ infinite-to-one test, and optionally replays every certificate numerically
 against sampled ground truth.  All searches use fixed iteration orders, so
 identical inputs give identical certificates.
 
-Most TSID pairs fail the "star" condition: S links fully to T' and v' once
-the arcs of w0 -> v and of the solved siblings' edges into v' are removed.
-By trek separation (Sullivant, Talaska and Draisma 2010) that happens
-exactly when det star[S, T + v] is not the zero polynomial, where
-star = (I - lambda)^-T omega (I - lambda*)^-1 and lambda* is lambda without
-those stripped edges.  The search visits only edges whose head v lies on no
-directed cycle, and targets T outside des(v) + {v, w0}, so its columns come
-from the covariance sigma alone: star[:, T] = sigma[:, T], and star[:, v] is
-sigma[:, v] minus lambda[w, v] * sigma[:, w] for each stripped w.  One sigma
-mod P per graph (``modp.field_point``: a fixed prime, a fixed seeded point)
-thus serves every edge, and only the column of v changes.
-
-A star minor that is nonzero mod P is not the zero polynomial (Schwartz
-1980, Zippel 1979), so its pair fails and is skipped without a sweep.  A
-minor that is zero proves nothing, and the pair is swept as before.  The
-filter thus removes only pairs the sweep would reject: the first accepted
-pair, and so every certificate, is the same at any point, which decides only
-how much work is done.  It runs at every level |S| = 1..K, over blocks of
-at most ``FILTER_BLOCK`` pairs in search order; at |S| = 1 the minor is the
-one entry star[s, v].  Only the pairs that survive are swept, on the flow
-graph taken from the graph's memo, so a search that screens out every pair
-builds no network.
+The TSID search sweeps only the pairs whose trek-separation star minor
+vanishes at a fixed point mod P (``modp.star_vanishing_pairs``, whose
+docstring shows that the sweep rejects every other pair), so a search that
+screens out every pair builds no flow network.
 """
 
 from __future__ import annotations
@@ -434,7 +416,7 @@ def tsid_identify(
                 continue  # solved, or on a cycle, where acceptance can never hold
             solved_sibs = [s for s in state.solved_parents(g, v) if s != w0]
             accepts = _tsep_probe(g, v, w0, solved_sibs)
-            for S, T in _search_order(g, v, w0, solved_sibs, max_set_size):
+            for S, T in modp.star_vanishing_pairs(g, v, w0, solved_sibs, max_set_size):
                 key = sum(1 << s for s in S) << g.n | sum(1 << t for t in T)
                 reach = sweeps.get(key)
                 if reach is None:
@@ -448,61 +430,6 @@ def tsid_identify(
                     changed = True
                     break
     return state
-
-
-def _search_order(
-    g: MixedGraph, v: int, w0: int, solved_sibs: list[int], max_set_size: int
-) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """The (S, T) pairs the search tries for w0 -> v: by increasing |S|, then lexicographic.
-
-    T ranges over the vertices outside des(v) + {v, w0}.  Pairs whose star
-    minor is nonzero at the graph's GF(P) point are left out: they fail for
-    certain.
-    """
-    t_candidates = [t for t in g.vertices if t not in (v, w0) and t not in g.descendants(v)]
-    star = modp.star_matrix(_cached(g, modp.field_point), v, [w0, *solved_sibs], t_candidates)
-    for k in range(1, min(max_set_size, len(t_candidates) + 1) + 1):
-        yield from _star_vanishing_pairs(g, star, t_candidates, k)
-
-
-# Pairs whose star minors are tested as one stack, which bounds the filter's
-# memory.  On the n=11 graphs of the tests 1024 runs as fast as 4096 with
-# about 4 MB less peak RSS.
-FILTER_BLOCK = 1024
-
-
-def _star_vanishing_pairs(
-    g: MixedGraph, star: np.ndarray, t_candidates: list[int], k: int
-) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """The pairs (S, T) with |S| = k, in search order, whose star minor is 0 mod P.
-
-    ``star`` is ``modp.star_matrix`` for the edge and ``t_candidates``, so
-    its minors are the star minors (see the module docstring).  Each block
-    of at most ``FILTER_BLOCK`` pairs is gathered through combination index
-    arrays and tested as one stack; the other pairs fail ``tsep_accepts``
-    for certain.
-    """
-    m = len(t_candidates)
-    s_rows = _cached(g, _combinations, g.n, k)
-    cols = _cached(g, _combinations, m, k - 1, m)  # T's columns, then the star column
-    total = len(s_rows) * len(cols)
-    for lo in range(0, total, FILTER_BLOCK):
-        s_index, t_index = np.divmod(np.arange(lo, min(lo + FILTER_BLOCK, total)), len(cols))
-        vanishing = ~modp.nonzero_minors(star[s_rows[s_index][:, :, None], cols[t_index][:, None, :]])
-        for s, t in zip(s_index[vanishing].tolist(), t_index[vanishing].tolist()):
-            yield (
-                tuple(x + 1 for x in s_rows[s].tolist()),
-                tuple(t_candidates[x] for x in cols[t, :-1].tolist()),
-            )
-
-
-def _combinations(g: MixedGraph, m: int, k: int, *tail: int) -> np.ndarray:
-    """The k-subsets of range(m) in lexicographic order, one per row, each followed by ``tail``.
-
-    Memoized on g with ``_cached``, so the arrays are freed with it.
-    """
-    rows = [c + tail for c in itertools.combinations(range(m), k)]
-    return np.array(rows, dtype=np.intp).reshape(-1, k + len(tail))
 
 
 def eid_tsid_identify(g: MixedGraph, max_set_size: int | None = None) -> SolverState:
@@ -874,9 +801,10 @@ def certify(
         DegenerateSampleError: the verification stack could not be drawn,
             or a seed stayed degenerate after resampling.
         ValueError: ``seeds`` is below 1, with or without ``verify``, as on
-            the command line.
+            the command line, or ``seed`` is not an integer >= 0.
     """
     _check_replay_settings(seeds)
+    oracle._check_seed(seed)
     state = eid_tsid_identify(g, max_set_size)
 
     # Certified coefficients are rational functions of sigma, and so is

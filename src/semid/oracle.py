@@ -99,6 +99,12 @@ def validate_parameters(g: MixedGraph, p: Parameters, tol: float = 1e-12) -> lis
     return problems
 
 
+def _check_seed(seed: object) -> None:
+    """Raise ValueError, naming ``seed``, unless it is a Python or numpy integer >= 0 (a bool counts)."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+
+
 def _sampling_layout(g: MixedGraph) -> tuple[NDArray, NDArray, NDArray, NDArray, bool]:
     """Zero-based sorted directed and bidirected endpoint arrays, and acyclicity."""
     tails, heads = np.array(sorted(g.directed), dtype=np.intp).reshape(-1, 2).T - 1
@@ -127,14 +133,18 @@ def sample_parameters(g: MixedGraph, seed: int | Sequence[int]) -> Parameters:
     Raises:
         DegenerateSampleError: the rejection budget ran out (for the first
             such seed of a sequence).
+        ValueError: a seed is not an integer >= 0 (the first such entry of
+            a sequence).
     """
     # Deferred: numpy 2 loads numpy.random on first use, about 14 ms and
     # 6 MB that commands which never sample should not pay.
     from .seeding import generators
 
     tails, heads, ends_a, ends_b, acyclic = _cached(g, _sampling_layout)
-    stacked = not isinstance(seed, (int, np.integer))
+    stacked = isinstance(seed, Iterable) and not isinstance(seed, str)
     seeds = list(seed) if stacked else [seed]
+    for s in seeds:
+        _check_seed(s)
     n = g.n
     span = COEFF_MAX - COEFF_MIN
     n_coef, n_off = 2 * len(tails), len(ends_a)

@@ -97,14 +97,14 @@ class _SeedWords(ISeedSequence):
 
 
 def generators(seeds: list) -> Iterator[np.random.Generator]:
-    """``np.random.default_rng(s)`` for every seed, in order.
+    """``np.random.default_rng(s)`` for every seed, in order; each seed an integer >= 0.
 
-    A stack of at least VECTOR_SEEDING_MIN integer seeds in [0, 2**128)
-    hashes all of them in one ``seed_words`` pass; any other list takes
-    ``default_rng`` per seed, which also raises its own errors.
+    A stack of at least VECTOR_SEEDING_MIN seeds, all below 2**128, hashes
+    them in one ``seed_words`` pass; any other list takes ``default_rng``
+    per seed.
     """
     if len(seeds) >= VECTOR_SEEDING_MIN:
-        entropy = [int(s) if isinstance(s, (int, np.integer)) else -1 for s in seeds]
-        if all(0 <= s < 1 << 128 for s in entropy):
+        entropy = [int(s) for s in seeds]
+        if max(entropy) < 1 << 128:
             return (np.random.Generator(np.random.PCG64(_SeedWords(w))) for w in seed_words(entropy))
     return map(np.random.default_rng, seeds)

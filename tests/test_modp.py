@@ -13,9 +13,9 @@ from pathlib import Path
 
 import numpy as np
 
-from semid import GraphId, MixedGraph, decode_id, identify, modp, tsid_identify
+from semid import GraphId, MixedGraph, decode_id, modp, tsid_identify
 from semid.flow import build_flow_graph, build_restricted_flow_graph
-from semid.identify import _search_order, _star_vanishing_pairs, _tsep_probe, _tsep_sweep
+from semid.identify import _tsep_probe, _tsep_sweep
 
 from conftest import HTC_FAIL_GRAPH, INCONCLUSIVE_ACYCLIC_GRAPH, INCONCLUSIVE_CYCLIC_GRAPH, corpus_codes, random_mixed_graph
 
@@ -129,12 +129,12 @@ def test_field_point_is_zero_when_i_minus_lambda_is_singular(monkeypatch):
     # vanishes and the search sweeps every pair in the unfiltered order.
     g, (w0, v) = INCONCLUSIVE_ACYCLIC_GRAPH, (1, 5)
     unfiltered = list(_unfiltered_order(g, v, w0, g.n))
-    assert len(list(_search_order(g, v, w0, [], g.n))) < len(unfiltered)
+    assert len(list(modp.star_vanishing_pairs(g, v, w0, [], g.n))) < len(unfiltered)
     g = MixedGraph(g.n, g.directed, g.bidirected)  # nothing memoized
     monkeypatch.setattr(modp, "_scaled_inverse", lambda m: np.zeros_like(m))
     sigma, lam = modp.field_point(g)
     assert not sigma.any() and lam.any()
-    assert list(_search_order(g, v, w0, [], g.n)) == unfiltered
+    assert list(modp.star_vanishing_pairs(g, v, w0, [], g.n)) == unfiltered
 
 
 def test_star_filter_rejects_only_star_failures():
@@ -159,10 +159,10 @@ def test_star_filter_rejects_only_star_failures():
         accepts = _tsep_probe(g, v, w0, solved)
         star = build_restricted_flow_graph(g, g.directed, g.directed - {(w, v) for w in [w0, *solved]})
         t_candidates = [t for t in g.vertices if t not in (v, w0) and t not in g.descendants(v)]
-        star_minors = modp.star_matrix(modp.field_point(g), v, [w0, *solved], t_candidates)
-        for k in (1, rng.choice((2, 3))):
+        levels = (1, rng.choice((2, 3)))
+        kept = set(modp.star_vanishing_pairs(g, v, w0, solved, levels[1]))
+        for k in levels:
             level = int(k > 1)
-            kept = set(_star_vanishing_pairs(g, star_minors, t_candidates, k))
             for S in itertools.combinations(g.vertices, k):
                 for T in itertools.combinations(t_candidates, k - 1):
                     pairs[level] += 1
@@ -175,6 +175,37 @@ def test_star_filter_rejects_only_star_failures():
     assert graphs >= 500 and cyclic >= 100
     assert rejected[0] >= pairs[0] // 2 and accepted[0] >= 100
     assert rejected[1] >= pairs[1] // 2 and accepted[1] >= 100
+
+
+def test_screen_yields_exactly_the_vanishing_star_minors_in_search_order(monkeypatch):
+    # Oracle: every (S, T) of the search order whose star minor
+    # det [sigma[S, T] | star[S]] is 0 mod P, the determinant taken in Python
+    # integers, with star = sigma[:, v] - sum over the stripped w of
+    # lambda[w, v] * sigma[:, w].  Blocks of 3 pairs split every level.
+    rng = random.Random(61)
+    cases = []
+    for i in range(40):
+        g = random_mixed_graph(rng, 4 + i % 4, acyclic=i % 2 == 0)
+        edges = [(w0, v) for w0, v in sorted(g.directed) if v not in g.descendants(v)]
+        if not edges:
+            continue
+        w0, v = rng.choice(edges)
+        solved = [p for p in sorted(g.parents(v) - {w0}) if rng.random() < 0.5]
+        sigma, lam = (x.tolist() for x in modp.field_point(g))
+        star = [(row[v - 1] - sum(lam[w - 1][v - 1] * row[w - 1] for w in [w0, *solved])) % P for row in sigma]
+        expected = [
+            (S, T) for S, T in _unfiltered_order(g, v, w0, g.n)
+            if _det_mod_p([[sigma[s - 1][t - 1] for t in T] + [star[s - 1]] for s in S]) == 0
+        ]
+        cases.append((g, v, w0, solved, expected))
+    for block in (1024, 3):
+        monkeypatch.setattr(modp, "FILTER_BLOCK", block)
+        for g, v, w0, solved, expected in cases:
+            assert list(modp.star_vanishing_pairs(g, v, w0, solved, g.n)) == expected, (g, w0, v, solved)
+    assert len(cases) >= 30 and sum(bool(solved) for _, _, _, solved, _ in cases) >= 5
+    kept = [pair for *_, expected in cases for pair in expected]
+    total = sum(len(list(_unfiltered_order(g, v, w0, g.n))) for g, v, w0, _, _ in cases)
+    assert 0 < len(kept) < total // 2 and max(len(S) for S, _ in kept) >= 4
 
 
 def _unfiltered_order(g, v, w0, max_set_size):
@@ -193,12 +224,12 @@ def test_filtered_search_matches_the_unfiltered_one(monkeypatch):
     graphs.append(INCONCLUSIVE_CYCLIC_GRAPH)
     fresh = lambda: [MixedGraph(g.n, g.directed, g.bidirected) for g in graphs]  # nothing memoized
     filtered = [tsid_identify(g).certificates for g in fresh()]
-    monkeypatch.setattr(identify, "FILTER_BLOCK", 5)
+    monkeypatch.setattr(modp, "FILTER_BLOCK", 5)
     assert [tsid_identify(g).certificates for g in fresh()] == filtered
     monkeypatch.setattr(modp, "field_point", lambda g: (np.zeros((g.n, g.n), dtype=np.int64),) * 2)
     assert [tsid_identify(g).certificates for g in fresh()] == filtered
     monkeypatch.setattr(
-        identify, "_search_order", lambda g, v, w0, solved, max_set_size: _unfiltered_order(g, v, w0, max_set_size)
+        modp, "star_vanishing_pairs", lambda g, v, w0, solved, max_set_size: _unfiltered_order(g, v, w0, max_set_size)
     )
     assert [tsid_identify(g).certificates for g in fresh()] == filtered
     assert sum(len(c) for c in filtered) >= 30

@@ -1,15 +1,19 @@
 import random
+import re
 
 import numpy as np
 import pytest
 
 from semid import (
     DegenerateSampleError,
+    GraphId,
     InfeasibleEdgeError,
     MixedGraph,
     Parameters,
     alternative_parameters,
+    certify,
     covariance,
+    decode_id,
     enumerate_treks,
     jacobian_rank,
     oracle,
@@ -71,6 +75,28 @@ def test_sampling_respects_supports_and_determinism():
     again = sample_parameters(IV_GRAPH, seed=4)
     assert np.array_equal(p.lam, again.lam) and np.array_equal(p.omega, again.omega)
     assert not np.array_equal(p.lam, sample_parameters(IV_GRAPH, seed=5).lam)
+
+
+@pytest.mark.parametrize("seed, bad", [
+    (1.5, 1.5), ("3", "3"), (-1, -1), (np.int64(-1), np.int64(-1)), (None, None), ([0, -2], -2), ((4, "3"), "3"),
+])
+def test_sampling_names_a_bad_seed(seed, bad):
+    with pytest.raises(ValueError, match=f"seed must be an integer >= 0, got {re.escape(repr(bad))}$"):
+        sample_parameters(IV_GRAPH, seed)
+
+
+@pytest.mark.parametrize("seed, verify", [("0", True), (-1, True), (2.0, True), ([0], True), ("x", False)])
+def test_certify_names_a_bad_seed(seed, verify):
+    # IV_GRAPH is fully certified, so without a replay nothing would draw.
+    with pytest.raises(ValueError, match=f"seed must be an integer >= 0, got {re.escape(repr(seed))}$"):
+        certify(IV_GRAPH, verify=verify, seed=seed)
+
+
+@pytest.mark.parametrize("seed, same", [(np.int64(3), 3), (np.uint8(3), 3), (True, 1), (False, 0), (2**70, 2**70)])
+def test_integer_seeds_draw_the_bytes_of_the_int(seed, same):
+    got, expected = sample_parameters(HTC_FAIL_GRAPH, seed), sample_parameters(HTC_FAIL_GRAPH, same)
+    assert got.lam.tobytes() == expected.lam.tobytes() and got.omega.tobytes() == expected.omega.tobytes()
+    assert certify(IV_GRAPH, seed=seed, seeds=1).seed == seed
 
 
 def test_sampling_empty_graph():
@@ -314,6 +340,19 @@ def test_jacobian_rank_identifiable_vs_not():
 
     pn = sample_parameters(ONE_EDGE_NONID_GRAPH, seed=41)
     assert jacobian_rank(ONE_EDGE_NONID_GRAPH, pn) < n_free_parameters(ONE_EDGE_NONID_GRAPH)
+
+
+@pytest.mark.xfail(
+    strict=True, reason="the float SVD rank counts too few columns at an ill-conditioned sample; an exact rank would not",
+)
+def test_jacobian_rank_does_not_depend_on_the_seed():
+    # A corpus_n5 graph with an uncertified edge: 14 of 14 at seed 0, but 5
+    # of 14 at seed 2000006, where det(I - L) = -0.005 (just past the
+    # rejection tolerance), cond(sigma) is about 2.3e6 and the largest
+    # singular value 3.8e8 sets a cutoff of 3.8.  A rank mod P at a fixed
+    # point would not depend on the seed.
+    g = decode_id(GraphId.parse("5:74883:522"))
+    assert jacobian_rank(g, sample_parameters(g, 0)) == jacobian_rank(g, sample_parameters(g, 2000006))
 
 
 def test_alternative_parameters_nonid_edge():

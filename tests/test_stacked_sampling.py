@@ -260,7 +260,7 @@ def test_vectorized_seeding_equals_single_seed_draws(monkeypatch, name):
 
 def test_vectorized_seeding_falls_back_for_seeds_default_rng_rejects():
     g = SAMPLE_GRAPHS["iv"]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="got -1$"):
         sample_parameters(g, list(range(20)) + [-1])
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match="got 1.5$"):
         sample_parameters(g, list(range(20)) + [1.5])
