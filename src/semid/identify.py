@@ -391,6 +391,7 @@ def tsid_identify(
     g: MixedGraph,
     state: SolverState | None = None,
     max_set_size: int | None = None,
+    failed: set[tuple] | None = None,
 ) -> SolverState:
     """Trek-separation identification to fixpoint.
 
@@ -400,12 +401,19 @@ def tsid_identify(
     the relaxed acceptance test; the certificate records (S, T) and the
     already-solved edges into v as prerequisites.  Each pair is swept once
     per call and its sweep probed for every edge.
+
+    A search is a function of g, the edge, its solved siblings and
+    ``max_set_size``, so one that found nothing is not run again: ``failed``
+    (a new set by default) collects their keys.  A caller that passes the
+    same set to several calls on g, as ``eid_tsid_identify`` does, skips
+    them across calls too.
     """
     if max_set_size is None:
         max_set_size = max(g.n, 1)
     if max_set_size < 1:
         raise ValueError(f"max_set_size must be >= 1, got {max_set_size}")
     state = state.copy() if state else SolverState()
+    failed = set() if failed is None else failed
     # One sweep per (S, T), keyed by the bitmask of T with that of S above it.
     sweeps: dict[int, int] = {}
     changed = True
@@ -415,6 +423,9 @@ def tsid_identify(
             if (w0, v) in state.certificates or v in g.descendants(v):
                 continue  # solved, or on a cycle, where acceptance can never hold
             solved_sibs = [s for s in state.solved_parents(g, v) if s != w0]
+            search = (w0, v, tuple(solved_sibs), max_set_size)
+            if search in failed:
+                continue
             accepts = _tsep_probe(g, v, w0, solved_sibs)
             for S, T in modp.star_vanishing_pairs(g, v, w0, solved_sibs, max_set_size):
                 key = sum(1 << s for s in S) << g.n | sum(1 << t for t in T)
@@ -429,6 +440,8 @@ def tsid_identify(
                     )
                     changed = True
                     break
+            else:
+                failed.add(search)
     return state
 
 
@@ -437,12 +450,14 @@ def eid_tsid_identify(g: MixedGraph, max_set_size: int | None = None) -> SolverS
 
     Each EID round runs to its fixpoint, so once a TSID round adds nothing,
     another EID round would start from its own fixpoint and add nothing too.
+    The TSID rounds share one record of failed searches.
     """
     state = SolverState()
+    failed: set[tuple] = set()
     while True:
         state = eid_identify(g, state)
         before = len(state.certificates)
-        state = tsid_identify(g, state, max_set_size)
+        state = tsid_identify(g, state, max_set_size, failed)
         if len(state.certificates) == before:
             return state
 

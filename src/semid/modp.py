@@ -9,7 +9,8 @@ not the zero polynomial, where star = (I - lambda)^-T omega
 lies on no directed cycle and T avoids des(v) + {v, w0}, star[:, T] =
 sigma[:, T], and star[:, v] is sigma[:, v] minus lambda[w, v] * sigma[:, w]
 for each stripped w: one sigma mod P per graph (``field_point``) serves
-every edge.
+every edge.  Each search builds its minors level by level, each k-minor
+from k of the (k - 1)-minors below it (``_minor_levels``).
 
 A star minor that is nonzero mod P is not the zero polynomial (Schwartz
 1980, Zippel 1979), so its pair fails and is skipped without a sweep.  A
@@ -32,10 +33,11 @@ from .graph import MixedGraph, _cached
 P = 2147483629
 # Seed of the point at which field_point evaluates the covariance.
 POINT_SEED = 1702
-# Pairs whose star minors are tested as one stack, which bounds the screen's
-# memory.  On the n=11 graphs of the tests 1024 runs as fast as 4096 with
-# about 4 MB less peak RSS.
-FILTER_BLOCK = 1024
+# Entries of a level table that the star screen computes as one chunk of
+# rows, which bounds its temporaries.  On the n=12 and n=13 scaling graphs
+# (README) 4096 runs as fast as 16384 with 1-3 MB less peak RSS, and about
+# 20% faster than 1024.
+FILTER_BLOCK = 4096
 
 
 def field_point(g: MixedGraph) -> tuple[NDArray, NDArray]:
@@ -74,67 +76,93 @@ def star_vanishing_pairs(
     The order is by |S| = 1..``max_set_size``, then S and T lexicographic,
     with |T| = |S| - 1 and T outside des(v) + {v, w0}; v must lie on no
     directed cycle, and the edges into v from w0 and ``solved`` are
-    stripped.  Each block of at most ``FILTER_BLOCK`` pairs is gathered
-    through combination index arrays and tested as one stack; the pairs
-    left out fail the sweep for certain.
+    stripped.  The minors come from ``_minor_levels`` of
+    [sigma[:, T candidates] | star], so a search that accepts a pair builds
+    no level after it.  The pairs left out fail the sweep for certain.
     """
     t_candidates = [t for t in g.vertices if t not in (v, w0) and t not in g.descendants(v)]
     sigma, lam = _cached(g, field_point)
-    star = sigma[:, v - 1]
+    a = sigma[:, [c - 1 for c in t_candidates] + [v - 1]]
     for w in [w0, *solved]:
-        star = (star - lam[w - 1, v - 1] * sigma[:, w - 1]) % P
-    star = np.column_stack([sigma[:, [c - 1 for c in t_candidates]], star])
+        a[:, -1] = (a[:, -1] - lam[w - 1, v - 1] * sigma[:, w - 1]) % P  # the star column
     m = len(t_candidates)
-    for k in range(1, min(max_set_size, m + 1) + 1):
-        s_rows = _cached(g, _combinations, g.n, k)
-        cols = _cached(g, _combinations, m, k - 1, m)  # T's columns, then the star column
-        total = len(s_rows) * len(cols)
-        for lo in range(0, total, FILTER_BLOCK):
-            s_index, t_index = np.divmod(np.arange(lo, min(lo + FILTER_BLOCK, total)), len(cols))
-            vanishing = ~nonzero_minors(star[s_rows[s_index][:, :, None], cols[t_index][:, None, :]])
-            for s, t in zip(s_index[vanishing].tolist(), t_index[vanishing].tolist()):
-                yield (
-                    tuple(x + 1 for x in s_rows[s].tolist()),
-                    tuple(t_candidates[x] for x in cols[t, :-1].tolist()),
-                )
+    for s_sets, t_sets, block in _minor_levels(g, a, min(max_set_size, m + 1)):
+        for s, t in zip(*np.nonzero(block[:, -len(t_sets):] == 0)):
+            yield tuple(x + 1 for x in s_sets[s].tolist()), tuple(t_candidates[x] for x in t_sets[t])
 
 
-def _combinations(g: MixedGraph, m: int, k: int, *tail: int) -> NDArray:
-    """The k-subsets of range(m) in lexicographic order, one per row, each followed by ``tail``.
+def _minor_levels(g: MixedGraph, a: NDArray, top: int) -> Iterator[tuple[NDArray, list[tuple[int, ...]], NDArray]]:
+    """The k-minors of ``a`` mod P that end in its last column, or that level k + 1 needs, for k = 1..``top``.
 
+    Yields (rows, ts, block), level by level in chunks of rows of at most
+    about ``FILTER_BLOCK`` entries.  Row i of ``block`` is the k-subset
+    R = rows[i] of a's rows.  Its columns are det a[R, C] for C each k-subset
+    of a's other columns in lexicographic order (only for k < ``top``), then
+    for C = T + (last,), T each (k - 1)-subset of those columns in ``ts``,
+    which is in lexicographic order too.  The chunks of a level run through
+    the k-subsets in lexicographic order.
+
+    Each minor is expanded along its last column c, from the level below:
+    det a[R, C] = sum over i of (-1)^(i + k - 1) a[r_i, c] det a[R - r_i, C - c].
+    Each product of two residues is reduced mod P before the k terms are
+    summed, so int64 holds the sum.  Only the minors without the last
+    column are kept for the next level, as int32 since P < 2**31.
+    """
+    # Level 1: the 1-minors are the entries of a.
+    yield _cached(g, _subsets, 1)[0], [()], a if top > 1 else a[:, -1:]
+    minors = a[:, :-1]
+    for rows, row_drops, sign, last, drop, kept_count, ts in _cached(g, _level_plan, a.shape[1] - 1, top):
+        kept = np.empty((len(rows), kept_count), dtype=np.int32)
+        a_last = a[:, last]
+        step = max(1, FILTER_BLOCK // len(last))
+        for lo in range(0, len(rows), step):
+            terms = a_last[rows[lo:lo + step]]
+            terms *= minors[row_drops[lo:lo + step]].take(drop, axis=2)
+            terms %= P
+            block = sign @ terms % P
+            kept[lo:lo + step] = block[:, :kept_count]
+            yield rows[lo:lo + step], ts, block
+        minors = kept
+
+
+def _level_plan(g: MixedGraph, m: int, top: int) -> list[tuple]:
+    """What ``_minor_levels`` needs at each level k = 2..top, for g.n rows and m + 1 columns.
+
+    Per level: the k-subsets of the rows and their deletion ranks
+    (``_subsets``), the signs (-1)^(i + k - 1), then for each column of the
+    level its last column and the rank of its other columns among the kept
+    columns of level k - 1, the number of kept columns, and the kept
+    columns T of level k - 1 as tuples.  Memoized on g with ``_cached``.
+    """
+    plan, ts = [], [(x,) for x in range(m)]
+    for k in range(2, top + 1):
+        # In lexicographic order the k-subsets run by their first k - 1
+        # elements, then by the last one.
+        kept = [(j, x) for j, t in enumerate(ts) for x in range(t[-1] + 1, m)] if k < top else []
+        last = np.array([x for _, x in kept] + [m] * len(ts), dtype=np.intp)
+        drop = np.array([j for j, _ in kept] + list(range(len(ts))), dtype=np.intp)
+        sign = np.array([(-1) ** (i + k - 1) for i in range(k)])
+        plan.append((*_cached(g, _subsets, k), sign, last, drop, len(kept), ts))
+        ts = [ts[j] + (x,) for j, x in kept]
+    return plan
+
+
+def _subsets(g: MixedGraph, k: int) -> tuple[NDArray, NDArray]:
+    """The k-subsets of range(g.n) in lexicographic order, one per row, and the rank of each one-element deletion.
+
+    Entry [j, i] of the second array is the rank, among the (k - 1)-subsets
+    in lexicographic order, of subset j without its i-th element.
     Memoized on g with ``_cached``, so the arrays are freed with it.
     """
-    rows = [c + tail for c in itertools.combinations(range(m), k)]
-    return np.array(rows, dtype=np.intp).reshape(-1, k + len(tail))
-
-
-def nonzero_minors(m: NDArray) -> NDArray:
-    """Whether each matrix of the stack ``m``, shape (b, k, k) with entries in 0..P-1, is invertible mod P.
-
-    Fraction-free Gaussian elimination, overwriting ``m``: a row swap brings
-    a nonzero entry a of column j to row j, then each row r below it becomes
-    a * r - c * (row j) mod P, where c is r's entry in column j.  A step
-    scales the determinant by a power of a, which is nonzero mod P, so no
-    modular inverse is needed and every product of two residues fits in int64.
-    """
-    b, k, _ = m.shape
-    invertible = np.ones(b, dtype=bool)
-    for j in range(k):
-        column = m[:, j:, j] != 0
-        invertible &= column.any(axis=1)
-        if j + 1 == k:
-            break
-        below = column.argmax(axis=1)  # how far below row j the first nonzero entry lies
-        if below.any():
-            swapped = np.flatnonzero(below)
-            pivot_rows = j + below[swapped]
-            top = m[swapped, pivot_rows]
-            m[swapped, pivot_rows] = m[swapped, j]
-            m[swapped, j] = top
-        m[:, j + 1:, j + 1:] = (
-            m[:, j, j, None, None] * m[:, j + 1:, j + 1:] - m[:, j + 1:, j, None] * m[:, j, None, j + 1:]
-        ) % P
-    return invertible
+    rank = {c: r for r, c in enumerate(itertools.combinations(range(g.n), k - 1))}
+    subsets = list(itertools.combinations(range(g.n), k))
+    # combinations(c, k - 1) drops the last element first.
+    drops = [rank[d] for c in subsets for d in itertools.combinations(c, k - 1)]
+    shape = (len(subsets), k)
+    return (
+        np.fromiter(itertools.chain.from_iterable(subsets), np.intp, len(subsets) * k).reshape(shape),
+        np.array(drops, dtype=np.intp).reshape(shape)[:, ::-1],
+    )
 
 
 def _scaled_inverse(m: NDArray) -> NDArray:

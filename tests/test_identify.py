@@ -25,7 +25,7 @@ from semid import (
     tsid_identify,
     verify_certificates,
 )
-from semid import identify, oracle
+from semid import identify, modp, oracle
 from semid.flow import build_flow_graph, build_restricted_flow_graph
 from semid.identify import (
     IDENTIFIABLE,
@@ -181,6 +181,51 @@ def test_half_trek_fixpoint_tries_each_node_once_per_certificate_count(monkeypat
         # The rule skips the tries that could not succeed, so it makes fewer calls.
         assert calls < naive_calls, method
         assert solver(MULTI_PASS_GRAPH).solved_edges == set(MULTI_PASS_GRAPH.directed)
+
+
+class _Forgetful(set):
+    """A record of failed TSID searches that keeps none, so every search runs."""
+
+    def add(self, search):
+        pass
+
+
+def test_tsid_search_runs_once_per_set_of_solved_siblings(monkeypatch):
+    # Within one eid_tsid_identify call no (edge, solved siblings, K) search
+    # is screened twice, and the certificates, in discovery order, are those
+    # of the same alternation with every search run again.  Some edge fails
+    # its search and is certified by a later one with more solved siblings.
+    screened = []
+    real = modp.star_vanishing_pairs
+
+    def spy(g, v, w0, solved, max_set_size):
+        screened.append((w0, v, tuple(solved), max_set_size))
+        return real(g, v, w0, solved, max_set_size)
+
+    monkeypatch.setattr(modp, "star_vanishing_pairs", spy)
+    rng = random.Random(2028)
+    graphs = [HTC_FAIL_GRAPH, MULTI_PASS_GRAPH]
+    graphs += [random_mixed_graph(rng, rng.randint(3, 7), acyclic=i % 2 == 0) for i in range(100)]
+    calls = naive_calls = retried = 0
+    for g in graphs:
+        screened.clear()
+        got = eid_tsid_identify(g).certificates
+        assert len(screened) == len(set(screened)), g
+        calls += len(screened)
+        retried += sum(
+            cert.method == "TSID" and sum(key[:2] == edge for key in screened) > 1 for edge, cert in got.items()
+        )
+        screened.clear()
+        state = SolverState()
+        while True:
+            state = eid_identify(g, state)
+            before = len(state.certificates)
+            state = tsid_identify(g, state, None, _Forgetful())
+            if len(state.certificates) == before:
+                break
+        assert list(got.items()) == list(state.certificates.items()), g
+        naive_calls += len(screened)
+    assert calls < naive_calls and retried >= 1
 
 
 def test_htc_identify_iv():

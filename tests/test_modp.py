@@ -9,11 +9,12 @@ from __future__ import annotations
 import hashlib
 import itertools
 import random
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 
-from semid import GraphId, MixedGraph, decode_id, modp, tsid_identify
+from semid import GraphId, MixedGraph, decode_id, eid_tsid_identify, modp, tsid_identify
 from semid.flow import build_flow_graph, build_restricted_flow_graph
 from semid.identify import _tsep_probe, _tsep_sweep
 
@@ -37,19 +38,41 @@ def test_prime_fits_int64_products():
     assert 2 * (P - 1) ** 2 < 2 ** 63
 
 
-def test_nonzero_minors_matches_exact_determinants():
+def test_minor_levels_match_exact_determinants(monkeypatch):
+    # Oracle: each level table of _minor_levels, entry by entry, against the
+    # determinant in Python integers.  Its columns are the k-subsets of all
+    # but the last column (below the top level), then each (k - 1)-subset
+    # followed by the last column, so with top = the column count the
+    # levels hold every k-minor, k = 1..5.  Entries are 0 with probability
+    # 0.4, and some matrices repeat a row as a multiple of another.
     rng = random.Random(5)
-    for k in range(1, 6):
-        stack = []
-        for _ in range(150):
-            m = [[rng.randrange(P) if rng.random() < 0.6 else 0 for _ in range(k)] for _ in range(k)]
-            if k > 1 and rng.random() < 0.3:
-                m[-1] = [x * 7 % P for x in m[0]]  # dependent rows, zero determinant
-            stack.append(m)
-        got = modp.nonzero_minors(np.array(stack, dtype=np.int64))
-        expected = [_det_mod_p(m) != 0 for m in stack]
-        assert got.tolist() == expected
-        assert 0 < sum(expected) < len(expected)
+    values = []
+    for n, c, top in ((5, 5, 5), (7, 5, 5), (6, 4, 4), (6, 7, 3)):
+        for _ in range(8):
+            a = [[rng.randrange(P) if rng.random() < 0.6 else 0 for _ in range(c)] for _ in range(n)]
+            if rng.random() < 0.5:
+                a[rng.randrange(1, n)] = [x * 7 % P for x in a[0]]  # dependent rows
+            expected = {}
+            for k in range(1, top + 1):
+                cols = list(itertools.combinations(range(c - 1), k)) if k < top else []
+                cols += [t + (c - 1,) for t in itertools.combinations(range(c - 1), k - 1)]
+                expected[k] = [
+                    [_det_mod_p([[a[r][x] for x in C] for r in R]) for C in cols]
+                    for R in itertools.combinations(range(n), k)
+                ]
+                values += [x for row in expected[k] for x in row]
+            for block_size in (1024, 3):
+                monkeypatch.setattr(modp, "FILTER_BLOCK", block_size)
+                rows_got, got = {k: [] for k in expected}, {k: [] for k in expected}
+                for rows, ts, block in modp._minor_levels(MixedGraph(n, [], []), np.array(a, dtype=np.int64), top):
+                    k = rows.shape[1]
+                    assert ts == list(itertools.combinations(range(c - 1), k - 1))
+                    rows_got[k] += map(tuple, rows.tolist())
+                    got[k] += block.tolist()
+                for k in expected:
+                    assert rows_got[k] == list(itertools.combinations(range(n), k))
+                    assert got[k] == expected[k], (a, k, block_size)
+    assert values.count(0) >= 2500 and len(values) - values.count(0) >= 5000
 
 
 def test_matmul_matches_python_integer_products():
@@ -244,3 +267,18 @@ def test_flow_network_is_built_only_for_a_pair_that_survives_the_screen():
     g = MixedGraph(HTC_FAIL_GRAPH.n, HTC_FAIL_GRAPH.directed, HTC_FAIL_GRAPH.bidirected)  # nothing memoized
     assert tsid_identify(g).certificates
     assert (build_flow_graph,) in g._memo
+
+
+def test_screen_memory_stays_bounded_on_a_twelve_vertex_graph():
+    # The level tables of one search, and one chunk of rows at a time, bound
+    # the screen's memory.  This cyclic graph makes two searches with 10 T
+    # candidates each, screens all 11 levels of both and sweeps no pair.
+    g = decode_id(GraphId.parse("12:1617100291799222499177275938454076687201:19030008821969428992"))
+    tracemalloc.start()
+    try:
+        state = eid_tsid_identify(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not any(c.method == "TSID" for c in state.certificates.values())
+    assert peak <= 12 * 2**20, peak
