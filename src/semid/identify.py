@@ -530,67 +530,55 @@ def replay_certificates(
     the edges of its witness (E, or the JOINT targets); later certificates
     with an equal witness take their value from it.
 
-    Built systems wait in a batch, which is solved when a certificate needs
-    a value not yet recovered, before an unknown method is reported, and at
-    the end of the list.  The batch solves its systems of each size together
-    (``oracle._solve_systems``), and the values, the errors and the order in
-    which they are raised are those of solving every system where its
-    certificate stands.
+    Each system is solved where its certificate stands
+    (``oracle._solve_system``), so the values, the errors and the order in
+    which they are raised are those of solving every system there.
 
     Raises:
-        CertificateError: a certificate comes before its prerequisites, or
-            has an unknown method.
+        CertificateError: a certificate comes before its prerequisites, has
+            an unknown method, has a witness that uses an edge its
+            prerequisites do not list, or has a system that does not
+            recover its own edge.
         DegenerateSampleError: some system determinant is below tolerance.
         ValueError: a witness names a vertex outside 1..n.
     """
     recovered: dict[DirectedEdge, np.ndarray] = {}
-    # Edge -> the witness of the system that recovers it, and that system's
-    # values, filled in when its batch is solved.
+    # Edge -> the witness of the system that recovers it, and that system's values.
     systems: dict[DirectedEdge, tuple[dict, dict]] = {}
-    batch: list[tuple[np.ndarray, np.ndarray, list[int], int]] = []
-    batch_values: list[dict] = []
-    waiting: list[tuple[DirectedEdge, dict]] = []  # certificates whose value is in the batch
-
-    def flush() -> None:
-        for values, solved in zip(batch_values, oracle._solve_systems(batch)):
-            values.update(solved)
-        recovered.update((edge, values[edge]) for edge, values in waiting)
-        batch.clear()
-        batch_values.clear()
-        waiting.clear()
-
     for cert in certificates:
         if cert.status != IDENTIFIABLE:
             continue
-        if any(e not in recovered for e in cert.prerequisites):
-            flush()
         missing = [e for e in cert.prerequisites if e not in recovered]
         if missing:
             raise CertificateError(f"certificate for {cert.edge} replayed before prerequisites {missing}")
         if cert.method not in ("HTC", "EID", "TSID", "JOINT"):
-            flush()
             raise CertificateError(f"unknown certificate method {cert.method!r}")
         w = cert.witness
         system = systems.get(cert.edge)
         if system is None or system[0] != w:
+            v = w["v"]
+            targets = (w["E"] if cert.method in ("HTC", "EID")
+                       else [w["w0"]] if cert.method == "TSID" else w["targets"])
+            recovers = [(t, v) for t in targets]
+            if cert.edge not in recovers:
+                raise CertificateError(f"certificate for {cert.edge} solves a system for {recovers}, not for it")
             known = {e: recovered[e] for e in cert.prerequisites}
             if cert.method in ("HTC", "EID"):
-                targets = w["E"]
-                a, rhs = oracle._recovery_rows(
-                    sigma, w["v"], targets, w["S"], w["Y"], [w["H"][y] for y in w["Y"]], known
-                )
+                H = [w["H"][y] for y in w["Y"]]
+                used = [(h, y) for y, hs in zip(w["Y"], H) for h in hs] + [(s, v) for s in w["S"]]
+                unlisted = [e for e in used if e not in known]
+                if unlisted:
+                    raise CertificateError(
+                        f"certificate for {cert.edge} uses edges {unlisted} not among its prerequisites"
+                    )
+                a, rhs = oracle._recovery_rows(sigma, v, targets, w["S"], w["Y"], H, known)
             elif cert.method == "TSID":
-                targets = [w["w0"]]
-                a, rhs = oracle._determinantal_rows(sigma, [(w["S"], w["T"])], w["v"], targets, known)
+                a, rhs = oracle._determinantal_rows(sigma, [(w["S"], w["T"])], v, targets, known)
             else:
-                targets = w["targets"]
-                a, rhs = oracle._determinantal_rows(sigma, w["rows"], w["v"], targets, known)
-            system = (w, {})
-            batch.append((a, rhs, targets, w["v"]))
-            batch_values.append(system[1])
-            systems.update(((t, w["v"]), system) for t in targets)
-        waiting.append((cert.edge, system[1]))
-    flush()
+                a, rhs = oracle._determinantal_rows(sigma, w["rows"], v, targets, known)
+            system = (w, oracle._solve_system(a, rhs, targets, v))
+            systems.update((e, system) for e in recovers)
+        recovered[cert.edge] = system[1][cert.edge]
     return recovered
 
 
@@ -717,13 +705,9 @@ def verify_certificates(
     All seeds are sampled and replayed together on one stack of covariances
     by ``_replay_errors``; ``sampled`` is that stack,
     ``oracle.sample_parameters(g, seeds)``, when the caller has already
-    drawn it.  ``replay_certificates`` solves the certificates' systems in
-    batches: those that wait until a certificate needs one of their values,
-    or until the end of the list, are solved together, one determinant
-    check and one solve per system size, for all seeds at once.
-    When any seed is degenerate, the seeds replay one by one instead, each
-    through ``_replay_errors`` on a one-point stack: attempt a draws
-    ``seed + 104729 * a``, for up to ``REPLAY_RESAMPLES`` attempts.
+    drawn it.  When any seed is degenerate, the seeds replay one by one
+    instead, each through ``_replay_errors`` on a one-point stack: attempt a
+    draws ``seed + 104729 * a``, for up to ``REPLAY_RESAMPLES`` attempts.
 
     Returns the max relative recovery error per edge.
 

@@ -373,39 +373,22 @@ def subdeterminant(sigma: NDArray, rows: Iterable[int], cols: Iterable[int]) -> 
     return np.linalg.det(sub)
 
 
-def _solve_systems(
-    systems: list[tuple[NDArray, NDArray, list[int], int]],
-) -> list[dict[DirectedEdge, NDArray]]:
-    """Solve the (..., k, k) systems (a, rhs, targets, v); x[..., j] is the edge targets[j] -> v.
+def _solve_system(a: NDArray, rhs: NDArray, targets: list[int], v: int) -> dict[DirectedEdge, NDArray]:
+    """Solve the (..., k, k) system a x = rhs; x[..., j] is the edge targets[j] -> v.
 
-    The systems of each size k are stacked and take one determinant and one
-    solve.  LAPACK factors every matrix on its own, so each value is the one
-    a solve of its system alone gives (for k = 1, rhs / a bit for bit).  A
-    degenerate determinant is reported for the first such system in list
-    order, as solving one by one would.
+    One determinant check and one solve for every slice of a stack; LAPACK
+    factors each slice on its own (for k = 1, rhs / a bit for bit).
+
+    Raises:
+        DegenerateSampleError: some |det a| is below tolerance; the first
+            such slice is named.
     """
-    by_size: dict[int, list[int]] = {}
-    for i, (a, _, _, _) in enumerate(systems):
-        by_size.setdefault(a.shape[-1], []).append(i)
-    stacks = []
-    for members in by_size.values():
-        a = np.stack([systems[i][0] for i in members])
-        stacks.append((members, a, np.linalg.det(a)))
-    if any(np.any(np.abs(det) <= DEGENERACY_TOL) for _, _, det in stacks):
-        det_of = {i: d for members, _, det in stacks for i, d in zip(members, det)}
-        for i in range(len(systems)):
-            small = np.abs(det_of[i]) <= DEGENERACY_TOL
-            if np.any(small):
-                first = np.asarray(det_of[i])[small][0]
-                raise DegenerateSampleError(f"system determinant {first:.3e} below tolerance")
-    out: list[dict[DirectedEdge, NDArray]] = [{}] * len(systems)
-    for members, a, _ in stacks:
-        rhs = np.stack([systems[i][1] for i in members])
-        solution = np.linalg.solve(a, rhs[..., None])[..., 0]
-        for i, x in zip(members, solution):
-            _, _, targets, v = systems[i]
-            out[i] = {(w, v): x[..., j] for j, w in enumerate(targets)}
-    return out
+    det = np.linalg.det(a)
+    small = np.abs(det) <= DEGENERACY_TOL
+    if np.any(small):
+        raise DegenerateSampleError(f"system determinant {np.asarray(det)[small][0]:.3e} below tolerance")
+    x = np.linalg.solve(a, rhs[..., None])[..., 0]
+    return {(w, v): x[..., j] for j, w in enumerate(targets)}
 
 
 def numeric_rank(matrix: NDArray) -> int:
@@ -467,7 +450,7 @@ def solve_recovery_system(
     a, rhs = _recovery_rows(sigma, v, E, S, Y, H, known)
     if not E:
         return {}
-    return _solve_systems([(a, rhs, E, v)])[0]
+    return _solve_system(a, rhs, E, v)
 
 
 def _recovery_rows(
@@ -534,7 +517,7 @@ def solve_determinantal_system(
     if not rows and not targets:
         return {}
     a, rhs = _determinantal_rows(sigma, rows, v, targets, known)
-    return _solve_systems([(a, rhs, targets, v)])[0]
+    return _solve_system(a, rhs, targets, v)
 
 
 def _determinantal_rows(

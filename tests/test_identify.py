@@ -637,6 +637,36 @@ def test_replay_rejects_a_witness_vertex_outside_the_graph():
             replay_certificates([cert], sigma)
 
 
+def test_replay_rejects_a_witness_that_uses_an_unlisted_edge():
+    sigma = covariance(sample_parameters(JOINT_SYSTEM_GRAPH, seed=0))
+    certs = htc_identify(JOINT_SYSTEM_GRAPH).certificates
+    late = replace(certs[(4, 6)], prerequisites=((3, 5),))
+    message = "certificate for (4, 6) uses edges [(2, 4)] not among its prerequisites"
+    with pytest.raises(CertificateError, match=re.escape(message)):
+        replay_certificates([certs[(2, 4)], certs[(3, 5)], late], sigma)
+    g = decode_id(GraphId.parse("3:9:4"))
+    parent = eid_tsid_identify(g).certificates[(1, 2)]
+    solved = EdgeCertificate(edge=(2, 3), status=IDENTIFIABLE, method="EID",
+                             witness={"v": 3, "E": [2], "Y": [1], "S": [1], "H": {1: []}})
+    message = "certificate for (2, 3) uses edges [(1, 3)] not among its prerequisites"
+    with pytest.raises(CertificateError, match=re.escape(message)):
+        replay_certificates([parent, solved], covariance(sample_parameters(g, seed=0)))
+
+
+def test_replay_rejects_a_system_that_does_not_recover_its_edge():
+    g = decode_id(GraphId.parse("3:9:4"))
+    sigma = covariance(sample_parameters(g, seed=0))
+    certs = eid_tsid_identify(g).certificates
+    wrong = EdgeCertificate(edge=(2, 3), status=IDENTIFIABLE, method="TSID",
+                            witness={"v": 3, "w0": 1, "S": [1], "T": []})
+    message = "certificate for (2, 3) solves a system for [(1, 3)], not for it"
+    with pytest.raises(CertificateError, match=re.escape(message)):
+        replay_certificates([certs[(1, 2)], wrong], sigma)
+    other = replace(certs[(2, 3)], edge=(1, 3))
+    with pytest.raises(CertificateError, match=re.escape("solves a system for [(2, 3)], not for it")):
+        replay_certificates([other], sigma)
+
+
 def test_joint_certificate_json():
     certs = joint_certificate(JOINT_SYSTEM_GRAPH, 6, [5, 4], [([5, 3], [1]), ([4, 2], [1])])
     assert certs[0].to_json_dict() == {
@@ -696,14 +726,17 @@ def test_batched_replay_matches_per_seed():
 
 
 def test_replay_solves_each_system_once(monkeypatch):
-    # Replay builds each system's rows once; the batch then solves them.
+    # Replay builds and solves each system once, where its first certificate stands.
     calls = []
+    solves = []
     original = oracle._recovery_rows
+    original_solve = oracle._solve_system
     monkeypatch.setattr(oracle, "_recovery_rows",
                         lambda *args, **kwargs: calls.append(1) or original(*args, **kwargs))
+    monkeypatch.setattr(oracle, "_solve_system", lambda *args: solves.append(1) or original_solve(*args))
     certs = list(htc_identify(JOINT_SYSTEM_GRAPH).certificates.values())
     replay_certificates(certs, covariance(sample_parameters(JOINT_SYSTEM_GRAPH, 0)))
-    assert len(calls) == len({id(c.witness) for c in certs}) < len(certs)
+    assert len(calls) == len(solves) == len({id(c.witness) for c in certs}) < len(certs)
 
 
 def test_replay_builds_a_joint_system_once(monkeypatch):
@@ -715,25 +748,6 @@ def test_replay_builds_a_joint_system_once(monkeypatch):
     sigma = covariance(sample_parameters(JOINT_SYSTEM_GRAPH, 0))
     assert set(replay_certificates(certs, sigma)) == {(4, 6), (5, 6)}
     assert len(calls) == 1
-
-
-def test_tsid_and_joint_systems_join_the_waiting_batch(monkeypatch):
-    # A certificate whose prerequisites are all recovered adds its system to
-    # the batch, whatever its method; only a missing value flushes it.
-    batches = []
-    original = oracle._solve_systems
-    monkeypatch.setattr(oracle, "_solve_systems",
-                        lambda systems: batches.append([(s[2], s[3]) for s in systems]) or original(systems))
-    htc = htc_identify(IV_GRAPH).certificates
-    tsid = EdgeCertificate(edge=(2, 3), status=IDENTIFIABLE, method="TSID",
-                           witness={"v": 3, "w0": 2, "S": [1], "T": []})
-    replay_certificates([htc[(1, 2)], tsid], covariance(sample_parameters(IV_GRAPH, 0)))
-    assert batches == [[([1], 2), ([2], 3)]]
-    batches.clear()
-    htc = list(htc_identify(JOINT_SYSTEM_GRAPH).certificates.values())
-    joint = joint_certificate(JOINT_SYSTEM_GRAPH, 6, [4, 5], [([3, 5], [1]), ([2, 4], [1])])
-    replay_certificates(htc[:2] + joint + htc[2:], covariance(sample_parameters(JOINT_SYSTEM_GRAPH, 0)))
-    assert batches[0][:3] == [([1], 2), ([1], 3), ([4, 5], 6)]
 
 
 def _one_system_at_a_time(certificates, sigma):
@@ -770,44 +784,50 @@ def _outcome(replay, certs, sigma):
     """The recovered edges in order with their bytes, or the error raised."""
     try:
         return [(e, x.tobytes()) for e, x in replay(certs, sigma).items()]
-    except (CertificateError, DegenerateSampleError) as exc:
+    except (CertificateError, DegenerateSampleError, ValueError) as exc:
         return type(exc), str(exc)
 
 
 def _replay_lists():
-    """Certificate lists of _replay_graphs, one of them with a JOINT after a waiting system."""
+    """(graph, certificates, the error they raise at a generic sample) for replay.
+
+    The lists of _replay_graphs, one with a JOINT after an HTC system, and a
+    good certificate followed by one whose witness names a vertex outside
+    1..n: a degenerate first system must be reported before the second
+    witness is read.
+    """
     lists = []
     for g in _replay_graphs():
         for solver in (htc_identify, eid_tsid_identify):
-            lists.append((g, list(solver(g).certificates.values())))
+            lists.append((g, list(solver(g).certificates.values()), None))
     htc = list(htc_identify(JOINT_SYSTEM_GRAPH).certificates.values())
     joint = joint_certificate(JOINT_SYSTEM_GRAPH, 6, [4, 5], [([3, 5], [1]), ([2, 4], [1])])
-    lists.append((JOINT_SYSTEM_GRAPH, htc[:2] + joint + htc[2:]))
+    lists.append((JOINT_SYSTEM_GRAPH, htc[:2] + joint + htc[2:], None))
+    g = decode_id(GraphId.parse("3:9:4"))
+    outside = EdgeCertificate(edge=(2, 3), status=IDENTIFIABLE, method="TSID",
+                              witness={"v": 3, "w0": 2, "S": [9], "T": []})
+    lists.append((g, [eid_tsid_identify(g).certificates[(1, 2)], outside], ValueError))
     return lists
 
 
 @pytest.mark.parametrize("degenerate", [False, True])
-def test_batched_systems_equal_one_system_at_a_time(monkeypatch, degenerate):
+def test_replay_equals_one_system_at_a_time(monkeypatch, degenerate):
     if degenerate:
         # Every determinant and denominator fails: the first in list order must be reported.
         monkeypatch.setattr(oracle, "DEGENERACY_TOL", np.inf)
-    batch_sizes = []
-    original = oracle._solve_systems
-    monkeypatch.setattr(oracle, "_solve_systems",
-                        lambda systems: batch_sizes.append(len(systems)) or original(systems))
     lists = _replay_lists()
-    follows_waiting = [
+    follows_half_trek = [
         a.method in ("HTC", "EID") and b.method in ("TSID", "JOINT")
-        for _, certs in lists for a, b in zip(certs, certs[1:])
+        for _, certs, _ in lists for a, b in zip(certs, certs[1:])
     ]
-    assert follows_waiting.count(True) >= 3
-    for g, certs in lists:
+    assert follows_half_trek.count(True) >= 3
+    for g, certs, error in lists:
         stack = covariance(sample_parameters(g, [0, 1, 2, 3]))
         for sigma in (*stack, stack):
             expected = _outcome(_one_system_at_a_time, certs, sigma)
             assert _outcome(replay_certificates, certs, sigma) == expected
-            assert isinstance(expected, tuple) == (degenerate and bool(certs))
-    assert max(batch_sizes) > 1
+            raised = expected[0] if isinstance(expected, tuple) else None
+            assert raised is (DegenerateSampleError if degenerate and certs else error)
 
 
 def test_replay_before_prerequisites_names_the_missing_edges():
