@@ -512,6 +512,15 @@ def joint_certificate(
     ]
 
 
+# The witness keys that replay reads, per method.
+_WITNESS_KEYS = {
+    "HTC": ("v", "E", "Y", "S", "H"),
+    "EID": ("v", "E", "Y", "S", "H"),
+    "TSID": ("v", "w0", "S", "T"),
+    "JOINT": ("v", "targets", "rows"),
+}
+
+
 def replay_certificates(
     certificates: Iterable[EdgeCertificate],
     sigma: np.ndarray,
@@ -524,21 +533,18 @@ def replay_certificates(
     stack ``sigma`` of shape (..., n, n) every recovered value has shape
     (...).
 
-    Every certificate is a linear system: HTC and EID witnesses give the
-    rows of ``oracle._recovery_rows``, TSID (one row) and JOINT witnesses
-    those of ``oracle._determinantal_rows``.  A system is built once for all
-    the edges of its witness (E, or the JOINT targets); later certificates
-    with an equal witness take their value from it.
-
-    Each system is solved where its certificate stands
-    (``oracle._solve_system``), so the values, the errors and the order in
-    which they are raised are those of solving every system there.
+    Every certificate is a linear system, solved where its first
+    certificate stands by the public solver of its formula:
+    ``oracle.solve_recovery_system`` for HTC and EID, ``oracle.recover_edge_ratio``
+    for TSID (one row) and ``oracle.solve_determinantal_system`` for JOINT,
+    which all end in ``oracle._solve_system``.  Later certificates with an
+    equal witness (E, or the JOINT targets) take their values from it.
 
     Raises:
         CertificateError: a certificate comes before its prerequisites, has
-            an unknown method, has a witness that uses an edge its
-            prerequisites do not list, or has a system that does not
-            recover its own edge.
+            an unknown method, has a witness that lacks a key its method
+            reads or uses an edge its prerequisites do not list, or has a
+            system that does not recover its own edge.
         DegenerateSampleError: some system determinant is below tolerance.
         ValueError: a witness names a vertex outside 1..n.
     """
@@ -551,11 +557,16 @@ def replay_certificates(
         missing = [e for e in cert.prerequisites if e not in recovered]
         if missing:
             raise CertificateError(f"certificate for {cert.edge} replayed before prerequisites {missing}")
-        if cert.method not in ("HTC", "EID", "TSID", "JOINT"):
+        if cert.method not in _WITNESS_KEYS:
             raise CertificateError(f"unknown certificate method {cert.method!r}")
         w = cert.witness
         system = systems.get(cert.edge)
         if system is None or system[0] != w:
+            lacking = [key for key in _WITNESS_KEYS[cert.method] if key not in w]
+            if not lacking and cert.method in ("HTC", "EID"):
+                lacking = [f"H[{y}]" for y in w["Y"] if y not in w["H"]]
+            if lacking:
+                raise CertificateError(f"certificate for {cert.edge} has a witness without {lacking}")
             v = w["v"]
             targets = (w["E"] if cert.method in ("HTC", "EID")
                        else [w["w0"]] if cert.method == "TSID" else w["targets"])
@@ -571,12 +582,12 @@ def replay_certificates(
                     raise CertificateError(
                         f"certificate for {cert.edge} uses edges {unlisted} not among its prerequisites"
                     )
-                a, rhs = oracle._recovery_rows(sigma, v, targets, w["S"], w["Y"], H, known)
+                values = oracle.solve_recovery_system(sigma, v, targets, w["S"], w["Y"], H, known)
             elif cert.method == "TSID":
-                a, rhs = oracle._determinantal_rows(sigma, [(w["S"], w["T"])], v, targets, known)
+                values = {recovers[0]: oracle.recover_edge_ratio(sigma, w["S"], w["T"], v, w["w0"], known)}
             else:
-                a, rhs = oracle._determinantal_rows(sigma, w["rows"], v, targets, known)
-            system = (w, oracle._solve_system(a, rhs, targets, v))
+                values = oracle.solve_determinantal_system(sigma, w["rows"], v, targets, known)
+            system = (w, values)
             systems.update((e, system) for e in recovers)
         recovered[cert.edge] = system[1][cert.edge]
     return recovered
@@ -708,6 +719,9 @@ def verify_certificates(
     drawn it.  When any seed is degenerate, the seeds replay one by one
     instead, each through ``_replay_errors`` on a one-point stack: attempt a
     draws ``seed + 104729 * a``, for up to ``REPLAY_RESAMPLES`` attempts.
+    Either way ``replay_certificates`` solves each system with
+    ``oracle.solve_recovery_system``, ``oracle.recover_edge_ratio`` or
+    ``oracle.solve_determinantal_system``, all ending in ``oracle._solve_system``.
 
     Returns the max relative recovery error per edge.
 

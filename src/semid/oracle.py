@@ -445,32 +445,9 @@ def solve_recovery_system(
     Raises:
         DegenerateSampleError: some |det A| is below tolerance (non-generic
             sample).
+        ValueError: |Y| is not |E| or |H|, or a vertex is outside 1..n.
     """
-    E = list(E)
-    a, rhs = _recovery_rows(sigma, v, E, S, Y, H, known)
-    if not E:
-        return {}
-    return _solve_system(a, rhs, E, v)
-
-
-def _recovery_rows(
-    sigma: NDArray,
-    v: int,
-    E: Iterable[int],
-    S: Iterable[int],
-    Y: Iterable[int],
-    H: Iterable[Iterable[int]],
-    known: Mapping[DirectedEdge, NDArray] | None = None,
-) -> tuple[NDArray, NDArray]:
-    """The matrix A, shape (..., k, k), and right-hand side, (..., k), of ``solve_recovery_system``.
-
-    All rows Y are gathered at once; the corrections for the parents H[i]
-    and the solved parents S are applied only where they exist, entry by
-    entry in the same order as one row at a time.
-    """
-    E = list(E)
-    S = list(S)
-    Y = list(Y)
+    E, S, Y = list(E), list(S), list(Y)
     H = [list(h) for h in H]
     known = known or {}
     if len(Y) != len(E):
@@ -478,6 +455,8 @@ def _recovery_rows(
     if len(H) != len(Y):
         raise ValueError(f"need one parent set per source, got {len(H)} for {len(Y)}")
     _check_vertices(sigma, [v, *E, *S, *Y, *(h for hs in H for h in hs)])
+    if not E:
+        return {}
     k = len(E)
     rows = np.array(Y, dtype=np.intp) - 1
     cols = [c - 1 for c in E + S]
@@ -492,7 +471,7 @@ def _recovery_rows(
     for i, (y, hs) in enumerate(zip(Y, H)):
         for h in hs:
             rhs[..., i] -= sigma[..., v - 1, h - 1] * known[(h, y)]
-    return corrected[..., :k], rhs
+    return _solve_system(corrected[..., :k], rhs, E, v)
 
 
 def solve_determinantal_system(
@@ -509,26 +488,16 @@ def solve_determinantal_system(
     |sigma[S_i, T_i + v]| - sum_w known[w->v] |sigma[S_i, T_i + w]| over
     the already-known coefficients of other edges into v.  ``sigma`` may be
     a stack of shape (..., n, n); the known values then have shape (...).
+    Each row's minors come from one stacked ``np.linalg.det`` call.
 
     Raises:
         DegenerateSampleError: some system determinant is below tolerance.
+        ValueError: a row count, |S| - |T| or known edge is invalid, or a
+            vertex is outside 1..n.
     """
-    rows, targets = list(rows), list(targets)
+    rows, targets = [(list(s), list(t)) for s, t in rows], list(targets)
     if not rows and not targets:
         return {}
-    a, rhs = _determinantal_rows(sigma, rows, v, targets, known)
-    return _solve_system(a, rhs, targets, v)
-
-
-def _determinantal_rows(
-    sigma: NDArray,
-    rows: Iterable[tuple[Iterable[int], Iterable[int]]],
-    v: int,
-    targets: list[int],
-    known: Mapping[DirectedEdge, NDArray] | None = None,
-) -> tuple[NDArray, NDArray]:
-    """The matrix, shape (..., k, k), and right-hand side, (..., k), of ``solve_determinantal_system``."""
-    rows = [(list(s), list(t)) for s, t in rows]
     known = known or {}
     if len(rows) != len(targets):
         raise ValueError(f"need one row per target, got {len(rows)} and {len(targets)}")
@@ -538,18 +507,19 @@ def _determinantal_rows(
     for w, head in known:
         if head != v:
             raise ValueError(f"known edge {w}->{head} does not point into {v}")
-
-    def rhs(s: list[int], t: list[int]) -> NDArray:
-        value = subdeterminant(sigma, s, t + [v])
-        for (w, _), x in known.items():
-            value = value - x * subdeterminant(sigma, s, t + [w])
-        return value
-
-    a = np.stack([
-        np.stack([subdeterminant(sigma, s, t + [w]) for w in targets], axis=-1)
-        for s, t in rows
-    ], axis=-2)
-    return a, np.stack([rhs(s, t) for s, t in rows], axis=-1)
+    columns = [*targets, v, *(w for w, _ in known)]
+    _check_vertices(sigma, [x for s, t in rows for x in (*s, *t, *targets)] + columns[len(targets):])
+    k, a, rhs = len(targets), [], []
+    for s, t in rows:
+        # minors[..., c] = |sigma[S, T + columns[c]]|
+        picks = np.array([[*t, c] for c in columns], dtype=np.intp) - 1
+        minors = np.linalg.det(sigma[..., np.array(s, dtype=np.intp)[:, None] - 1, picks[:, None, :]])
+        value = minors[..., k]
+        for j, x in enumerate(known.values()):
+            value = value - x * minors[..., k + 1 + j]
+        a.append(minors[..., :k])
+        rhs.append(value)
+    return _solve_system(np.stack(a, axis=-2), np.stack(rhs, axis=-1), targets, v)
 
 
 def _free_parameters(g: MixedGraph) -> list[tuple[str, int, int]]:

@@ -425,7 +425,7 @@ def test_replay_that_stays_degenerate_exit_code(capsys, monkeypatch):
     def degenerate(*args, **kwargs):
         raise oracle.DegenerateSampleError("forced")
 
-    monkeypatch.setattr(oracle, "_determinantal_rows", degenerate)
+    monkeypatch.setattr(oracle, "solve_determinantal_system", degenerate)
     message = "replay stayed degenerate after 5 resamples (seed 0): forced"
     certs = identify.eid_tsid_identify(HTC_FAIL_GRAPH).certificates.values()
     with pytest.raises(oracle.DegenerateSampleError) as exc:

@@ -653,6 +653,20 @@ def test_replay_rejects_a_witness_that_uses_an_unlisted_edge():
         replay_certificates([parent, solved], covariance(sample_parameters(g, seed=0)))
 
 
+@pytest.mark.parametrize("method, witness, lacking", [
+    ("EID", {"v": 3, "E": [2], "Y": [1], "S": []}, "['H']"),
+    ("EID", {"v": 3, "E": [2], "Y": [1], "S": [], "H": {}}, "['H[1]']"),
+    ("TSID", {"v": 3, "w0": 2, "S": [1, 2]}, "['T']"),
+], ids=["no-H", "no-H-entry", "no-T"])
+def test_replay_rejects_a_witness_that_lacks_a_key(method, witness, lacking):
+    g = decode_id(GraphId.parse("3:9:4"))
+    parent = eid_tsid_identify(g).certificates[(1, 2)]
+    malformed = EdgeCertificate(edge=(2, 3), status=IDENTIFIABLE, method=method, witness=witness)
+    message = f"certificate for (2, 3) has a witness without {lacking}"
+    with pytest.raises(CertificateError, match=re.escape(message)):
+        replay_certificates([parent, malformed], covariance(sample_parameters(g, seed=0)))
+
+
 def test_replay_rejects_a_system_that_does_not_recover_its_edge():
     g = decode_id(GraphId.parse("3:9:4"))
     sigma = covariance(sample_parameters(g, seed=0))
@@ -729,9 +743,9 @@ def test_replay_solves_each_system_once(monkeypatch):
     # Replay builds and solves each system once, where its first certificate stands.
     calls = []
     solves = []
-    original = oracle._recovery_rows
+    original = oracle.solve_recovery_system
     original_solve = oracle._solve_system
-    monkeypatch.setattr(oracle, "_recovery_rows",
+    monkeypatch.setattr(oracle, "solve_recovery_system",
                         lambda *args, **kwargs: calls.append(1) or original(*args, **kwargs))
     monkeypatch.setattr(oracle, "_solve_system", lambda *args: solves.append(1) or original_solve(*args))
     certs = list(htc_identify(JOINT_SYSTEM_GRAPH).certificates.values())
@@ -741,8 +755,8 @@ def test_replay_solves_each_system_once(monkeypatch):
 
 def test_replay_builds_a_joint_system_once(monkeypatch):
     calls = []
-    original = oracle._determinantal_rows
-    monkeypatch.setattr(oracle, "_determinantal_rows",
+    original = oracle.solve_determinantal_system
+    monkeypatch.setattr(oracle, "solve_determinantal_system",
                         lambda *args, **kwargs: calls.append(1) or original(*args, **kwargs))
     certs = joint_certificate(JOINT_SYSTEM_GRAPH, 6, [4, 5], [([3, 5], [1]), ([2, 4], [1])])
     sigma = covariance(sample_parameters(JOINT_SYSTEM_GRAPH, 0))
@@ -903,7 +917,7 @@ def test_verify_falls_back_per_seed_on_degenerate_batch(monkeypatch):
     certs = list(eid_tsid_identify(g).certificates.values())
     seeds = [7919 * i for i in range(5)]
     bad = covariance(sample_parameters(g, seeds[2]))
-    original = oracle._determinantal_rows
+    original = oracle.solve_determinantal_system
     raised = []
 
     def flaky(sigma, *args, **kwargs):
@@ -912,7 +926,7 @@ def test_verify_falls_back_per_seed_on_degenerate_batch(monkeypatch):
             raise DegenerateSampleError("forced")
         return original(sigma, *args, **kwargs)
 
-    monkeypatch.setattr(oracle, "_determinantal_rows", flaky)
+    monkeypatch.setattr(oracle, "solve_determinantal_system", flaky)
     errors = verify_certificates(g, certs, seeds)
     assert raised == [(5, 5, 5), (1, 5, 5)]  # the batch, then seed 2 before it resamples
     assert errors == _per_seed_errors(g, certs, seeds)

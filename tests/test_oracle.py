@@ -257,17 +257,55 @@ def test_recover_edge_ratio_degenerate_denominator():
         recover_edge_ratio(sig, [1, 2], [3], 4, 3)
 
 
-def test_recover_edge_ratio_is_the_explicit_quotient_bit_for_bit():
-    # TSID replay solves a 1 x 1 system; the golden digests rest on its
-    # bytes being those of (num - known * det) / den.
-    g = JOINT_SYSTEM_GRAPH
+# Edge 4 -> 5 with its two siblings 2 -> 5 and 3 -> 5; vertex 5 has no sibling.
+SIBLING_ROW_GRAPH = MixedGraph(5, [(1, 2), (1, 3), (2, 5), (3, 5), (4, 5)], [(1, 4), (2, 3), (2, 4)])
+
+
+@pytest.mark.parametrize("g, rows, v, targets, known_edges", [
+    (JOINT_SYSTEM_GRAPH, [([3, 5], [1])], 6, [4], [(5, 6)]),
+    (JOINT_SYSTEM_GRAPH, [([3, 5], [1]), ([2, 4], [1])], 6, [4, 5], []),
+    (JOINT_SYSTEM_GRAPH, [([1], [])], 4, [2], []),
+    (SIBLING_ROW_GRAPH, [([2, 3], [1])], 5, [4], [(2, 5), (3, 5)]),
+], ids=["tsid", "joint", "empty-T", "two-siblings"])
+def test_recover_edge_ratio_is_the_explicit_quotient_bit_for_bit(g, rows, v, targets, known_edges):
+    # Replay solves a k x k system of minors; the golden digests rest on its
+    # bytes being those of one subdeterminant per entry, and for k = 1 those
+    # of the explicit quotient (num - sum known * det) / den.
     p = sample_parameters(g, range(100))
     sigma = covariance(p)
-    known = p.lam[:, 4, 5]
-    got = recover_edge_ratio(sigma, [3, 5], [1], 6, 4, known={(5, 6): known})
-    num = subdeterminant(sigma, [3, 5], [1, 6]) - known * subdeterminant(sigma, [3, 5], [1, 5])
-    assert got.tobytes() == (num / subdeterminant(sigma, [3, 5], [1, 4])).tobytes()
-    assert np.allclose(got, p.lam[:, 3, 5], rtol=1e-9, atol=0)
+    known = {(w, u): p.lam[:, w - 1, u - 1] for w, u in known_edges}
+    a = np.stack([
+        np.stack([subdeterminant(sigma, s, t + [w]) for w in targets], axis=-1) for s, t in rows
+    ], axis=-2)
+    rhs = []
+    for s, t in rows:
+        num = subdeterminant(sigma, s, t + [v])
+        for (w, _), x in known.items():
+            num = num - x * subdeterminant(sigma, s, t + [w])
+        rhs.append(num)
+    rhs = np.stack(rhs, axis=-1)
+    if len(targets) == 1:
+        [(s, t)] = rows
+        got = {(targets[0], v): recover_edge_ratio(sigma, s, t, v, targets[0], known)}
+        expected = rhs / a[..., 0]
+    else:
+        got = solve_determinantal_system(sigma, rows, v, targets, known)
+        expected = np.linalg.solve(a, rhs[..., None])[..., 0]
+    for j, w in enumerate(targets):
+        assert got[(w, v)].tobytes() == expected[..., j].tobytes()
+        assert np.allclose(got[(w, v)], p.lam[:, w - 1, v - 1], rtol=1e-9, atol=0)
+
+
+@pytest.mark.parametrize("message, call", [
+    ("row ([2], [1]) must have |S| = |T| + 1",
+     lambda sig: solve_determinantal_system(sig, [([0, 5], [1]), ([2], [1])], 6, [4, 5])),
+    ("need |Y| = |E|, got 2 and 1",
+     lambda sig: solve_recovery_system(sig, 3, [2], [], [1, 2], [[9], []])),
+], ids=["short-row-and-vertex", "sources-and-parent"])
+def test_oracle_checks_lengths_before_vertices(message, call):
+    sig = covariance(sample_parameters(JOINT_SYSTEM_GRAPH, seed=0))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(sig)
 
 
 @pytest.mark.parametrize("vertex, call", [
