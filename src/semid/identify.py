@@ -466,10 +466,11 @@ def edge_infinite_to_one(g: MixedGraph, edge: DirectedEdge) -> tuple[bool, dict[
     """Per-edge non-identifiability test for v -> w.
 
     True when every vertex z other than w is either a sibling of w or cannot
-    half-trek-reach v; the record shows which disjunct held per z.  The
-    companion construction oracle.alternative_parameters exhibits two
-    parameter points with the same covariance whenever the test fires and
-    its numeric postconditions hold.
+    half-trek-reach v; the record shows which disjunct held per z.  The test
+    alone does not make the edge infinite-to-one: ``certify`` also needs
+    v <-> w (see ``_screen_edge``), and exactly then the two-point
+    construction ``oracle.alternative_parameters`` goes through at a
+    generic point.
     """
     v, w = edge
     record = infinite_to_one_record(g, v, w)
@@ -655,14 +656,14 @@ REPLAY_RESAMPLES = 5
 REPLAY_TOLERANCE = 1e-6
 
 
-def _check_replay_settings(seed_count: int) -> None:
-    """Reject a seed count under which a verified edge would prove nothing.
+def _check_replay_settings(seed_count: object) -> None:
+    """Raise ValueError, naming ``seed_count``, unless it is a Python or numpy integer >= 1.
 
     With no seeds nothing is replayed, yet every edge would be reported
-    verified.
+    verified; a count that is not an integer would fail only after the search.
     """
-    if seed_count < 1:
-        raise ValueError("seeds must be at least 1")
+    if not isinstance(seed_count, (int, np.integer)) or seed_count < 1:
+        raise ValueError(f"seeds must be an integer >= 1, got {seed_count!r}")
 
 
 def _verification_seeds(seed: int, count: int) -> list[int]:
@@ -767,22 +768,19 @@ def verify_certificates(
     return {cert.edge: float(err) for cert, err in zip(ordered, worst)}
 
 
-def _screen_edge(g: MixedGraph, edge: DirectedEdge, params: Parameters) -> EdgeCertificate:
+def _screen_edge(g: MixedGraph, edge: DirectedEdge) -> EdgeCertificate:
     """Certificate of an edge no solver certified: infinite-to-one or unknown.
 
-    A hit of the infinite-to-one test is trusted only once the explicit
-    two-point construction at ``params`` goes through.
+    The edge is infinite-to-one exactly when the literal test fires and its
+    tail is a sibling of its head: moving its coefficient moves entry
+    [tail, head] of (I - gamma)^T sigma (I - gamma) by a multiple of
+    [(I - lambda)^T sigma]_{tail, tail}, which contains omega_{tail, tail},
+    so only a bidirected edge there can absorb the change.
     """
     fires, record = edge_infinite_to_one(g, edge)
     if not fires:
         return EdgeCertificate(edge=edge, status=UNKNOWN)
-    u, w = edge
-    try:
-        oracle.alternative_parameters(g, params, edge, params.lam[u - 1, w - 1] + 1.0)
-    except DegenerateSampleError:
-        # Known boundary of the hypothesis (the check on z equal to the
-        # tail): the two-point construction does not go through, so the
-        # numeric oracle wins and the edge stays unknown.
+    if not g.has_bidirected(*edge):
         return EdgeCertificate(
             edge=edge, status=UNKNOWN,
             witness={"record": record, "note": "hypothesis held but construction failed"},
@@ -800,12 +798,13 @@ def certify(
     """Certify every directed edge of the graph.
 
     Runs the alternating edgewise / trek-separation pipeline, screens the
-    remaining edges with the infinite-to-one test (confirming each hit with
-    the explicit two-point construction before trusting it), and takes the
-    Jacobian rank of the parameterization: full when every edge is
-    certified, else the float rank at a sampled point.  With
-    ``verify``, every identifiable certificate is replayed over ``seeds``
-    sampled covariances and the max relative error is attached.
+    remaining edges from the graph alone (``_screen_edge``: infinite-to-one
+    when the literal test fires and the tail is a sibling of the head), and
+    takes the Jacobian rank of the parameterization: full when every edge
+    is certified, else the float rank at a sampled point.  With ``verify``,
+    every identifiable certificate is replayed over ``seeds`` sampled
+    covariances and the max relative error is attached.  No status depends
+    on ``seed``; a float sample serves only the replay and the rank.
 
     Raises:
         CertificateError: a replay missed the sampled ground truth, which
@@ -813,8 +812,9 @@ def certify(
             silently.
         DegenerateSampleError: the verification stack could not be drawn,
             or a seed stayed degenerate after resampling.
-        ValueError: ``seeds`` is below 1, with or without ``verify``, as on
-            the command line, or ``seed`` is not an integer >= 0.
+        ValueError: ``seeds`` is not an integer >= 1, with or without
+            ``verify``, as on the command line, or ``seed`` is not an
+            integer >= 0.
     """
     _check_replay_settings(seeds)
     oracle._check_seed(seed)
@@ -823,12 +823,12 @@ def certify(
     # Certified coefficients are rational functions of sigma, and so is
     # omega = (I - lambda)^T sigma (I - lambda): when every edge is
     # certified the parameterization has a rational inverse, its Jacobian
-    # full column rank generically, and no edge is left to screen.
+    # full column rank generically, and no float rank is needed.
     full = len(state.certificates) == len(g.directed)
 
     # Verification seed 0 is the base seed, so one stacked draw serves the
-    # replay, the infinite-to-one screen and the Jacobian.  Without a
-    # replay, a fully certified graph needs no sample at all.
+    # replay and the Jacobian.  Without a replay, a fully certified graph
+    # needs no sample at all.
     errors: dict[DirectedEdge, float] = {}
     params = None
     if verify and state.certificates:
@@ -842,7 +842,7 @@ def certify(
     for edge in sorted(g.directed):
         cert = state.certificates.get(edge)
         if cert is None:
-            cert = _screen_edge(g, edge, params)
+            cert = _screen_edge(g, edge)
         elif edge in errors:
             cert = replace(cert, verification={"seeds": seeds, "max_rel_err": errors[edge]})
         certificates[edge] = cert

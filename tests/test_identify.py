@@ -481,8 +481,9 @@ def test_edge_infinite_to_one_examples():
 def test_edge_infinite_to_one_two_vertex_boundary():
     # The bare regression 1 -> 2: the literal test fires through the z = v
     # disjunct, yet the coefficient is identifiable (sigma12/sigma11), the
-    # Jacobian has full rank, and the two-point construction fails.  certify
-    # resolves the conflict in favor of the numerics.
+    # Jacobian has full rank, and the two-point construction fails.  The
+    # tail is not a sibling of the head, so certify's screen would not read
+    # infinite-to-one even if no solver had certified the edge.
     tiny = MixedGraph(2, [(1, 2)], [])
     fires, record = edge_infinite_to_one(tiny, (1, 2))
     assert fires and record == {1: "not_half_trek_reachable"}
@@ -504,6 +505,71 @@ def test_certify_nonid_graph():
     for edge, cert in report.certificates.items():
         if cert.status == IDENTIFIABLE:
             assert cert.verification["max_rel_err"] < 1e-6
+
+
+# Edges whose float two-point construction misses ALTERNATIVE_TOL at one
+# seed: (code, edge, that seed).  Their status must not move with it.
+SEED_FLIPPED_EDGES = [
+    ("6:37901764:3669", (2, 4), 14000042),
+    ("7:1899987224768:546192", (6, 1), 11000033),
+    ("5:574876:279", (2, 1), 4000012),
+    ("9:2954181212450974608644:34225854635", (2, 7), 4000012),
+]
+
+
+def _verdicts(report):
+    return {e: (c.status, c.witness) for e, c in report.certificates.items()}
+
+
+def test_certify_statuses_do_not_depend_on_the_seed():
+    for code, edge, bad_seed in SEED_FLIPPED_EDGES:
+        g = decode_id(GraphId.parse(code))
+        at_zero = certify(g, verify=False, seed=0)
+        assert at_zero.certificates[edge].status == INFINITE_TO_ONE
+        assert _verdicts(certify(g, verify=False, seed=bad_seed)) == _verdicts(at_zero)
+    rng = random.Random(5)
+    for i in range(40):
+        g = random_mixed_graph(rng, rng.randint(4, 7), acyclic=i % 2 == 0)
+        at_zero = _verdicts(certify(g, verify=False, seed=0, max_set_size=2))
+        for seed in (4000012, 11000033, 14000042):
+            assert _verdicts(certify(g, verify=False, seed=seed, max_set_size=2)) == at_zero
+
+
+def test_screen_rule_matches_the_two_point_construction():
+    # The construction at seed 0 goes through exactly on the edges whose
+    # literal test fires and whose tail is a sibling of the head.
+    rng = random.Random(11)
+    fired = constructed = 0
+    for i in range(300):
+        g = random_mixed_graph(rng, rng.randint(4, 9), acyclic=i % 2 == 0)
+        p = sample_parameters(g, 0)
+        for u, w in sorted(g.directed):
+            if not edge_infinite_to_one(g, (u, w))[0]:
+                continue
+            fired += 1
+            try:
+                oracle.alternative_parameters(g, p, (u, w), p.lam[u - 1, w - 1] + 1.0)
+                ok = True
+            except DegenerateSampleError:
+                ok = False
+            assert ok == g.has_bidirected(u, w), (g, (u, w))
+            constructed += ok
+    assert 0 < constructed < fired
+
+
+def test_certify_never_constructs(monkeypatch):
+    def no_construction(*args):
+        raise AssertionError("certify called alternative_parameters")
+
+    monkeypatch.setattr(oracle, "alternative_parameters", no_construction)
+    for verify in (True, False):
+        report = certify(ONE_EDGE_NONID_GRAPH, verify=verify, seed=0)
+        assert {e: c.status for e, c in report.certificates.items()} == {
+            (1, 3): IDENTIFIABLE,
+            (2, 3): INFINITE_TO_ONE,
+            (3, 4): IDENTIFIABLE,
+            (4, 5): IDENTIFIABLE,
+        }
 
 
 def test_certify_iv():
@@ -556,11 +622,16 @@ def test_replay_rejects_missing_prerequisites():
         replay_certificates(shuffled, sig)
 
 
-@pytest.mark.parametrize("seeds", [0, -3])
-def test_certify_rejects_no_seeds(seeds):
-    # Nothing would replay, yet every identifiable edge would read verified.
+@pytest.mark.parametrize("seeds", [0, -3, 2.5, "3", None])
+def test_certify_rejects_no_seeds(seeds, monkeypatch):
+    # Nothing would replay, yet every identifiable edge would read verified;
+    # a count that is not an integer is named before any search runs.
+    def no_search(*args):
+        raise AssertionError("the search ran before seeds was checked")
+
+    monkeypatch.setattr(identify, "eid_tsid_identify", no_search)
     for verify in (True, False):
-        with pytest.raises(ValueError, match="seeds must be at least 1"):
+        with pytest.raises(ValueError, match=f"seeds must be an integer >= 1, got {re.escape(repr(seeds))}$"):
             certify(IV_GRAPH, verify=verify, seeds=seeds)
 
 
@@ -570,7 +641,7 @@ def test_replay_gate_is_fixed():
 
 def test_verify_rejects_an_empty_seed_list():
     certs = htc_identify(IV_GRAPH).certificates.values()
-    with pytest.raises(ValueError, match="seeds must be at least 1"):
+    with pytest.raises(ValueError, match="seeds must be an integer >= 1, got 0$"):
         verify_certificates(IV_GRAPH, certs, [])
 
 

@@ -29,7 +29,6 @@ from semid.oracle import (
     numeric_rank,
     restricted_covariance,
     sigma_jacobian,
-    validate_parameters,
 )
 
 from conftest import (
@@ -39,6 +38,39 @@ from conftest import (
     ONE_EDGE_NONID_GRAPH,
     random_mixed_graph,
 )
+
+
+def validate_parameters(g: MixedGraph, p: Parameters, tol: float = 1e-12) -> list[str]:
+    """Check the Parameters invariants against the graph supports.
+
+    Every non-finite entry is named, and the checks of the whole matrices
+    (symmetry, definiteness, singularity) run only when there is none.
+    Every check is written so that a NaN fails it.
+    """
+    n = g.n
+    if p.lam.shape != (n, n) or p.omega.shape != (n, n):
+        return [f"matrix shapes {p.lam.shape}, {p.omega.shape} do not match n={n}"]
+    problems = [
+        f"{name}[{v + 1},{w + 1}] is not finite"
+        for name, m in (("lambda", p.lam), ("omega", p.omega))
+        for v, w in np.argwhere(~np.isfinite(m)).tolist()
+    ]
+    if not problems:  # eigvalsh need not converge on a non-finite matrix
+        if not np.max(np.abs(p.omega - p.omega.T)) <= tol:
+            problems.append("omega is not symmetric")
+        if not np.min(np.linalg.eigvalsh((p.omega + p.omega.T) / 2)) > 0:
+            problems.append("omega is not positive definite")
+        if not abs(np.linalg.det(np.eye(n) - p.lam)) > tol:
+            problems.append("I - lambda is numerically singular")
+    for v in range(1, n + 1):
+        for w in range(1, n + 1):
+            if v != w and not abs(p.lam[v - 1, w - 1]) <= tol and (v, w) not in g.directed:
+                problems.append(f"lambda[{v},{w}] nonzero without edge {v}->{w}")
+            if v == w and not abs(p.lam[v - 1, w - 1]) <= tol:
+                problems.append(f"lambda[{v},{v}] nonzero on the diagonal")
+            if v < w and not abs(p.omega[v - 1, w - 1]) <= tol and not g.has_bidirected(v, w):
+                problems.append(f"omega[{v},{w}] nonzero without edge {v}<->{w}")
+    return problems
 
 
 @pytest.mark.parametrize("matrix, entries, value, problems", [
