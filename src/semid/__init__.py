@@ -4,8 +4,9 @@ Given a mixed graph (directed edges for linear effects, bidirected edges for
 correlated errors), this package decides per directed edge whether its
 coefficient is generically recoverable from the model covariance matrix,
 emits machine-checkable certificates (half-trek systems, determinantal
-ratios, linear systems, two-point constructions), and verifies every
-certificate against a numeric oracle at sampled parameter values.
+ratios, linear systems) and graph-decided infinite-to-one verdicts, and
+verifies every certificate against a numeric oracle at sampled parameter
+values.
 """
 
 from .graph import (

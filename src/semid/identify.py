@@ -650,44 +650,77 @@ class CertificationReport:
         return json.loads(self.to_json())
 
 
-# Fresh samples tried per seed when its replay is degenerate.
+# Draws tried per seed before a replay that stays degenerate at it fails.
 REPLAY_RESAMPLES = 5
 # Largest relative error a replayed coefficient may have against the sampled one.
 REPLAY_TOLERANCE = 1e-6
-
-
-def _check_replay_settings(seed_count: object) -> None:
-    """Raise ValueError, naming ``seed_count``, unless it is a Python or numpy integer >= 1.
-
-    With no seeds nothing is replayed, yet every edge would be reported
-    verified; a count that is not an integer would fail only after the search.
-    """
-    if not isinstance(seed_count, (int, np.integer)) or seed_count < 1:
-        raise ValueError(f"seeds must be an integer >= 1, got {seed_count!r}")
 
 
 def _verification_seeds(seed: int, count: int) -> list[int]:
     return [seed + 7919 * i for i in range(count)]
 
 
-def _replay_errors(
-    ordered: list[EdgeCertificate],
-    seeds: list[int],
-    sampled: Parameters,
-) -> np.ndarray:
-    """Replay at a stack of sampled points; relative errors, seeds x edges.
+def verify_certificates(
+    g: MixedGraph,
+    certificates: Iterable[EdgeCertificate],
+    seeds: Iterable[int],
+    *,
+    sampled: Parameters | None = None,
+) -> dict[DirectedEdge, float]:
+    """Replay identifiable certificates over several seeds against ground truth.
 
-    ``sampled`` holds one point per seed; its covariance is the path sum on
-    an acyclic graph and two solves on a cyclic one, without the singularity
-    check of ``oracle.covariance``, which every stack the sampler returns
-    passes.
+    All seeds are sampled and replayed together on one stack of covariances;
+    ``sampled`` is that stack, ``oracle.sample_parameters(g, seeds)``, when
+    the caller has already drawn it.  The covariance skips the singularity
+    check of ``oracle.covariance``, which every sampled stack passes.
+    ``replay_certificates`` solves each system with
+    ``oracle.solve_recovery_system``, ``oracle.recover_edge_ratio`` or
+    ``oracle.solve_determinantal_system``, all ending in
+    ``oracle._solve_system``.  When a system is degenerate, the slices its
+    ``DegenerateSampleError`` names (all, when it names none) are drawn
+    again, each at 104729 past its last draw seed, and the stack replays.
+    Slice i of a stack is the point its seed draws alone, so every seed ends
+    on the draw a replay of it alone would reach.  The gate runs once, on
+    the final stack.
+
+    Returns the max relative recovery error per edge.
 
     Raises:
-        CertificateError: for the first (seed, edge), seed-major, whose error
-            is not within ``REPLAY_TOLERANCE`` (a NaN error fails).
-        DegenerateSampleError: some system determinant is below tolerance.
+        CertificateError: some edge's recovered value misses the sampled
+            coefficient by more than ``REPLAY_TOLERANCE`` (relative, a NaN
+            error fails); the first failing seed, then the first failing
+            edge in replay order, is reported.
+        DegenerateSampleError: the stack could not be drawn, or a seed
+            stayed degenerate for ``REPLAY_RESAMPLES`` draws.
+        ValueError: ``seeds`` is empty, or ``sampled`` is not a stack of
+            one point per seed.
     """
-    recovered = replay_certificates(ordered, oracle._covariance_solve(sampled))
+    ordered = [c for c in certificates if c.status == IDENTIFIABLE]
+    seeds = list(seeds)
+    oracle._check_seed(len(seeds), "seeds", 1)
+    if sampled is not None and sampled.lam.shape[:-2] != (len(seeds),):
+        raise ValueError(
+            f"sampled holds a stack of shape {sampled.lam.shape[:-2]} for {len(seeds)} seeds; "
+            "it must hold one point per seed"
+        )
+    if sampled is None:
+        sampled = oracle.sample_parameters(g, seeds)
+    draws = list(seeds)
+    failures = [0] * len(seeds)
+    while True:
+        try:
+            recovered = replay_certificates(ordered, oracle._covariance_solve(sampled))
+            break
+        except DegenerateSampleError as exc:
+            for i in range(len(seeds)) if exc.slices is None else exc.slices:
+                failures[i] += 1
+                if failures[i] == REPLAY_RESAMPLES:
+                    raise DegenerateSampleError(
+                        f"replay stayed degenerate after {REPLAY_RESAMPLES} resamples (seed {seeds[i]}): {exc}"
+                    )
+                draws[i] += 104729
+        sampled = oracle.sample_parameters(g, draws)
+
     shape = (len(seeds), len(ordered))
     tails, heads = np.array([c.edge for c in ordered], dtype=np.intp).reshape(-1, 2).T - 1
     truth = sampled.lam[..., tails, heads].reshape(shape)
@@ -702,70 +735,7 @@ def _replay_errors(
             f"edge {u}->{w} ({ordered[j].method}): recovered {got[i, j]:.12g} "
             f"vs sampled {truth[i, j]:.12g} (rel err {rel[i, j]:.3e} > {REPLAY_TOLERANCE:g}, seed {seeds[i]})"
         )
-    return rel
-
-
-def verify_certificates(
-    g: MixedGraph,
-    certificates: Iterable[EdgeCertificate],
-    seeds: Iterable[int],
-    *,
-    sampled: Parameters | None = None,
-) -> dict[DirectedEdge, float]:
-    """Replay identifiable certificates over several seeds against ground truth.
-
-    All seeds are sampled and replayed together on one stack of covariances
-    by ``_replay_errors``; ``sampled`` is that stack,
-    ``oracle.sample_parameters(g, seeds)``, when the caller has already
-    drawn it.  When any seed is degenerate, the seeds replay one by one
-    instead, each through ``_replay_errors`` on a one-point stack: attempt a
-    draws ``seed + 104729 * a``, for up to ``REPLAY_RESAMPLES`` attempts.
-    Either way ``replay_certificates`` solves each system with
-    ``oracle.solve_recovery_system``, ``oracle.recover_edge_ratio`` or
-    ``oracle.solve_determinantal_system``, all ending in ``oracle._solve_system``.
-
-    Returns the max relative recovery error per edge.
-
-    Raises:
-        CertificateError: some edge's recovered value misses the sampled
-            coefficient by more than ``REPLAY_TOLERANCE`` (relative); the first
-            failing seed, then the first failing edge in replay order, is
-            reported.
-        DegenerateSampleError: a seed stayed degenerate after resampling.
-        ValueError: ``seeds`` is empty, or ``sampled`` is not a stack of
-            one point per seed.
-    """
-    ordered = [c for c in certificates if c.status == IDENTIFIABLE]
-    seeds = list(seeds)
-    _check_replay_settings(len(seeds))
-    if sampled is not None and sampled.lam.shape[:-2] != (len(seeds),):
-        raise ValueError(
-            f"sampled holds a stack of shape {sampled.lam.shape[:-2]} for {len(seeds)} seeds; "
-            "it must hold one point per seed"
-        )
-    try:
-        if sampled is None:
-            sampled = oracle.sample_parameters(g, seeds)
-        rel = _replay_errors(ordered, seeds, sampled)
-    except DegenerateSampleError:
-        # The oracle raises for the whole stack, so only a one-seed replay
-        # shows which seed is degenerate and needs resampling.
-        rows = []
-        for seed in seeds:
-            for attempt in range(REPLAY_RESAMPLES):
-                one = oracle.sample_parameters(g, [seed + 104729 * attempt])
-                try:
-                    rows.append(_replay_errors(ordered, [seed], one))
-                    break
-                except DegenerateSampleError as exc:
-                    last_error = exc
-            else:
-                raise DegenerateSampleError(
-                    f"replay stayed degenerate after {REPLAY_RESAMPLES} resamples (seed {seed}): {last_error}"
-                )
-        rel = np.concatenate(rows)
-    worst = rel.max(axis=0)
-    return {cert.edge: float(err) for cert, err in zip(ordered, worst)}
+    return {cert.edge: float(err) for cert, err in zip(ordered, rel.max(axis=0))}
 
 
 def _screen_edge(g: MixedGraph, edge: DirectedEdge) -> EdgeCertificate:
@@ -816,8 +786,8 @@ def certify(
             ``verify``, as on the command line, or ``seed`` is not an
             integer >= 0.
     """
-    _check_replay_settings(seeds)
-    oracle._check_seed(seed)
+    oracle._check_seed(seeds, "seeds", 1)
+    oracle._check_seed(seed, "seed", 0)
     state = eid_tsid_identify(g, max_set_size)
 
     # Certified coefficients are rational functions of sigma, and so is

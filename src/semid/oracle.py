@@ -41,8 +41,14 @@ class DegenerateSampleError(RuntimeError):
     """A determinant fell below tolerance at the sampled point, or a sampled point failed a check.
 
     A degenerate recovery reports ``system determinant <value> below
-    tolerance`` whatever its certificate's method.
+    tolerance`` whatever its certificate's method, and ``slices`` lists the
+    stack indices whose determinant is at or below tolerance ([0] for a
+    single matrix); every other error has ``slices`` None.
     """
+
+    def __init__(self, message: str, slices: list[int] | None = None):
+        super().__init__(message)
+        self.slices = slices
 
 
 class InfeasibleEdgeError(ValueError):
@@ -66,10 +72,10 @@ class Parameters:
         return self.lam.shape[-1]
 
 
-def _check_seed(seed: object) -> None:
-    """Raise ValueError, naming ``seed``, unless it is a Python or numpy integer >= 0 (a bool counts)."""
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+def _check_seed(value: object, name: str, bound: int) -> None:
+    """Raise ValueError, naming ``name`` and ``value``, unless it is a Python or numpy integer >= bound (a bool counts)."""
+    if not isinstance(value, (int, np.integer)) or value < bound:
+        raise ValueError(f"{name} must be an integer >= {bound}, got {value!r}")
 
 
 def _sampling_layout(g: MixedGraph) -> tuple[NDArray, NDArray, NDArray, NDArray, bool]:
@@ -111,7 +117,7 @@ def sample_parameters(g: MixedGraph, seed: int | Sequence[int]) -> Parameters:
     stacked = isinstance(seed, Iterable) and not isinstance(seed, str)
     seeds = list(seed) if stacked else [seed]
     for s in seeds:
-        _check_seed(s)
+        _check_seed(s, "seed", 0)
     n = g.n
     span = COEFF_MAX - COEFF_MIN
     n_coef, n_off = 2 * len(tails), len(ends_a)
@@ -347,13 +353,17 @@ def _solve_system(a: NDArray, rhs: NDArray, targets: list[int], v: int) -> dict[
     factors each slice on its own (for k = 1, rhs / a bit for bit).
 
     Raises:
-        DegenerateSampleError: some |det a| is below tolerance; the first
-            such slice is named.
+        DegenerateSampleError: some |det a| is below tolerance; the message
+            gives the first such determinant, ``slices`` the flat indices of
+            all such slices.
     """
     det = np.linalg.det(a)
     small = np.abs(det) <= DEGENERACY_TOL
     if np.any(small):
-        raise DegenerateSampleError(f"system determinant {np.asarray(det)[small][0]:.3e} below tolerance")
+        raise DegenerateSampleError(
+            f"system determinant {np.asarray(det)[small][0]:.3e} below tolerance",
+            slices=np.flatnonzero(small).tolist(),
+        )
     x = np.linalg.solve(a, rhs[..., None])[..., 0]
     return {(w, v): x[..., j] for j, w in enumerate(targets)}
 

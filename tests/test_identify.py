@@ -983,23 +983,32 @@ def _per_seed_errors(g, certs, seeds):
     return errors
 
 
-def test_verify_falls_back_per_seed_on_degenerate_batch(monkeypatch):
+@pytest.mark.parametrize("bad_draws, raised", [
+    ([15838], [[2]]),                    # one degenerate seed
+    ([7919, 23757], [[1, 3]]),           # two degenerate seeds
+    ([15838, 15838 + 104729], [[2], [2]]),  # one seed degenerate on two draws
+], ids=["one-seed", "two-seeds", "one-seed-twice"])
+def test_verify_redraws_only_the_degenerate_seeds(monkeypatch, bad_draws, raised):
     g = HTC_FAIL_GRAPH
     certs = list(eid_tsid_identify(g).certificates.values())
     seeds = [7919 * i for i in range(5)]
-    bad = covariance(sample_parameters(g, seeds[2]))
+    bad = [covariance(sample_parameters(g, s)) for s in bad_draws]
     original = oracle.solve_determinantal_system
-    raised = []
+    shapes, named = [], []
 
     def flaky(sigma, *args, **kwargs):
-        if np.any(np.all(sigma == bad, axis=(-2, -1))):
-            raised.append(sigma.shape)
-            raise DegenerateSampleError("forced")
+        shapes.append(sigma.shape)
+        slices = [i for i, s in enumerate(sigma.reshape(-1, *sigma.shape[-2:]))
+                  if any(np.array_equal(s, b) for b in bad)]
+        if slices:
+            named.append(slices)
+            raise DegenerateSampleError("forced", slices=slices)
         return original(sigma, *args, **kwargs)
 
     monkeypatch.setattr(oracle, "solve_determinantal_system", flaky)
     errors = verify_certificates(g, certs, seeds)
-    assert raised == [(5, 5, 5), (1, 5, 5)]  # the batch, then seed 2 before it resamples
+    assert named == raised
+    assert set(shapes) == {(5, 5, 5)}  # no seed replays alone
     assert errors == _per_seed_errors(g, certs, seeds)
 
 

@@ -530,8 +530,9 @@ def test_sampling_rejection_budget_exhausted(monkeypatch):
 
 def test_solve_recovery_system_degenerate():
     sigma = np.ones((3, 3))
-    with pytest.raises(DegenerateSampleError):
+    with pytest.raises(DegenerateSampleError) as exc:
         solve_recovery_system(sigma, 3, [1, 2], [], [1, 2], [[], []])
+    assert exc.value.slices == [0]
 
 
 def test_solve_determinantal_system_degenerate():
@@ -566,9 +567,11 @@ def test_oracle_functions_accept_a_stack():
 def test_stacked_degeneracy_in_one_slice_raises():
     sigma = covariance(sample_parameters(JOINT_SYSTEM_GRAPH, seed=3))
     stack = np.stack([sigma, np.ones_like(sigma), sigma])
-    with pytest.raises(DegenerateSampleError):
-        solve_determinantal_system(stack, [([3, 5], [1]), ([2, 4], [1])], 6, [4, 5])
-    with pytest.raises(DegenerateSampleError):
-        recover_edge_ratio(stack, [3, 5], [1], 6, 4)
-    with pytest.raises(DegenerateSampleError):
-        solve_recovery_system(stack, 6, [4, 5], [], [2, 3], [[], []])
+    for solve in (
+        lambda: solve_determinantal_system(stack, [([3, 5], [1]), ([2, 4], [1])], 6, [4, 5]),
+        lambda: recover_edge_ratio(stack, [3, 5], [1], 6, 4),
+        lambda: solve_recovery_system(stack, 6, [4, 5], [], [2, 3], [[], []]),
+    ):
+        with pytest.raises(DegenerateSampleError) as exc:
+            solve()
+        assert exc.value.slices == [1]
