@@ -386,6 +386,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except oracle.DegenerateSampleError as exc:
         print(f"degenerate sample: {exc}", file=sys.stderr)
         return EXIT_REPLAY_FAILED
+    except MemoryError as exc:
+        # The TSID search's minor tables grow with |S|.
+        detail = str(exc) or "MemoryError"
+        print(f"out of memory: {detail}; a smaller --max-set-size bounds the TSID search", file=sys.stderr)
+        return EXIT_INPUT_ERROR
     except BrokenPipeError:
         # The reader closed stdout (say, `| head`).  The text it did not read
         # goes to devnull, so that the flush at exit cannot fail again.

@@ -601,11 +601,12 @@ class CertificationReport:
     ``certificates`` maps every directed edge to its certificate, in sorted
     edge order.  ``parameterization_infinite_to_one`` flags a rank-deficient
     Jacobian of the whole parameterization, independent of the per-edge
-    statuses.  When every directed edge is certified the rank is
-    ``n_parameters`` by the certificates themselves: they invert the
-    parameterization rationally.  Otherwise it is a float rank at one
-    sampled point (``oracle.jacobian_rank``), and a deficient one is
-    evidence of a global obstruction, not a certificate.
+    statuses.  The rank is ``n_parameters`` when every directed edge is
+    certified, since the certificates invert the parameterization
+    rationally, or when ``modp.proves_full_rank`` proves it mod P.
+    Otherwise it is a float rank at one sampled point
+    (``oracle.jacobian_rank``), and a deficient one is evidence of a global
+    obstruction, not a certificate.
     """
 
     graph: MixedGraph
@@ -771,10 +772,12 @@ def certify(
     remaining edges from the graph alone (``_screen_edge``: infinite-to-one
     when the literal test fires and the tail is a sibling of the head), and
     takes the Jacobian rank of the parameterization: full when every edge
-    is certified, else the float rank at a sampled point.  With ``verify``,
-    every identifiable certificate is replayed over ``seeds`` sampled
-    covariances and the max relative error is attached.  No status depends
-    on ``seed``; a float sample serves only the replay and the rank.
+    is certified or ``modp.proves_full_rank`` proves it from the
+    uncertified edges' columns mod P, else the float rank at a sampled
+    point.  With ``verify``, every identifiable certificate is replayed
+    over ``seeds`` sampled covariances and the max relative error is
+    attached.  No status depends on ``seed``, nor does a proved full rank;
+    a float sample serves only the replay and an unproved rank.
 
     Raises:
         CertificateError: a replay missed the sampled ground truth, which
@@ -793,11 +796,13 @@ def certify(
     # Certified coefficients are rational functions of sigma, and so is
     # omega = (I - lambda)^T sigma (I - lambda): when every edge is
     # certified the parameterization has a rational inverse, its Jacobian
-    # full column rank generically, and no float rank is needed.
-    full = len(state.certificates) == len(g.directed)
+    # full column rank generically, and no float rank is needed.  Otherwise
+    # a nonzero minor mod P of the uncertified columns proves full rank.
+    uncertified = [e for e in sorted(g.directed) if e not in state.certificates]
+    full = not uncertified or modp.proves_full_rank(g, uncertified)
 
     # Verification seed 0 is the base seed, so one stacked draw serves the
-    # replay and the Jacobian.  Without a replay, a fully certified graph
+    # replay and the Jacobian.  Without a replay, a graph proved full rank
     # needs no sample at all.
     errors: dict[DirectedEdge, float] = {}
     params = None

@@ -1,4 +1,4 @@
-"""Linear algebra modulo a fixed prime: a covariance point and the TSID star screen.
+"""Linear algebra modulo a fixed prime: a covariance point, the TSID star screen and a full-rank proof.
 
 Most TSID pairs (S, T) for an edge w0 -> v fail the "star" condition: S
 links fully to T' and v' once the arcs of w0 -> v and of the solved
@@ -17,6 +17,8 @@ A star minor that is nonzero mod P is not the zero polynomial (Schwartz
 zero minor proves nothing, and the pair is swept.  So the screen removes
 only pairs the sweep would reject, and every certificate is the same at
 any point; the fixed prime and seed make the same inputs do the same work.
+The same point proves, by one nonzero determinant, that the
+parameterization's Jacobian has full rank (``proves_full_rank``).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import Iterator
 import numpy as np
 from numpy.typing import NDArray
 
-from .graph import MixedGraph, _cached
+from .graph import DirectedEdge, MixedGraph, _cached
 
 # A prime below 2**31, so a product of two residues fits in int64.
 P = 2147483629
@@ -66,6 +68,47 @@ def field_point(g: MixedGraph) -> tuple[NDArray, NDArray]:
         omega[x, x] = next(draws)
     r = _scaled_inverse(np.eye(n, dtype=np.int64) - lam)
     return _matmul(_matmul(r.T, omega), r), lam
+
+
+def proves_full_rank(g: MixedGraph, uncertified: list[DirectedEdge]) -> bool:
+    """Whether B_U below has full column rank mod P, which proves the Jacobian generically full rank.
+
+    ``uncertified`` lists the directed edges u -> w no certificate recovers.
+    With M = I - lambda and A = M^T sigma, the Jacobian J of (lambda, omega)
+    -> sigma satisfies dsigma = M^-T (A dlambda + (A dlambda)^T + domega)
+    M^-1.  Congruence by M^-1 is invertible, and each omega coordinate (a
+    diagonal entry or a bidirected pair) is a unit vector on its own entry,
+    so rank J = |omega| + rank B.  B has one row per non-adjacent pair
+    i < j (no i <-> j) and one column per directed edge u -> w, with entry
+    A[i, u] [w = j] + A[j, u] [w = i] (Foygel, Draisma and Drton 2012).  A
+    certified coefficient is a rational function of sigma, so its unit row
+    lies in the row space of J and its column is independent of all the
+    others: generic rank J = |omega| + |certified| + rank B_U, B_U being
+    B's uncertified columns.  So J is generically full rank exactly when
+    B_U is.
+
+    Column u -> w of B is A[x, u] on the pair {x, w}, for each x open to w.
+    So G = B_U^T B_U needs no B: for columns c = (t, h) and d = (t', h'),
+    G[c, d] is sum over x open to h of A[x, t] A[x, t'] when h = h', and
+    A[h', t] A[h, t'] when the pair {h, h'} is open.  G, taken mod P at
+    ``field_point``, is reduced by ``_invertible``.  A full rank makes
+    some |U|-minor of B_U nonzero mod P (Cauchy-Binet), so that minor is not
+    the zero polynomial (Schwartz 1980, Zippel 1979).  A deficient rank mod
+    P proves nothing, and returns False: so does a graph with fewer open
+    pairs than uncertified edges, or with I - lambda singular mod P
+    (sigma = 0).
+    """
+    sigma, lam = _cached(g, field_point)
+    a = (sigma - _matmul(lam.T, sigma)) % P
+    closed = np.eye(g.n, dtype=bool)
+    for u, w in g.bidirected:
+        closed[u - 1, w - 1] = closed[w - 1, u - 1] = True
+    tails, heads = np.array(uncertified, dtype=np.intp).reshape(-1, 2).T - 1
+    at_tails = a[:, tails]  # column c of B_U, spread over the pairs {x, heads[c]}
+    q = at_tails[heads]  # q[c, d] = A[heads[c], tails[d]]
+    same_head = _matmul((at_tails * ~closed[:, heads]).T, at_tails) * (heads[:, None] == heads)
+    across = q.T * q % P * ~closed[heads[:, None], heads]
+    return _invertible((same_head + across) % P)
 
 
 def star_vanishing_pairs(
@@ -188,11 +231,35 @@ def _scaled_inverse(m: NDArray) -> NDArray:
     return a[:, n:]
 
 
+def _invertible(m: NDArray) -> bool:
+    """Whether the square matrix m, residues in 0..P-1, is invertible mod P.
+
+    Fraction-free forward elimination, as in ``_scaled_inverse``, but each
+    step updates only the block below and right of its pivot: row r below
+    row j becomes a * r - c * (row j) there, a being the pivot and c r's
+    entry in column j.  Scaling a row by a nonzero residue keeps the rank,
+    so m is invertible exactly when every column finds a pivot.  That is
+    about k^3 / 3 products for k columns, a sixth of ``_scaled_inverse``.
+    """
+    a = m.copy()
+    for j in range(len(a)):
+        if not a[j, j]:
+            below = np.flatnonzero(a[j + 1:, j])
+            if not len(below):
+                return False
+            a[[j, j + 1 + below[0]]] = a[[j + 1 + below[0], j]]
+        a[j + 1:, j + 1:] = (a[j, j] * a[j + 1:, j + 1:] - a[j + 1:, j, None] * a[j, j + 1:]) % P
+    return True
+
+
 def _matmul(x: NDArray, y: NDArray) -> NDArray:
     """x @ y mod P for residues in 0..P-1, exact in int64.
 
     y splits into 16-bit halves, y = hi * 2**16 + lo.  A product of a residue
-    and a half is below 2**47, so a sum of up to 2**15 of them fits in int64.
+    and a half is below 2**47, so a sum of up to 2**15 of them fits in int64:
+    a longer contraction is summed in blocks of 2**15, each reduced mod P.
     """
+    if x.shape[1] > 1 << 15:
+        return sum(_matmul(x[:, k:k + (1 << 15)], y[k:k + (1 << 15)]) for k in range(0, x.shape[1], 1 << 15)) % P
     hi, lo = np.divmod(y, 1 << 16)
     return ((x @ hi % P << 16) + x @ lo) % P

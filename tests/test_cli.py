@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import semid
-from semid import encode_id, graph_from_json, graph_to_json, identify, oracle, verify_certificates
+from semid import encode_id, graph_from_json, graph_to_json, identify, modp, oracle, verify_certificates
 from semid.cli import EXIT_INPUT_ERROR, EXIT_REPLAY_FAILED, main
 
 from conftest import CORPUS_PATH, HTC_FAIL_GRAPH, IV_GRAPH, ONE_EDGE_NONID_GRAPH
@@ -434,3 +434,19 @@ def test_replay_that_stays_degenerate_exit_code(capsys, monkeypatch):
     code, out, err = run(capsys, "identify", encode_id(HTC_FAIL_GRAPH))
     assert code == EXIT_REPLAY_FAILED
     assert out == "" and message in err
+
+
+@pytest.mark.parametrize("message, detail", [
+    ("Unable to allocate 781. MiB for an array with shape (31824, 6435) and data type int32", None),
+    ("", "MemoryError"),
+])
+def test_search_out_of_memory_is_named(capsys, monkeypatch, message, detail):
+    # The first message is numpy's, at level 7 of an n=18 search.
+    def out_of_memory(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(modp, "star_vanishing_pairs", out_of_memory)
+    code, out, err = run(capsys, "identify", "5:4456:113", "--max-set-size", "5")
+    assert code == EXIT_INPUT_ERROR
+    assert out == ""
+    assert err == f"out of memory: {detail or message}; a smaller --max-set-size bounds the TSID search\n"

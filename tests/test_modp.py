@@ -13,10 +13,11 @@ import tracemalloc
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from semid import GraphId, MixedGraph, decode_id, eid_tsid_identify, modp, tsid_identify
+from semid import GraphId, MixedGraph, certify, decode_id, eid_tsid_identify, modp, oracle, tsid_identify
 from semid.flow import build_flow_graph, build_restricted_flow_graph
-from semid.identify import _tsep_probe, _tsep_sweep
+from semid.identify import IDENTIFIABLE, INFINITE_TO_ONE, _tsep_probe, _tsep_sweep
 
 from conftest import HTC_FAIL_GRAPH, INCONCLUSIVE_ACYCLIC_GRAPH, INCONCLUSIVE_CYCLIC_GRAPH, corpus_codes, random_mixed_graph
 
@@ -31,6 +32,22 @@ def _det_mod_p(m):
         (-1) ** j * m[0][j] * _det_mod_p([row[:j] + row[j + 1:] for row in m[1:]])
         for j in range(len(m))
     ) % P
+
+
+def _rank_mod_p(m):
+    """Gaussian elimination with inverses mod P, in Python integers."""
+    rows, rank = [list(r) for r in m], 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][c] % P), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inverse = pow(rows[rank][c], P - 2, P)
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][c] * inverse % P
+            rows[r] = [(x - f * y) % P for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
 
 
 def test_prime_fits_int64_products():
@@ -86,6 +103,18 @@ def test_matmul_matches_python_integer_products():
         assert got.dtype == np.int64 and got.tolist() == expected
     top = np.full((64, 64), P - 1, dtype=np.int64)  # the largest sums of the largest products
     assert (modp._matmul(top, top) == 64 * (P - 1) ** 2 % P).all()
+
+
+@pytest.mark.parametrize("length", [40_000, 70_000])
+def test_matmul_sums_a_long_contraction_in_blocks(length):
+    # A residue times a 16-bit half is below 2**47, so 70,000 of the largest
+    # such products overflow int64 when summed in one block.
+    rng = random.Random(length)
+    x = [rng.randrange(P) for _ in range(length)]
+    y = [rng.randrange(P) for _ in range(length)]
+    for row, col in ((x, y), ([P - 1] * length, [P - 1] * length)):
+        got = modp._matmul(np.array([row], dtype=np.int64), np.array(col, dtype=np.int64)[:, None])
+        assert got.tolist() == [[sum(a * b for a, b in zip(row, col)) % P]]
 
 
 # SHA-256 of sigma and lambda of field_point over every benchmark pool graph,
@@ -145,6 +174,46 @@ def test_scaled_inverse_is_zero_when_singular_mod_p():
         assert np.all(np.diag(d) != 0)
         swapped += m[0, 0] == 0
     assert singular >= 20 and swapped >= 20
+
+
+def test_invertible_matches_python_integer_rank():
+    rng = random.Random(17)
+    invertible = singular = 0
+    for _ in range(200):
+        n = rng.randint(0, 7)
+        m = [[rng.randrange(P) if rng.random() < 0.6 else 0 for _ in range(n)] for _ in range(n)]
+        if n > 1 and rng.random() < 0.2:
+            for row in m:
+                row[-1] = (row[0] * 5 + row[1]) % P  # dependent columns
+        got = modp._invertible(np.array(m, dtype=np.int64).reshape(n, n))
+        assert got == (_rank_mod_p(m) == n)
+        invertible += got
+        singular += not got
+    assert invertible >= 40 and singular >= 40
+
+
+def test_full_rank_proof_matches_the_rank_of_b():
+    # Oracle: B_U written out entry by entry from its definition, one row
+    # per pair i < j without i <-> j, and its rank in Python integers.
+    rng = random.Random(19)
+    held = failed = 0
+    for i in range(150):
+        g = random_mixed_graph(rng, rng.randint(2, 7), acyclic=i % 2 == 1)
+        sigma, lam = (m.tolist() for m in modp.field_point(g))
+        # A = (I - lambda)^T sigma
+        a = [[(sigma[x][z] - sum(lam[y][x] * sigma[y][z] for y in range(g.n))) % P for z in range(g.n)]
+             for x in range(g.n)]
+        edges = sorted(g.directed)
+        uncertified = rng.sample(edges, rng.randint(0, len(edges)))
+        b = [
+            [a[x - 1][u - 1] * (w == y) + a[y - 1][u - 1] * (w == x) for u, w in uncertified]
+            for x, y in itertools.combinations(g.vertices, 2) if not g.has_bidirected(x, y)
+        ]
+        proved = _rank_mod_p(b) == len(uncertified)
+        assert modp.proves_full_rank(g, uncertified) == proved
+        held += proved
+        failed += not proved
+    assert held >= 30 and failed >= 30
 
 
 def test_field_point_is_zero_when_i_minus_lambda_is_singular(monkeypatch):
@@ -282,3 +351,31 @@ def test_screen_memory_stays_bounded_on_a_twelve_vertex_graph():
         tracemalloc.stop()
     assert not any(c.method == "TSID" for c in state.certificates.values())
     assert peak <= 12 * 2**20, peak
+
+
+def test_full_rank_proof_is_sound_on_seeded_graphs(monkeypatch):
+    # The proof never holds with an infinite-to-one edge, holds only where
+    # the float rank is full at one of three seeds, and reads the same on
+    # the uncertified columns of B as on all of them.
+    rng = random.Random(13)
+    held = infinite = 0
+    for i in range(300):
+        g = random_mixed_graph(rng, rng.randint(4, 8), acyclic=i % 2 == 1)
+        statuses = {e: c.status for e, c in certify(g, verify=False).certificates.items()}
+        uncertified = [e for e, status in statuses.items() if status != IDENTIFIABLE]
+        proved = modp.proves_full_rank(g, uncertified)
+        assert proved == modp.proves_full_rank(g, sorted(g.directed))
+        if INFINITE_TO_ONE in statuses.values():
+            infinite += 1
+            assert not proved
+        if proved and uncertified:
+            held += 1
+            ranks = [oracle.jacobian_rank(g, oracle.sample_parameters(g, seed)) for seed in range(3)]
+            assert oracle.n_free_parameters(g) in ranks
+    assert held >= 10 and infinite >= 50
+    # A zero proves nothing: at a singular I - lambda mod P sigma is 0.
+    g = INCONCLUSIVE_ACYCLIC_GRAPH
+    assert modp.proves_full_rank(g, sorted(g.directed))
+    g = MixedGraph(g.n, g.directed, g.bidirected)  # nothing memoized
+    monkeypatch.setattr(modp, "field_point", lambda g: (np.zeros((g.n, g.n), dtype=np.int64),) * 2)
+    assert not modp.proves_full_rank(g, sorted(g.directed))

@@ -419,8 +419,9 @@ def test_jacobian_rank_does_not_depend_on_the_seed():
     # A corpus_n5 graph with an uncertified edge: 14 of 14 at seed 0, but 5
     # of 14 at seed 2000006, where det(I - L) = -0.005 (just past the
     # rejection tolerance), cond(sigma) is about 2.3e6 and the largest
-    # singular value 3.8e8 sets a cutoff of 3.8.  A rank mod P at a fixed
-    # point would not depend on the seed.
+    # singular value 3.8e8 sets a cutoff of 3.8.  certify no longer reads
+    # the float rank here: it proves full rank mod P at a fixed point
+    # (modp.proves_full_rank).  The float function itself is unchanged.
     g = decode_id(GraphId.parse("5:74883:522"))
     assert jacobian_rank(g, sample_parameters(g, 0)) == jacobian_rank(g, sample_parameters(g, 2000006))
 

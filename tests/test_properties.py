@@ -181,27 +181,30 @@ def test_fully_identifiable_report_is_finite_to_one(code):
     assert report.jacobian_rank == report.n_parameters
 
 
-def test_certify_takes_only_an_uncertified_graph_to_the_float_rank(monkeypatch):
+def test_certify_takes_only_an_unproved_graph_to_the_float_rank(monkeypatch):
     def forbidden(*args):
-        raise AssertionError("float Jacobian rank of a fully certified graph")
+        raise AssertionError("float Jacobian rank of a graph proved full rank")
 
     def no_sample(*args):
-        raise AssertionError("sample drawn for a fully certified graph")
+        raise AssertionError("sample drawn for a graph proved full rank")
 
     monkeypatch.setattr(oracle, "jacobian_rank", forbidden)
     fully_certified = (IV_GRAPH, MixedGraph(3))
-    for g in fully_certified:
-        report = certify(g)
-        assert report.fully_identifiable()
+    # Unknown edges whose Jacobian columns have full rank mod P: none of
+    # them certified, and one of seven (a corpus graph).
+    proved = (INCONCLUSIVE_ACYCLIC_GRAPH, decode_id(GraphId.parse("5:6629:512")))
+    for g in fully_certified + proved:
+        report = certify(g, max_set_size=5)
+        assert report.fully_identifiable() == (g in fully_certified)
         assert report.jacobian_rank == report.n_parameters
-    # One graph with unknown edges, one with an infinite-to-one edge.
-    for g in (INCONCLUSIVE_ACYCLIC_GRAPH, ONE_EDGE_NONID_GRAPH):
-        with pytest.raises(AssertionError, match="fully certified"):
-            certify(g)
-    # Without a replay nothing reads a sample of a fully certified graph,
+    # An infinite-to-one edge: no proof, so the float rank decides.
+    with pytest.raises(AssertionError, match="proved full rank"):
+        certify(ONE_EDGE_NONID_GRAPH)
+    # Without a replay nothing reads a sample of a graph proved full rank,
     # so none is drawn: a degenerate draw cannot fail such a report.
     monkeypatch.setattr(oracle, "sample_parameters", no_sample)
-    for g in fully_certified:
-        report = certify(g, verify=False)
-        assert report.fully_identifiable()
+    for g in fully_certified + proved:
+        report = certify(g, max_set_size=5, verify=False)
         assert report.jacobian_rank == report.n_parameters
+    with pytest.raises(AssertionError, match="sample drawn"):
+        certify(ONE_EDGE_NONID_GRAPH, verify=False)
