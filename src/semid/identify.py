@@ -33,7 +33,7 @@ import numpy as np
 from . import modp, oracle
 from .flow import build_flow_graph, build_restricted_flow_graph
 from .graph import DirectedEdge, MixedGraph, _bits, _cached, _reach_masks, _vertex_list, infinite_to_one_record
-from .oracle import DegenerateSampleError, Parameters
+from .oracle import DegenerateSampleError
 
 IDENTIFIABLE = "identifiable"
 INFINITE_TO_ONE = "infinite_to_one"
@@ -604,9 +604,9 @@ class CertificationReport:
     statuses.  The rank is ``n_parameters`` when every directed edge is
     certified, since the certificates invert the parameterization
     rationally, or when ``modp.proves_full_rank`` proves it mod P.
-    Otherwise it is a float rank at one sampled point
-    (``oracle.jacobian_rank``), and a deficient one is evidence of a global
-    obstruction, not a certificate.
+    Otherwise it is the float rank ``oracle.jacobian_rank`` at
+    ``oracle.sample_parameters(graph, seed)``, and a deficient one is
+    evidence of a global obstruction, not a certificate.
     """
 
     graph: MixedGraph
@@ -665,18 +665,14 @@ def verify_certificates(
     g: MixedGraph,
     certificates: Iterable[EdgeCertificate],
     seeds: Iterable[int],
-    *,
-    sampled: Parameters | None = None,
 ) -> dict[DirectedEdge, float]:
     """Replay identifiable certificates over several seeds against ground truth.
 
-    All seeds are sampled and replayed together on one stack of covariances;
-    ``sampled`` is that stack, ``oracle.sample_parameters(g, seeds)``, when
-    the caller has already drawn it.  The covariance skips the singularity
-    check of ``oracle.covariance``, which every sampled stack passes.
-    ``replay_certificates`` solves each system with
-    ``oracle.solve_recovery_system``, ``oracle.recover_edge_ratio`` or
-    ``oracle.solve_determinantal_system``, all ending in
+    All seeds are sampled together as one stack, ``oracle.sample_parameters(g,
+    seeds)``, and replayed on its ``oracle.covariance``; with no identifiable
+    certificate nothing is drawn.  ``replay_certificates`` solves each
+    system with ``oracle.solve_recovery_system``, ``oracle.recover_edge_ratio``
+    or ``oracle.solve_determinantal_system``, all ending in
     ``oracle._solve_system``.  When a system is degenerate, the slices its
     ``DegenerateSampleError`` names (all, when it names none) are drawn
     again, each at 104729 past its last draw seed, and the stack replays.
@@ -693,24 +689,21 @@ def verify_certificates(
             edge in replay order, is reported.
         DegenerateSampleError: the stack could not be drawn, or a seed
             stayed degenerate for ``REPLAY_RESAMPLES`` draws.
-        ValueError: ``seeds`` is empty, or ``sampled`` is not a stack of
-            one point per seed.
+        ValueError: ``seeds`` is empty, or a seed is not an integer >= 0.
     """
     ordered = [c for c in certificates if c.status == IDENTIFIABLE]
     seeds = list(seeds)
     oracle._check_seed(len(seeds), "seeds", 1)
-    if sampled is not None and sampled.lam.shape[:-2] != (len(seeds),):
-        raise ValueError(
-            f"sampled holds a stack of shape {sampled.lam.shape[:-2]} for {len(seeds)} seeds; "
-            "it must hold one point per seed"
-        )
-    if sampled is None:
-        sampled = oracle.sample_parameters(g, seeds)
+    for s in seeds:
+        oracle._check_seed(s, "seed", 0)
+    if not ordered:
+        return {}
+    stack = oracle.sample_parameters(g, seeds)
     draws = list(seeds)
     failures = [0] * len(seeds)
     while True:
         try:
-            recovered = replay_certificates(ordered, oracle._covariance_solve(sampled))
+            recovered = replay_certificates(ordered, oracle.covariance(stack))
             break
         except DegenerateSampleError as exc:
             for i in range(len(seeds)) if exc.slices is None else exc.slices:
@@ -720,13 +713,11 @@ def verify_certificates(
                         f"replay stayed degenerate after {REPLAY_RESAMPLES} resamples (seed {seeds[i]}): {exc}"
                     )
                 draws[i] += 104729
-        sampled = oracle.sample_parameters(g, draws)
+        stack = oracle.sample_parameters(g, draws)
 
-    shape = (len(seeds), len(ordered))
-    tails, heads = np.array([c.edge for c in ordered], dtype=np.intp).reshape(-1, 2).T - 1
-    truth = sampled.lam[..., tails, heads].reshape(shape)
-    values = [recovered[c.edge] for c in ordered]
-    got = np.stack(values, axis=-1).reshape(shape) if values else np.empty(shape)
+    tails, heads = np.array([c.edge for c in ordered], dtype=np.intp).T - 1
+    truth = stack.lam[:, tails, heads]
+    got = np.stack([recovered[c.edge] for c in ordered], axis=-1)
     rel = np.abs(got - truth) / np.maximum(np.abs(truth), 1e-12)
     over = np.argwhere(~(rel <= REPLAY_TOLERANCE))  # NaN fails too
     if len(over):
@@ -773,11 +764,13 @@ def certify(
     when the literal test fires and the tail is a sibling of the head), and
     takes the Jacobian rank of the parameterization: full when every edge
     is certified or ``modp.proves_full_rank`` proves it from the
-    uncertified edges' columns mod P, else the float rank at a sampled
-    point.  With ``verify``, every identifiable certificate is replayed
-    over ``seeds`` sampled covariances and the max relative error is
-    attached.  No status depends on ``seed``, nor does a proved full rank;
-    a float sample serves only the replay and an unproved rank.
+    uncertified edges' columns mod P, else the float rank at
+    ``oracle.sample_parameters(g, seed)``, the point of verification seed
+    0.  With ``verify``, every identifiable certificate is replayed over
+    ``seeds`` sampled covariances by ``verify_certificates`` and the max
+    relative error is attached.  No status depends on ``seed``, nor does a
+    proved full rank; a float sample serves only the replay and an
+    unproved rank.
 
     Raises:
         CertificateError: a replay missed the sampled ground truth, which
@@ -801,18 +794,9 @@ def certify(
     uncertified = [e for e in sorted(g.directed) if e not in state.certificates]
     full = not uncertified or modp.proves_full_rank(g, uncertified)
 
-    # Verification seed 0 is the base seed, so one stacked draw serves the
-    # replay and the Jacobian.  Without a replay, a graph proved full rank
-    # needs no sample at all.
     errors: dict[DirectedEdge, float] = {}
-    params = None
-    if verify and state.certificates:
-        verify_seeds = _verification_seeds(seed, seeds)
-        stack = oracle.sample_parameters(g, verify_seeds)
-        params = Parameters(lam=stack.lam[0], omega=stack.omega[0])
-        errors = verify_certificates(g, state.certificates.values(), verify_seeds, sampled=stack)
-    elif not full:
-        params = oracle.sample_parameters(g, seed)
+    if verify:
+        errors = verify_certificates(g, state.certificates.values(), _verification_seeds(seed, seeds))
     certificates: dict[DirectedEdge, EdgeCertificate] = {}
     for edge in sorted(g.directed):
         cert = state.certificates.get(edge)
@@ -826,7 +810,7 @@ def certify(
     return CertificationReport(
         graph=g,
         certificates=certificates,
-        jacobian_rank=n_parameters if full else oracle.jacobian_rank(g, params),
+        jacobian_rank=n_parameters if full else oracle.jacobian_rank(g, oracle.sample_parameters(g, seed)),
         n_parameters=n_parameters,
         seed=seed,
     )

@@ -170,22 +170,14 @@ def covariance(p: Parameters) -> NDArray:
     On an acyclic support of lambda, (I - lambda)^-1 is the finite path
     sum of ``_path_sum_inverse`` and det(I - lambda) = 1 exactly, so no
     check is needed.  Otherwise it takes two linear solves against
-    I - lambda, guarded by the determinant.  ``p`` may hold stacks of shape
-    (..., n, n); the result then has the same shape.
+    I - lambda behind a determinant check, which a point from
+    ``sample_parameters`` always passes, since a cyclic draw is kept only
+    when |det| > REJECTION_TOLERANCE > SINGULAR_TOL.  ``p`` may hold stacks
+    of shape (..., n, n); the result then has the same shape.
 
     Raises:
         DegenerateSampleError: on a cyclic or non-finite lambda, some
             |det(I - lambda)| is not above SINGULAR_TOL (NaN included).
-    """
-    return _covariance_solve(p, guarded=True)
-
-
-def _covariance_solve(p: Parameters, guarded: bool = False) -> NDArray:
-    """``covariance``, by default without its singularity guard.
-
-    For points drawn by ``sample_parameters`` the guard is a postcondition
-    of the sampler: the path sum applies on acyclic graphs, and cyclic draws
-    are kept only when |det| > REJECTION_TOLERANCE > SINGULAR_TOL.
     """
     inverse = _path_sum_inverse(p.lam)
     if inverse is not None:
@@ -193,7 +185,7 @@ def _covariance_solve(p: Parameters, guarded: bool = False) -> NDArray:
         del inverse
     else:
         m_t = np.swapaxes(np.eye(p.n) - p.lam, -1, -2)
-        if guarded and not np.all(np.abs(np.linalg.det(m_t)) > SINGULAR_TOL):
+        if not np.all(np.abs(np.linalg.det(m_t)) > SINGULAR_TOL):
             raise DegenerateSampleError("I - lambda is numerically singular")
         half = np.linalg.solve(m_t, p.omega)
         sigma = np.swapaxes(np.linalg.solve(m_t, np.swapaxes(half, -1, -2)), -1, -2)

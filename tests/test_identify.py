@@ -956,19 +956,6 @@ def test_replay_before_prerequisites_names_the_missing_edges():
     assert found >= 3, found
 
 
-def test_verify_rejects_a_sampled_stack_of_another_size():
-    g = decode_id(GraphId.parse("3:9:4"))
-    certs = list(eid_tsid_identify(g).certificates.values())
-    seeds = [0, 7919, 15838]
-    for sampled, shape in ((sample_parameters(g, [0]), r"\(1,\)"),
-                           (sample_parameters(g, range(5)), r"\(5,\)"),
-                           (sample_parameters(g, 0), r"\(\)")):
-        with pytest.raises(ValueError, match=rf"shape {shape} for 3 seeds"):
-            verify_certificates(g, certs, seeds, sampled=sampled)
-    assert verify_certificates(g, certs, seeds, sampled=sample_parameters(g, seeds)) == \
-        verify_certificates(g, certs, seeds)
-
-
 def _per_seed_errors(g, certs, seeds):
     """The replay loop that verify_certificates batches: one 2-D point per seed.
 
@@ -980,7 +967,7 @@ def _per_seed_errors(g, certs, seeds):
         for attempt in range(identify.REPLAY_RESAMPLES):
             params = sample_parameters(g, seed + 104729 * attempt)
             try:
-                recovered = replay_certificates(certs, oracle._covariance_solve(params))
+                recovered = replay_certificates(certs, covariance(params))
                 break
             except DegenerateSampleError:
                 pass
@@ -1023,16 +1010,56 @@ def test_verify_redraws_only_the_degenerate_seeds(monkeypatch, bad_draws, raised
     assert errors == _per_seed_errors(g, certs, seeds)
 
 
-def test_verify_fails_a_nan_replay_error():
+def test_verify_fails_a_nan_replay_error(monkeypatch):
+    # A NaN fails the gate: at seed 0 edge 1->2 replays to NaN, and its
+    # sampled coefficient is NaN too.
     g = MixedGraph(3, [(1, 2), (2, 3)], [(2, 3)])
     certs = list(eid_tsid_identify(g).certificates.values())
-    stack = sample_parameters(g, [0, 1])
-    stack.lam[0, 0, 1] = np.nan
+    stacks = []
+    sample, replay = oracle.sample_parameters, identify.replay_certificates
+
+    def recording_sample(*args):
+        stacks.append(sample(*args))
+        return stacks[-1]
+
+    def nan_replay(certificates, sigma):
+        recovered = replay(certificates, sigma)
+        recovered[(1, 2)][0] = np.nan
+        stacks[-1].lam[0, 0, 1] = np.nan
+        return recovered
+
+    monkeypatch.setattr(oracle, "sample_parameters", recording_sample)
+    monkeypatch.setattr(identify, "replay_certificates", nan_replay)
     with np.errstate(invalid="ignore"), pytest.raises(CertificateError) as exc:
-        verify_certificates(g, certs, [0, 1], sampled=stack)
+        verify_certificates(g, certs, [0, 1])
     assert str(exc.value) == (
         "edge 1->2 (EID): recovered nan vs sampled nan (rel err nan > 1e-06, seed 0)"
     )
+
+
+def test_verify_draws_nothing_without_an_identifiable_certificate(monkeypatch):
+    g = decode_id(GraphId.parse("3:9:4"))
+    unknown = EdgeCertificate(edge=(1, 2), status=UNKNOWN)
+    # The seeds are checked first, with the sampler's own messages.
+    bad_seeds = ([-1], [0, 2.0], [0, "1"])
+    messages = []
+    for seeds in bad_seeds:
+        with pytest.raises(ValueError) as exc:
+            sample_parameters(g, seeds)
+        messages.append(str(exc.value))
+
+    def no_draw(*args):
+        raise AssertionError("sampled without an identifiable certificate")
+
+    monkeypatch.setattr(oracle, "sample_parameters", no_draw)
+    assert verify_certificates(g, [], [0, 7919]) == {}
+    assert verify_certificates(g, [unknown], range(100)) == {}
+    for seeds, message in zip(bad_seeds, messages):
+        with pytest.raises(ValueError) as exc:
+            verify_certificates(g, [], seeds)
+        assert str(exc.value) == message
+    with pytest.raises(ValueError, match=r"seeds must be an integer >= 1, got 0"):
+        verify_certificates(g, [], [])
 
 
 def test_certify_raises_for_the_first_seed_the_stack_cannot_draw(monkeypatch):

@@ -1,9 +1,11 @@
-"""Work the verdict path skips must not change a verdict.
+"""Work the verdict path skips or shares must not change a verdict.
 
-``eid_tsid_identify`` stops after a TSID round that adds nothing, and
-``verify_certificates`` replays the sampled stack without the singularity
-guard of ``covariance``.  The references below are the two-round loop the
-early stop replaced and the guarded ``covariance`` itself.
+``eid_tsid_identify`` stops after a TSID round that adds nothing,
+``verify_certificates`` replays ``covariance`` of the stack it samples, and
+``certify`` takes an unproved Jacobian rank at the point of verification
+seed 0.  The references below are the two-round loop the early stop
+replaced, ``covariance`` of a fresh draw of the stack, and both the
+one-seed draw and slice 0 of the verification stack.
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ def test_sampler_rejection_bound_implies_the_singularity_guard():
 
 @pytest.mark.parametrize("entry", ["verify_certificates", "certify"])
 def test_replayed_stack_equals_guarded_covariance(monkeypatch, entry):
-    """The sigma stack replayed without the guard is covariance(stack), byte for byte."""
+    """The sigma stack replayed is covariance(sample_parameters(g, seeds)), byte for byte."""
     replayed = []
     replay = identify.replay_certificates
 
@@ -95,10 +97,40 @@ def test_replayed_stack_equals_guarded_covariance(monkeypatch, entry):
             certify(g, max_set_size=1, seed=11, seeds=12)
         else:
             verify_certificates(g, eid_tsid_identify(g, 1).certificates.values(), seeds)
-        if not replayed:  # certify replays only graphs with an identifiable edge
+        if not replayed:  # only graphs with an identifiable edge replay
             continue
         (sigma,) = replayed
         assert sigma.shape == (len(seeds), g.n, g.n)
         assert sigma.tobytes() == covariance(sample_parameters(g, seeds)).tobytes()
         checked += 1
     assert checked > len(graphs) // 2
+
+
+@pytest.mark.parametrize("verify", [True, False])
+def test_unproved_rank_is_taken_at_the_seed_point(monkeypatch, verify):
+    """The Jacobian rank point is sample_parameters(g, seed), byte for byte.
+
+    With ``verify`` it is also slice 0 of the verification stack.
+    """
+    points = []
+    rank = oracle.jacobian_rank
+
+    def recording_rank(g, p):
+        points.append(p)
+        return rank(g, p)
+
+    monkeypatch.setattr(oracle, "jacobian_rank", recording_rank)
+    graphs = _seeded_graphs(40, 3, 8)
+    reached = set()
+    for g in graphs:
+        points.clear()
+        certify(g, max_set_size=1, verify=verify, seed=5, seeds=4)
+        if not points:  # full rank, certified or proved mod P
+            continue
+        (p,) = points
+        alone = sample_parameters(g, 5)
+        stack = sample_parameters(g, identify._verification_seeds(5, 4))
+        assert p.lam.tobytes() == alone.lam.tobytes() == stack.lam[0].tobytes()
+        assert p.omega.tobytes() == alone.omega.tobytes() == stack.omega[0].tobytes()
+        reached.add(g.is_acyclic())
+    assert reached == {True, False}
