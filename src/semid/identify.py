@@ -318,7 +318,8 @@ def eid_identify(g: MixedGraph, state: SolverState | None = None) -> SolverState
         ]
         pending = _bits(unsolved[v])
         solved_parents = _bits(masks.pa[v] & ~unsolved[v])
-        for size in range(len(pending), 0, -1):
+        # Admissible sources come from reach, so a larger E has too few of them.
+        for size in range(min(len(pending), len(reach)), 0, -1):
             for E in itertools.combinations(pending, size):
                 inside = sum(1 << e for e in E)
                 yield [y for y, r in reach if not r & ~inside], E, solved_parents
@@ -387,61 +388,62 @@ def _tsep_probe(g: MixedGraph, v: int, w0: int, solved: Iterable[int]) -> Callab
     return lambda reach: reach & need and not reach & star
 
 
-def tsid_identify(
-    g: MixedGraph,
-    state: SolverState | None = None,
-    max_set_size: int | None = None,
-    failed: set[tuple] | None = None,
-) -> SolverState:
+def _sweeps(g: MixedGraph) -> dict[int, int]:
+    """g's residual sweeps by (S, T), keyed by the bitmask of T with that of S above it; memoize with ``_cached``."""
+    return {}
+
+
+def _tsid_search(g: MixedGraph, v: int, w0: int, solved: tuple[int, ...], max_set_size: int) -> tuple | None:
+    """The first (S, T) in search order passing the relaxed test for w0 -> v, or None; memoize with ``_cached``.
+
+    Each pair is swept once per graph and its sweep probed for every edge.
+    """
+    sweeps = _cached(g, _sweeps)
+    accepts = _tsep_probe(g, v, w0, solved)
+    for S, T in modp.star_vanishing_pairs(g, v, w0, solved, max_set_size):
+        key = sum(1 << s for s in S) << g.n | sum(1 << t for t in T)
+        reach = sweeps.get(key)
+        if reach is None:
+            reach = sweeps[key] = _tsep_sweep(g, S, T)
+        if accepts(reach):
+            return S, T
+    return None
+
+
+def tsid_identify(g: MixedGraph, state: SolverState | None = None, max_set_size: int | None = None) -> SolverState:
     """Trek-separation identification to fixpoint.
 
     For each unsolved edge w0 -> v (in (v, w0) lexicographic order), search
     source/target pairs (S, T) with |S| = |T| + 1 up to ``max_set_size``
     (default: the vertex count, i.e. exhaustive) for the first pair passing
     the relaxed acceptance test; the certificate records (S, T) and the
-    already-solved edges into v as prerequisites.  Each pair is swept once
-    per call and its sweep probed for every edge.
+    already-solved edges into v as prerequisites.
 
     A search is a function of g, the edge, its solved siblings and
-    ``max_set_size``, so one that found nothing is not run again: ``failed``
-    (a new set by default) collects their keys.  A caller that passes the
-    same set to several calls on g, as ``eid_tsid_identify`` does, skips
-    them across calls too.
+    ``max_set_size``, so ``_tsid_search`` is memoized on g: no search runs
+    twice on one graph, across calls too, and each (S, T) is swept once.
     """
     if max_set_size is None:
         max_set_size = max(g.n, 1)
     if max_set_size < 1:
         raise ValueError(f"max_set_size must be >= 1, got {max_set_size}")
     state = state.copy() if state else SolverState()
-    failed = set() if failed is None else failed
-    # One sweep per (S, T), keyed by the bitmask of T with that of S above it.
-    sweeps: dict[int, int] = {}
     changed = True
     while changed:
         changed = False
         for v, w0 in sorted((v, w) for (w, v) in g.directed):
             if (w0, v) in state.certificates or v in g.descendants(v):
                 continue  # solved, or on a cycle, where acceptance can never hold
-            solved_sibs = [s for s in state.solved_parents(g, v) if s != w0]
-            search = (w0, v, tuple(solved_sibs), max_set_size)
-            if search in failed:
-                continue
-            accepts = _tsep_probe(g, v, w0, solved_sibs)
-            for S, T in modp.star_vanishing_pairs(g, v, w0, solved_sibs, max_set_size):
-                key = sum(1 << s for s in S) << g.n | sum(1 << t for t in T)
-                reach = sweeps.get(key)
-                if reach is None:
-                    reach = sweeps[key] = _tsep_sweep(g, S, T)
-                if accepts(reach):
-                    state.certificates[(w0, v)] = EdgeCertificate(
-                        edge=(w0, v), status=IDENTIFIABLE, method="TSID",
-                        witness={"v": v, "w0": w0, "S": sorted(S), "T": sorted(T)},
-                        prerequisites=tuple((s, v) for s in solved_sibs),
-                    )
-                    changed = True
-                    break
-            else:
-                failed.add(search)
+            solved_sibs = tuple(s for s in state.solved_parents(g, v) if s != w0)
+            pair = _cached(g, _tsid_search, v, w0, solved_sibs, max_set_size)
+            if pair is not None:
+                S, T = pair
+                state.certificates[(w0, v)] = EdgeCertificate(
+                    edge=(w0, v), status=IDENTIFIABLE, method="TSID",
+                    witness={"v": v, "w0": w0, "S": sorted(S), "T": sorted(T)},
+                    prerequisites=tuple((s, v) for s in solved_sibs),
+                )
+                changed = True
     return state
 
 
@@ -450,14 +452,14 @@ def eid_tsid_identify(g: MixedGraph, max_set_size: int | None = None) -> SolverS
 
     Each EID round runs to its fixpoint, so once a TSID round adds nothing,
     another EID round would start from its own fixpoint and add nothing too.
-    The TSID rounds share one record of failed searches.
+    A TSID round reruns no search of an earlier one: ``tsid_identify``
+    memoizes each search on g.
     """
     state = SolverState()
-    failed: set[tuple] = set()
     while True:
         state = eid_identify(g, state)
         before = len(state.certificates)
-        state = tsid_identify(g, state, max_set_size, failed)
+        state = tsid_identify(g, state, max_set_size)
         if len(state.certificates) == before:
             return state
 

@@ -47,6 +47,7 @@ from conftest import (
     IV_GRAPH,
     JOINT_SYSTEM_GRAPH,
     ONE_EDGE_NONID_GRAPH,
+    corpus_codes,
     random_mixed_graph,
 )
 
@@ -183,26 +184,80 @@ def test_half_trek_fixpoint_tries_each_node_once_per_certificate_count(monkeypat
         assert solver(MULTI_PASS_GRAPH).solved_edges == set(MULTI_PASS_GRAPH.directed)
 
 
-class _Forgetful(set):
-    """A record of failed TSID searches that keeps none, so every search runs."""
+def _unbounded_eid_attempts(g, v, unsolved):
+    """``eid_identify``'s attempts for v, every parent subset E of every size, from vertex sets."""
+    pending = [w for w in sorted(g.parents(v)) if unsolved[v] >> w & 1]
+    htr_v = g.half_trek_reachable(v) | {v}
+    candidates = [
+        y for y in g.vertices if y not in {v} | g.siblings(v)
+        and not any(unsolved[y] >> h & 1 for h in g.parents(y) & htr_v)
+    ]
+    solved_parents = sorted(g.parents(v) - set(pending))
+    for size in range(len(pending), 0, -1):
+        for E in itertools.combinations(pending, size):
+            sources = [y for y in candidates if (g.trek_reachable(y) | {y}) & set(pending) <= set(E)]
+            yield sources, E, solved_parents
 
-    def add(self, search):
-        pass
+
+def test_eid_size_bound_drops_only_attempts_short_of_sources(monkeypatch):
+    # Oracle: the attempts eid_identify makes for a node are the unbounded
+    # sequence above, in the same order, minus attempts whose E has more
+    # targets than admissible sources, which half_trek_system_exists rejects.
+    real = identify._half_trek_fixpoint
+    kept = dropped = 0
+
+    def checked(g, state, method, attempts):
+        def compare(v, unsolved):
+            nonlocal kept, dropped
+            got = [(list(sources), tuple(E), list(solved)) for sources, E, solved in attempts(v, unsolved)]
+            tried = {E for _, E, _ in got}
+            reference = list(_unbounded_eid_attempts(g, v, unsolved))
+            assert got == [a for a in reference if a[1] in tried], (g, v)
+            left_out = [(sources, E) for sources, E, _ in reference if E not in tried]
+            assert all(len(sources) < len(E) for sources, E in left_out), (g, v)
+            kept, dropped = kept + len(got), dropped + len(left_out)
+            return iter(got)
+
+        return real(g, state, method, compare if method == "EID" else attempts)
+
+    monkeypatch.setattr(identify, "_half_trek_fixpoint", checked)
+    rng = random.Random(2036)
+    for i in range(120):
+        g = random_mixed_graph(rng, rng.randint(3, 8), rng.choice((0.3, 0.5)), acyclic=i % 2 == 0)
+        eid_tsid_identify(g, 1)
+    assert kept >= 1000 and dropped >= 1000
 
 
-def test_tsid_search_runs_once_per_set_of_solved_siblings(monkeypatch):
-    # Within one eid_tsid_identify call no (edge, solved siblings, K) search
-    # is screened twice, and the certificates, in discovery order, are those
-    # of the same alternation with every search run again.  Some edge fails
-    # its search and is certified by a later one with more solved siblings.
-    screened = []
+@pytest.fixture
+def screened(monkeypatch):
+    """The (w0, v, solved siblings, K) of every TSID star screen, in call order."""
+    keys = []
     real = modp.star_vanishing_pairs
 
     def spy(g, v, w0, solved, max_set_size):
-        screened.append((w0, v, tuple(solved), max_set_size))
+        keys.append((w0, v, tuple(solved), max_set_size))
         return real(g, v, w0, solved, max_set_size)
 
     monkeypatch.setattr(modp, "star_vanishing_pairs", spy)
+    return keys
+
+
+def _fresh(g):
+    """A copy of g with nothing memoized."""
+    return MixedGraph(g.n, g.directed, g.bidirected)
+
+
+def test_tsid_search_runs_once_per_set_of_solved_siblings(screened, monkeypatch):
+    # Within one eid_tsid_identify call no (edge, solved siblings, K) search
+    # is screened twice, and the certificates, in discovery order, are those
+    # of the same alternation with _tsid_search not memoized, so that every
+    # search runs again.  Some edge fails its search and is certified by a
+    # later one with more solved siblings.
+    memoized = identify._cached
+
+    def forgetful(g, compute, *args):
+        return compute(g, *args) if compute is identify._tsid_search else memoized(g, compute, *args)
+
     rng = random.Random(2028)
     graphs = [HTC_FAIL_GRAPH, MULTI_PASS_GRAPH]
     graphs += [random_mixed_graph(rng, rng.randint(3, 7), acyclic=i % 2 == 0) for i in range(100)]
@@ -216,16 +271,49 @@ def test_tsid_search_runs_once_per_set_of_solved_siblings(monkeypatch):
             cert.method == "TSID" and sum(key[:2] == edge for key in screened) > 1 for edge, cert in got.items()
         )
         screened.clear()
-        state = SolverState()
-        while True:
-            state = eid_identify(g, state)
-            before = len(state.certificates)
-            state = tsid_identify(g, state, None, _Forgetful())
-            if len(state.certificates) == before:
-                break
-        assert list(got.items()) == list(state.certificates.items()), g
+        with monkeypatch.context() as m:
+            m.setattr(identify, "_cached", forgetful)
+            naive = eid_tsid_identify(_fresh(g)).certificates
+        assert list(got.items()) == list(naive.items()), g
         naive_calls += len(screened)
     assert calls < naive_calls and retried >= 1
+
+
+def test_a_second_eid_tsid_identify_screens_no_search(screened):
+    # The searches are memoized on the graph, so the same call again
+    # screens none and gives the same certificates in the same order.
+    graphs = [decode_id(GraphId.parse(code)) for code in corpus_codes()[:20]]
+    graphs += [HTC_FAIL_GRAPH, MULTI_PASS_GRAPH, INCONCLUSIVE_ACYCLIC_GRAPH]
+    first_calls = 0
+    for g in graphs:
+        screened.clear()
+        first = eid_tsid_identify(g, 5).certificates
+        first_calls += len(screened)
+        screened.clear()
+        assert list(eid_tsid_identify(g, 5).certificates.items()) == list(first.items()), g
+        assert screened == [], g
+    assert first_calls >= len(graphs)
+
+
+def test_eid_tsid_identify_after_tsid_identify_reuses_its_searches(screened):
+    # As `semid corpus` runs them on one graph: tsid_identify, then
+    # eid_tsid_identify.  The second screens no search that the first
+    # screened, and its certificates are those of a graph with nothing
+    # memoized.  On a fresh graph, eid_tsid_identify would run some of them.
+    shared = 0
+    for code in corpus_codes():
+        g = decode_id(GraphId.parse(code))
+        screened.clear()
+        tsid_identify(g, max_set_size=5)
+        first = set(screened)
+        screened.clear()
+        got = eid_tsid_identify(g, 5).certificates
+        assert not first & set(screened), code
+        screened.clear()
+        fresh = eid_tsid_identify(_fresh(g), 5).certificates
+        assert list(got.items()) == list(fresh.items()), code
+        shared += len(first & set(screened))
+    assert shared >= 50
 
 
 def test_htc_identify_iv():

@@ -216,6 +216,57 @@ def test_full_rank_proof_matches_the_rank_of_b():
     assert held >= 30 and failed >= 30
 
 
+def _proved_rank(report):
+    """|Omega| + |certified| + rank of B_U mod P at field_point, with B_U written out in Python integers.
+
+    A rank taken at one point never exceeds the generic rank, so the
+    Jacobian rank of the parameterization is at least this.
+    """
+    g = report.graph
+    sigma, lam = (m.tolist() for m in modp.field_point(g))
+    a = [[(sigma[x][z] - sum(lam[y][x] * sigma[y][z] for y in range(g.n))) % P for z in range(g.n)]
+         for x in range(g.n)]
+    uncertified = [e for e, cert in report.certificates.items() if cert.status != IDENTIFIABLE]
+    b = [
+        [a[x - 1][u - 1] * (w == y) + a[y - 1][u - 1] * (w == x) for u, w in uncertified]
+        for x, y in itertools.combinations(g.vertices, 2) if not g.has_bidirected(x, y)
+    ]
+    omega = g.n + len(g.bidirected)
+    return omega + len(report.certificates) - len(uncertified) + _rank_mod_p(b)
+
+
+def _pool_reports(name, monkeypatch):
+    """The certify reports, without replay, of a benchmark pool at its workload's --max-set-size."""
+    root = Path(__file__).resolve().parents[1]
+    monkeypatch.chdir(root)  # the corpus path of the workloads is relative
+    monkeypatch.syspath_prepend(str(root / "perfbench"))
+    import workloads
+    workload = workloads.WORKLOADS[name]
+    flags = list(workload.flags)
+    max_set_size = int(flags[flags.index("--max-set-size") + 1]) if "--max-set-size" in flags else None
+    return {code: certify(decode_id(GraphId.parse(code)), max_set_size, verify=False) for code in workload.pool()}
+
+
+# The one pool graph whose float rank at seed 0 falls below the rank proved
+# mod P: 25 against 11 + 0 + 15 = 26 of 28.
+FLOAT_RANK_SHORT_CODE = "7:2244371191841:47104"
+
+
+@pytest.mark.parametrize("name", ["corpus_n5", "random_n7", "acyclic_verify"])
+def test_reported_rank_is_at_least_the_rank_proved_mod_p(name, monkeypatch):
+    ranks = [
+        (code, report.jacobian_rank, _proved_rank(report))
+        for code, report in _pool_reports(name, monkeypatch).items() if code != FLOAT_RANK_SHORT_CODE
+    ]
+    assert [r for r in ranks if r[1] < r[2]] == []
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the float rank at seed 0 undercounts; the GF(P) rank would not")
+def test_reported_rank_of_the_float_rank_outlier_is_at_least_the_rank_proved_mod_p():
+    report = certify(decode_id(GraphId.parse(FLOAT_RANK_SHORT_CODE)), verify=False)  # random_n7 has no flags
+    assert report.jacobian_rank >= _proved_rank(report)
+
+
 def test_field_point_is_zero_when_i_minus_lambda_is_singular(monkeypatch):
     # A singular I - lambda mod P leaves sigma = 0, so every star minor
     # vanishes and the search sweeps every pair in the unfiltered order.
