@@ -417,7 +417,9 @@ def tsid_identify(g: MixedGraph, state: SolverState | None = None, max_set_size:
     source/target pairs (S, T) with |S| = |T| + 1 up to ``max_set_size``
     (default: the vertex count, i.e. exhaustive) for the first pair passing
     the relaxed acceptance test; the certificate records (S, T) and the
-    already-solved edges into v as prerequisites.
+    already-solved edges into v as prerequisites.  An edge with v on a
+    directed cycle, or one the graph decides infinite-to-one
+    (``_decided_infinite_to_one``), has no such pair and is not searched.
 
     A search is a function of g, the edge, its solved siblings and
     ``max_set_size``, so ``_tsid_search`` is memoized on g: no search runs
@@ -432,8 +434,8 @@ def tsid_identify(g: MixedGraph, state: SolverState | None = None, max_set_size:
     while changed:
         changed = False
         for v, w0 in sorted((v, w) for (w, v) in g.directed):
-            if (w0, v) in state.certificates or v in g.descendants(v):
-                continue  # solved, or on a cycle, where acceptance can never hold
+            if (w0, v) in state.certificates or v in g.descendants(v) or _decided_infinite_to_one(g, (w0, v)):
+                continue  # solved, or no pair can pass: v on a cycle, or the edge infinite-to-one
             solved_sibs = tuple(s for s in state.solved_parents(g, v) if s != w0)
             pair = _cached(g, _tsid_search, v, w0, solved_sibs, max_set_size)
             if pair is not None:
@@ -732,19 +734,24 @@ def verify_certificates(
     return {cert.edge: float(err) for cert, err in zip(ordered, rel.max(axis=0))}
 
 
-def _screen_edge(g: MixedGraph, edge: DirectedEdge) -> EdgeCertificate:
-    """Certificate of an edge no solver certified: infinite-to-one or unknown.
+def _decided_infinite_to_one(g: MixedGraph, edge: DirectedEdge) -> bool:
+    """Whether the graph alone makes the edge infinite-to-one: tail <-> head and the literal test fires.
 
-    The edge is infinite-to-one exactly when the literal test fires and its
-    tail is a sibling of its head: moving its coefficient moves entry
-    [tail, head] of (I - gamma)^T sigma (I - gamma) by a multiple of
+    Moving the coefficient of the edge moves entry [tail, head] of
+    (I - gamma)^T sigma (I - gamma) by a multiple of
     [(I - lambda)^T sigma]_{tail, tail}, which contains omega_{tail, tail},
-    so only a bidirected edge there can absorb the change.
+    so only a bidirected edge there can absorb the change.  No certificate
+    can recover such an edge, so ``tsid_identify`` searches no pair for it.
     """
+    return g.has_bidirected(*edge) and infinite_to_one_record(g, *edge) is not None
+
+
+def _screen_edge(g: MixedGraph, edge: DirectedEdge) -> EdgeCertificate:
+    """Certificate of an edge no solver certified: infinite-to-one (``_decided_infinite_to_one``) or unknown."""
     fires, record = edge_infinite_to_one(g, edge)
     if not fires:
         return EdgeCertificate(edge=edge, status=UNKNOWN)
-    if not g.has_bidirected(*edge):
+    if not _decided_infinite_to_one(g, edge):
         return EdgeCertificate(
             edge=edge, status=UNKNOWN,
             witness={"record": record, "note": "hypothesis held but construction failed"},

@@ -18,7 +18,8 @@ zero minor proves nothing, and the pair is swept.  So the screen removes
 only pairs the sweep would reject, and every certificate is the same at
 any point; the fixed prime and seed make the same inputs do the same work.
 The same point proves, by one nonzero determinant, that the
-parameterization's Jacobian has full rank (``proves_full_rank``).
+parameterization's Jacobian has full rank (``proves_full_rank``).  The
+point and the proof run the same fraction-free elimination, ``_reduce``.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .graph import DirectedEdge, MixedGraph, _cached
+from .oracle import _sampling_layout
 
 # A prime below 2**31, so a product of two residues fits in int64.
 P = 2147483629
@@ -46,27 +48,29 @@ def field_point(g: MixedGraph) -> tuple[NDArray, NDArray]:
     """Sigma and lambda mod P at the graph's fixed point.
 
     Each directed edge, bidirected edge and vertex gets one draw in 1..P-1
-    from ``POINT_SEED``: the coefficient lambda[u, w] of u -> w, the error
-    covariance omega[u, w] = omega[w, u] of u <-> w, and the diagonal of
-    omega.  With R = D (I - lambda)^-1 from ``_scaled_inverse``, sigma =
+    from ``POINT_SEED``, in the order of ``oracle._sampling_layout``: the
+    coefficient lambda[u, w] of u -> w, the error covariance omega[u, w] =
+    omega[w, u] of u <-> w, and the diagonal of omega.  With R =
+    D (I - lambda)^-1 from ``_reduce`` on [I - lambda | I], sigma =
     R^T omega R mod P is the covariance (as in ``oracle.covariance``) at
     (lambda, D omega D).  That point has the support of (lambda, omega), so
     a minor that is nonzero there is still not the zero polynomial.  When
-    I - lambda is singular mod P, D is 0 and so is sigma: every minor
-    vanishes and proves nothing.  Memoize it with ``graph._cached``.
+    I - lambda is singular mod P, sigma is 0: every minor vanishes and
+    proves nothing.  Memoize it with ``graph._cached``.
     """
     n = g.n
-    directed, bidirected = sorted(g.directed), sorted(g.bidirected)
-    draws = iter(np.random.default_rng(POINT_SEED).integers(1, P, len(directed) + len(bidirected) + n).tolist())
+    tails, heads, ends_a, ends_b, _ = _cached(g, _sampling_layout)
+    e, b = len(tails), len(ends_a)
+    draws = np.random.default_rng(POINT_SEED).integers(1, P, e + b + n)
     lam = np.zeros((n, n), dtype=np.int64)
     omega = np.zeros((n, n), dtype=np.int64)
-    for u, w in directed:
-        lam[u - 1, w - 1] = next(draws)
-    for u, w in bidirected:
-        omega[u - 1, w - 1] = omega[w - 1, u - 1] = next(draws)
-    for x in range(n):
-        omega[x, x] = next(draws)
-    r = _scaled_inverse(np.eye(n, dtype=np.int64) - lam)
+    lam[tails, heads] = draws[:e]
+    omega[ends_a, ends_b] = omega[ends_b, ends_a] = draws[e:e + b]
+    omega.flat[::n + 1] = draws[e + b:]
+    eye = np.eye(n, dtype=np.int64)
+    r = _reduce(np.concatenate([(eye - lam) % P, eye], axis=1), n)
+    if r is None:
+        return np.zeros((n, n), dtype=np.int64), lam
     return _matmul(_matmul(r.T, omega), r), lam
 
 
@@ -91,7 +95,7 @@ def proves_full_rank(g: MixedGraph, uncertified: list[DirectedEdge]) -> bool:
     So G = B_U^T B_U needs no B: for columns c = (t, h) and d = (t', h'),
     G[c, d] is sum over x open to h of A[x, t] A[x, t'] when h = h', and
     A[h', t] A[h, t'] when the pair {h, h'} is open.  G, taken mod P at
-    ``field_point``, is reduced by ``_invertible``.  A full rank makes
+    ``field_point``, is reduced by ``_reduce``.  A full rank makes
     some |U|-minor of B_U nonzero mod P (Cauchy-Binet), so that minor is not
     the zero polynomial (Schwartz 1980, Zippel 1979).  A deficient rank mod
     P proves nothing, and returns False: so does a graph with fewer open
@@ -108,7 +112,7 @@ def proves_full_rank(g: MixedGraph, uncertified: list[DirectedEdge]) -> bool:
     q = at_tails[heads]  # q[c, d] = A[heads[c], tails[d]]
     same_head = _matmul((at_tails * ~closed[:, heads]).T, at_tails) * (heads[:, None] == heads)
     across = q.T * q % P * ~closed[heads[:, None], heads]
-    return _invertible((same_head + across) % P)
+    return _reduce((same_head + across) % P, len(uncertified)) is not None
 
 
 def star_vanishing_pairs(
@@ -208,48 +212,34 @@ def _subsets(g: MixedGraph, k: int) -> tuple[NDArray, NDArray]:
     )
 
 
-def _scaled_inverse(m: NDArray) -> NDArray:
-    """D m^-1 mod P for some invertible diagonal D, or the zero matrix when m is singular mod P.
+def _reduce(a: NDArray, k: int) -> NDArray | None:
+    """Fraction-free Gauss-Jordan on the first k columns of ``a``, in place: columns k.., or None without a pivot.
 
-    Fraction-free Gauss-Jordan elimination on [m | I]: rows are swapped only
-    when the pivot a of column j is 0, then each row r other than j becomes
-    a * r - c * (row j) mod P, c being r's entry in column j.  The left
-    block ends diagonal, D, so the right block R satisfies R m = D.  With
-    m singular, R = 0 satisfies it with D = 0.
+    ``a`` holds residues mod P in int64.  Rows are swapped only when the
+    pivot p of column j is 0; then each row r other than j becomes
+    p * r - c * (row j) mod P, c being r's entry in column j, which clears
+    column j off the pivot.  Scaling a row by a nonzero residue keeps the
+    rank, so the first k columns have full rank exactly when every column
+    finds a pivot.  On [m | I] the left block ends diagonal, D, so the right
+    block R satisfies R m = D (``field_point``).  With no columns past k,
+    step j writes only the block below and right of its pivot, the one part
+    a later step reads: forward elimination, about k^3 / 3 products on a
+    k x k matrix against k^3 / 2 (``proves_full_rank``).
     """
-    n = len(m)
-    a = np.concatenate([m % P, np.eye(n, dtype=np.int64)], axis=1)
-    for j in range(n):
+    wide = a.shape[1] > k
+    for j in range(k):
         if not a[j, j]:
             below = np.flatnonzero(a[j + 1:, j])
             if not len(below):
-                return np.zeros((n, n), dtype=np.int64)
+                return None
             a[[j, j + 1 + below[0]]] = a[[j + 1 + below[0], j]]
-        pivot = a[j].copy()
-        a = (pivot[j] * a - a[:, j, None] * pivot) % P
-        a[j] = pivot
-    return a[:, n:]
-
-
-def _invertible(m: NDArray) -> bool:
-    """Whether the square matrix m, residues in 0..P-1, is invertible mod P.
-
-    Fraction-free forward elimination, as in ``_scaled_inverse``, but each
-    step updates only the block below and right of its pivot: row r below
-    row j becomes a * r - c * (row j) there, a being the pivot and c r's
-    entry in column j.  Scaling a row by a nonzero residue keeps the rank,
-    so m is invertible exactly when every column finds a pivot.  That is
-    about k^3 / 3 products for k columns, a sixth of ``_scaled_inverse``.
-    """
-    a = m.copy()
-    for j in range(len(a)):
-        if not a[j, j]:
-            below = np.flatnonzero(a[j + 1:, j])
-            if not len(below):
-                return False
-            a[[j, j + 1 + below[0]]] = a[[j + 1 + below[0], j]]
-        a[j + 1:, j + 1:] = (a[j, j] * a[j + 1:, j + 1:] - a[j + 1:, j, None] * a[j, j + 1:]) % P
-    return True
+        top = 0 if wide else j + 1
+        block, pivot = a[top:, top:], a[j, top:]
+        update = (a[j, j] * block - a[top:, j, None] * pivot) % P
+        if wide:
+            update[j] = pivot
+        block[...] = update
+    return a[:, k:]
 
 
 def _matmul(x: NDArray, y: NDArray) -> NDArray:

@@ -80,9 +80,9 @@ def _check_seed(value: object, name: str, bound: int) -> None:
 
 def _sampling_layout(g: MixedGraph) -> tuple[NDArray, NDArray, NDArray, NDArray, bool]:
     """Zero-based sorted directed and bidirected endpoint arrays, and acyclicity."""
-    tails, heads = np.array(sorted(g.directed), dtype=np.intp).reshape(-1, 2).T - 1
-    ends_a, ends_b = np.array(sorted(g.bidirected), dtype=np.intp).reshape(-1, 2).T - 1
-    return tails, heads, ends_a, ends_b, g.is_acyclic()
+    e = len(g.directed)
+    ends = np.array(sorted(g.directed) + sorted(g.bidirected), dtype=np.intp).reshape(-1, 2) - 1
+    return ends[:e, 0], ends[:e, 1], ends[e:, 0], ends[e:, 1], g.is_acyclic()
 
 
 def sample_parameters(g: MixedGraph, seed: int | Sequence[int]) -> Parameters:
@@ -533,7 +533,8 @@ def jacobian_rank(g: MixedGraph, p: Parameters) -> int:
 
 
 def n_free_parameters(g: MixedGraph) -> int:
-    return len(_free_parameters(g))
+    """One per directed edge, bidirected edge and vertex: the length of ``_free_parameters``."""
+    return len(g.directed) + len(g.bidirected) + g.n
 
 
 def alternative_parameters(

@@ -316,6 +316,45 @@ def test_eid_tsid_identify_after_tsid_identify_reuses_its_searches(screened):
     assert shared >= 50
 
 
+def test_tsid_skips_only_edges_the_graph_decides_infinite_to_one(screened, monkeypatch):
+    # An uncertified edge whose head is off every cycle goes unsearched
+    # exactly when certify's screen reports it infinite-to-one, and certify's
+    # JSON equals that of a run whose TSID searches those edges too (the
+    # predicate patched to False inside tsid_identify only): no pair
+    # certifies them.
+    real_tsid, real_decided = identify.tsid_identify, identify._decided_infinite_to_one
+    in_tsid = []
+
+    def searching_tsid(*args, **kwargs):
+        in_tsid.append(True)
+        try:
+            return real_tsid(*args, **kwargs)
+        finally:
+            in_tsid.pop()
+
+    rng = random.Random(37)
+    graphs = skipped = 0
+    for i in range(300):
+        g = random_mixed_graph(rng, rng.randint(3, 7), acyclic=i % 2 == 0)
+        screened.clear()
+        report = certify(g, verify=False)
+        searched = {key[:2] for key in screened}
+        unsearched = [
+            edge for edge, cert in report.certificates.items()
+            if cert.status != IDENTIFIABLE and edge[1] not in g.descendants(edge[1]) and edge not in searched
+        ]
+        for edge, cert in report.certificates.items():
+            if cert.status != IDENTIFIABLE and edge[1] not in g.descendants(edge[1]):
+                assert (edge in unsearched) == (cert.status == INFINITE_TO_ONE), (g, edge)
+        with monkeypatch.context() as m:
+            m.setattr(identify, "tsid_identify", searching_tsid)
+            m.setattr(identify, "_decided_infinite_to_one", lambda g, edge: not in_tsid and real_decided(g, edge))
+            assert certify(_fresh(g), verify=False).to_json() == report.to_json(), g
+        graphs += bool(unsearched)
+        skipped += len(unsearched)
+    assert graphs >= 50 and skipped >= 60
+
+
 def test_htc_identify_iv():
     state = htc_identify(IV_GRAPH)
     assert state.solved_edges == {(1, 2), (2, 3)}

@@ -150,12 +150,35 @@ def test_field_point_solves_the_covariance_equation():
     assert modp.field_point(g)[0].tobytes() == sigma.tobytes()  # the point is fixed
 
 
-def test_scaled_inverse_is_zero_when_singular_mod_p():
+def _beside_identity(m):
+    """[m | I] in int64, the form field_point hands to _reduce."""
+    n = len(m)
+    return np.concatenate([np.array(m, dtype=np.int64).reshape(n, n) % P, np.eye(n, dtype=np.int64)], axis=1)
+
+
+def _forward_mod_p(m):
+    """The upper triangle of fraction-free forward elimination in Python integers, or None when a column has no pivot.
+
+    The pivot of column j is the first nonzero entry from row j down, and
+    row r below it becomes p * r - c * (row j) mod P.
+    """
+    rows = [list(r) for r in m]
+    for j in range(len(rows)):
+        pivot = next((r for r in range(j, len(rows)) if rows[r][j]), None)
+        if pivot is None:
+            return None
+        rows[j], rows[pivot] = rows[pivot], rows[j]
+        for r in range(j + 1, len(rows)):
+            rows[r] = [(rows[j][j] * x - rows[r][j] * y) % P for x, y in zip(rows[r], rows[j])]
+    return [[x if c >= r else 0 for c, x in enumerate(row)] for r, row in enumerate(rows)]
+
+
+def test_reduce_is_none_when_singular_mod_p():
     m = np.array([[2, 1], [P - 1, (P - 1) // 2]], dtype=np.int64)
-    assert not modp._scaled_inverse(m).any()
+    assert modp._reduce(_beside_identity(m), 2) is None
     # R m is diagonal, also when a zero pivot forces a row swap; its diagonal
-    # is nonzero exactly when m is invertible mod P, and R is the zero matrix
-    # when m is singular mod P.  The exact determinant decides which.
+    # is nonzero exactly when m is invertible mod P, and there is no R when
+    # m is singular mod P.  The exact determinant decides which.
     rng = random.Random(11)
     swapped = singular = 0
     for _ in range(200):
@@ -163,20 +186,50 @@ def test_scaled_inverse_is_zero_when_singular_mod_p():
         m = np.array([[rng.randrange(P) if rng.random() < 0.7 else 0 for _ in range(n)] for _ in range(n)], dtype=np.int64)
         if n > 1 and rng.random() < 0.2:
             m[-1] = m[0] * 3 % P  # dependent rows
-        r = modp._scaled_inverse(m)
+        r = modp._reduce(_beside_identity(m), n)
+        if _det_mod_p(m.tolist()) == 0:
+            assert r is None
+            singular += 1
+            continue
         assert r.shape == (n, n) and r.dtype == np.int64
         d = modp._matmul(r, m)
         assert np.array_equal(d, np.diag(np.diag(d)))
-        if _det_mod_p(m.tolist()) == 0:
-            assert not r.any()
-            singular += 1
-            continue
         assert np.all(np.diag(d) != 0)
         swapped += m[0, 0] == 0
     assert singular >= 20 and swapped >= 20
 
 
-def test_invertible_matches_python_integer_rank():
+def test_reduce_beside_the_identity_matches_python_integer_oracles():
+    # Oracle: R m in Python integers is diagonal, with a nonzero diagonal,
+    # exactly when det m != 0 mod P (Laplace) and m has full rank mod P
+    # (elimination with inverses); else _reduce finds no pivot.  Row swaps,
+    # singular matrices and the zero matrix are all among the cases.
+    rng = random.Random(23)
+    cases = [[[0] * 3 for _ in range(3)], [[0, 1], [1, 0]], [[0, 0, 5], [0, 7, 0], [P - 1, 0, 0]]]
+    for _ in range(150):
+        n = rng.randint(1, 5)
+        m = [[rng.randrange(P) if rng.random() < 0.5 else 0 for _ in range(n)] for _ in range(n)]
+        if n > 1 and rng.random() < 0.3:
+            m[rng.randrange(1, n)] = [x * 7 % P for x in m[0]]  # dependent rows
+        cases.append(m)
+    swapped = singular = 0
+    for m in cases:
+        n = len(m)
+        full = _det_mod_p(m) != 0
+        assert full == (_rank_mod_p(m) == n)
+        r = modp._reduce(_beside_identity(m), n)
+        assert (r is not None) == full, m
+        if not full:
+            singular += 1
+            continue
+        r = r.tolist()
+        d = [[sum(r[i][x] * m[x][j] for x in range(n)) % P for j in range(n)] for i in range(n)]
+        assert all((d[i][j] != 0) == (i == j) for i in range(n) for j in range(n)), m
+        swapped += m[0][0] == 0
+    assert singular >= 60 and swapped >= 15
+
+
+def test_reduce_matches_python_integer_rank():
     rng = random.Random(17)
     invertible = singular = 0
     for _ in range(200):
@@ -185,8 +238,15 @@ def test_invertible_matches_python_integer_rank():
         if n > 1 and rng.random() < 0.2:
             for row in m:
                 row[-1] = (row[0] * 5 + row[1]) % P  # dependent columns
-        got = modp._invertible(np.array(m, dtype=np.int64).reshape(n, n))
+        a = np.array(m, dtype=np.int64).reshape(n, n)
+        got = modp._reduce(a, n) is not None
         assert got == (_rank_mod_p(m) == n)
+        # On a square matrix it is forward elimination: the rows above each
+        # pivot are never written, so the upper triangle is the echelon form.
+        forward = _forward_mod_p(m)
+        assert (forward is not None) == got
+        if got:
+            assert np.array_equal(np.triu(a), np.array(forward, dtype=np.int64).reshape(n, n))
         invertible += got
         singular += not got
     assert invertible >= 40 and singular >= 40
@@ -274,7 +334,7 @@ def test_field_point_is_zero_when_i_minus_lambda_is_singular(monkeypatch):
     unfiltered = list(_unfiltered_order(g, v, w0, g.n))
     assert len(list(modp.star_vanishing_pairs(g, v, w0, [], g.n))) < len(unfiltered)
     g = MixedGraph(g.n, g.directed, g.bidirected)  # nothing memoized
-    monkeypatch.setattr(modp, "_scaled_inverse", lambda m: np.zeros_like(m))
+    monkeypatch.setattr(modp, "_reduce", lambda a, k: None)
     sigma, lam = modp.field_point(g)
     assert not sigma.any() and lam.any()
     assert list(modp.star_vanishing_pairs(g, v, w0, [], g.n)) == unfiltered
