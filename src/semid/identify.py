@@ -476,11 +476,10 @@ def edge_infinite_to_one(g: MixedGraph, edge: DirectedEdge) -> tuple[bool, dict[
     construction ``oracle.alternative_parameters`` goes through at a
     generic point.
     """
-    v, w = edge
-    record = infinite_to_one_record(g, v, w)
+    record = _cached(g, infinite_to_one_record, *edge)
     if record is None:
         return False, {}
-    return True, record
+    return True, dict(record)
 
 
 def joint_certificate(
@@ -742,8 +741,10 @@ def _decided_infinite_to_one(g: MixedGraph, edge: DirectedEdge) -> bool:
     [(I - lambda)^T sigma]_{tail, tail}, which contains omega_{tail, tail},
     so only a bidirected edge there can absorb the change.  No certificate
     can recover such an edge, so ``tsid_identify`` searches no pair for it.
+    The record is memoized on g, so ``_screen_edge`` and every TSID round
+    walk it once per edge.
     """
-    return g.has_bidirected(*edge) and infinite_to_one_record(g, *edge) is not None
+    return g.has_bidirected(*edge) and _cached(g, infinite_to_one_record, *edge) is not None
 
 
 def _screen_edge(g: MixedGraph, edge: DirectedEdge) -> EdgeCertificate:

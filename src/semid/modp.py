@@ -32,11 +32,14 @@ from numpy.typing import NDArray
 
 from .graph import DirectedEdge, MixedGraph, _cached
 from .oracle import _sampling_layout
+from .seeding import PCG64Stream, seed_words
 
 # A prime below 2**31, so a product of two residues fits in int64.
 P = 2147483629
-# Seed of the point at which field_point evaluates the covariance.
+# Seed of the point at which field_point evaluates the covariance, and its
+# PCG64 seed words.
 POINT_SEED = 1702
+_POINT_WORDS = seed_words([POINT_SEED])[0].tolist()
 # Entries of a level table that the star screen computes as one chunk of
 # rows, which bounds its temporaries.  On the n=12 and n=13 scaling graphs
 # (README) 4096 runs as fast as 16384 with 1-3 MB less peak RSS, and about
@@ -48,7 +51,9 @@ def field_point(g: MixedGraph) -> tuple[NDArray, NDArray]:
     """Sigma and lambda mod P at the graph's fixed point.
 
     Each directed edge, bidirected edge and vertex gets one draw in 1..P-1
-    from ``POINT_SEED``, in the order of ``oracle._sampling_layout``: the
+    from ``POINT_SEED``, the values of
+    ``np.random.default_rng(POINT_SEED).integers(1, P, e + b + n)`` drawn by
+    ``seeding.PCG64Stream``, in the order of ``oracle._sampling_layout``: the
     coefficient lambda[u, w] of u -> w, the error covariance omega[u, w] =
     omega[w, u] of u <-> w, and the diagonal of omega.  With R =
     D (I - lambda)^-1 from ``_reduce`` on [I - lambda | I], sigma =
@@ -61,7 +66,7 @@ def field_point(g: MixedGraph) -> tuple[NDArray, NDArray]:
     n = g.n
     tails, heads, ends_a, ends_b, _ = _cached(g, _sampling_layout)
     e, b = len(tails), len(ends_a)
-    draws = np.random.default_rng(POINT_SEED).integers(1, P, e + b + n)
+    draws = PCG64Stream(_POINT_WORDS).integers(1, P, e + b + n)
     lam = np.zeros((n, n), dtype=np.int64)
     omega = np.zeros((n, n), dtype=np.int64)
     lam[tails, heads] = draws[:e]

@@ -16,6 +16,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .graph import DirectedEdge, MixedGraph, Trek, _cached, infinite_to_one_record
+from .seeding import generators
 
 # Singular values below RANK_RTOL times the largest one count as zero.
 RANK_RTOL = 1e-8
@@ -100,7 +101,7 @@ def sample_parameters(g: MixedGraph, seed: int | Sequence[int]) -> Parameters:
     ``seed`` may also be a sequence of seeds; ``lam`` and ``omega`` then have
     shape (seeds, n, n), and slice i is the point drawn for seeds[i] alone.
     Every seed draws from the stream of ``np.random.default_rng(seed)``; a
-    long stack derives all its generators' seed words in one vectorized
+    stack derives all its generators' seed words in one vectorized
     ``SeedSequence`` pass (``seeding.generators``).
 
     Raises:
@@ -109,10 +110,6 @@ def sample_parameters(g: MixedGraph, seed: int | Sequence[int]) -> Parameters:
         ValueError: a seed is not an integer >= 0 (the first such entry of
             a sequence).
     """
-    # Deferred: numpy 2 loads numpy.random on first use, about 14 ms and
-    # 6 MB that commands which never sample should not pay.
-    from .seeding import generators
-
     tails, heads, ends_a, ends_b, acyclic = _cached(g, _sampling_layout)
     stacked = isinstance(seed, Iterable) and not isinstance(seed, str)
     seeds = list(seed) if stacked else [seed]

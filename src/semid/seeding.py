@@ -1,13 +1,17 @@
-"""Seeding of many ``np.random.default_rng(seed)`` streams at once.
+"""numpy's ``default_rng(seed)`` streams, seeded many at a time and drawn in Python integers.
 
 ``generators(seeds)`` yields, for every seed, a generator with the stream of
-``np.random.default_rng(seed)``.  For a long stack it computes every seed's
+``np.random.default_rng(seed)``.  It computes every seed's
 ``SeedSequence(seed).generate_state(4, np.uint64)`` in one pass of uint32
-array arithmetic and seeds each ``PCG64`` with those words, which skips the
-per-seed SeedSequence hashing in Python objects.  ``default_rng(seed)`` is
-``Generator(PCG64(SeedSequence(seed)))``, and NEP 19 fixes the SeedSequence
-and PCG64 algorithms, so the streams are the same;
-``tests/test_stacked_sampling.py`` compares them byte for byte.
+array arithmetic (``seed_words``), which skips the per-seed SeedSequence
+hashing in Python objects.  In a stack of at least ``VECTOR_SEEDING_MIN``
+seeds each seed gets a ``Generator(PCG64(...))`` seeded with its words; in a
+shorter one a ``PCG64Stream``, the same PCG64 stream in Python integers, so
+a command that draws only a few seeds never loads ``numpy.random``.
+``modp.field_point`` draws its fixed point from a ``PCG64Stream`` too.
+``default_rng(seed)`` is ``Generator(PCG64(SeedSequence(seed)))``, and NEP
+19 fixes the SeedSequence and PCG64 algorithms, so the streams are the
+same; ``tests/test_stacked_sampling.py`` compares them byte for byte.
 """
 
 from __future__ import annotations
@@ -15,15 +19,17 @@ from __future__ import annotations
 from typing import Iterator, Sequence
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 from numpy.typing import NDArray
 
-# Stacks of at least this many seeds derive their PCG64 seed words with
-# ``seed_words``; single seeds and shorter stacks call ``default_rng`` per
-# seed.  Both give the same streams.  sample_parameters on 20 pool graphs
-# (2-vCPU x86-64, Python 3.11.7, numpy 2.4.6, medians of 9 passes) took, per
-# call, by default_rng and vectorized: 89 and 115 us at 6 seeds, 119 and
-# 111 us at 8 seeds, 1,293 and 487 us at 100 seeds.
+# Stacks of at least this many seeds draw from numpy Generators, which load
+# numpy.random (6 MB and 9-18 ms on numpy 2, once per process); shorter
+# stacks and single seeds draw from PCG64Stream.  Both give the same
+# streams.  sample_parameters on 20 acyclic_verify pool graphs (2-vCPU
+# x86-64, Python 3.11.7, numpy 2.4.6, medians of 9 passes) took, per call,
+# by PCG64Stream and by Generator: 108 and 71 us at 1 seed, 210 and 95 us
+# at 3 (the default of ``semid identify``), 406 and 113 us at 8, 4,231 and
+# 581 us at 100.  Below 8 seeds the stream's extra cost stays under the
+# load it saves a command that certifies one graph.
 VECTOR_SEEDING_MIN = 8
 
 
@@ -84,8 +90,81 @@ def seed_words(entropy: Sequence[int]) -> NDArray:
     return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64)
 
 
-class _SeedWords(ISeedSequence):
-    """A seed sequence whose four 64-bit PCG64 seed words are already known."""
+# PCG64 is the XSL-RR output of a 128-bit LCG with this multiplier (O'Neill
+# 2014), as numpy's PCG64 runs it.
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32 = (1 << 32) - 1
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+
+
+class PCG64Stream:
+    """numpy's ``PCG64`` seeded with four known seed words, in Python integers.
+
+    ``random`` gives the doubles of ``Generator.random`` and ``integers`` the
+    values of ``Generator.integers(low, high, size)`` for high - low <= 2**32,
+    bit for bit, and the two interleave as they do on one Generator.
+    """
+
+    __slots__ = ("state", "inc", "half")
+
+    def __init__(self, words: Sequence[int]):
+        # pcg64_set_seed: words 0-1 are the initial state, 2-3 the stream.
+        w0, w1, w2, w3 = words
+        self.inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
+        self.state = ((self.inc + (w0 << 64 | w1)) * _PCG_MULT + self.inc) & _MASK128
+        self.half = None  # the high half of an output that integers split, not yet used
+
+    def random_raw(self, count: int) -> list[int]:
+        """The next ``count`` 64-bit outputs, as ``PCG64.random_raw`` gives them."""
+        state, inc = self.state, self.inc
+        out = []
+        for _ in range(count):
+            state = (state * _PCG_MULT + inc) & _MASK128
+            x = (state >> 64 ^ state) & _MASK64
+            rot = state >> 122
+            out.append((x >> rot | x << 64 - rot) & _MASK64)
+        self.state = state
+        return out
+
+    def random(self, out: NDArray) -> None:
+        """Fill the 1-D float64 array ``out`` as ``Generator.random(out=out)`` does."""
+        out[:] = [(x >> 11) * 2.0**-53 for x in self.random_raw(len(out))]
+
+    def integers(self, low: int, high: int, size: int) -> list[int]:
+        """``Generator.integers(low, high, size)`` for 0 < high - low <= 2**32, as a list.
+
+        numpy draws such a range by Lemire's method (Lemire 2019) from 32-bit
+        values, the low half of each 64-bit output first: x * span >> 32,
+        drawing x again while x * span mod 2**32 < 2**32 mod span.  A range
+        of one value draws nothing.
+        """
+        span = high - low
+        if span == 1:
+            return [low] * size
+        threshold = (1 << 32) % span
+        out = []
+        for _ in range(size):
+            while True:
+                if self.half is None:
+                    x = self.random_raw(1)[0]
+                    self.half, x = x >> 32, x & _MASK32
+                else:
+                    x, self.half = self.half, None
+                m = x * span
+                if m & _MASK32 >= threshold:
+                    break
+            out.append(low + (m >> 32))
+        return out
+
+
+class _SeedWords:
+    """A seed sequence whose four 64-bit PCG64 seed words are already known.
+
+    ``generators`` registers it as an ``ISeedSequence`` where it builds
+    numpy Generators, so that importing this module loads no
+    ``numpy.random``.
+    """
 
     def __init__(self, words: NDArray):
         self.words = words
@@ -96,15 +175,22 @@ class _SeedWords(ISeedSequence):
         return self.words
 
 
-def generators(seeds: list) -> Iterator[np.random.Generator]:
-    """``np.random.default_rng(s)`` for every seed, in order; each seed an integer >= 0.
+def generators(seeds: list) -> Iterator[PCG64Stream | np.random.Generator]:
+    """The stream of ``np.random.default_rng(s)`` for every seed, in order; each seed an integer >= 0.
 
-    A stack of at least VECTOR_SEEDING_MIN seeds, all below 2**128, hashes
-    them in one ``seed_words`` pass; any other list takes ``default_rng``
-    per seed.
+    Seeds all below 2**128 are hashed in one ``seed_words`` pass: a stack of
+    at least VECTOR_SEEDING_MIN of them gets numpy Generators, a shorter
+    one PCG64Streams.  A list with a larger seed takes ``default_rng`` per
+    seed.
     """
-    if len(seeds) >= VECTOR_SEEDING_MIN:
-        entropy = [int(s) for s in seeds]
-        if max(entropy) < 1 << 128:
-            return (np.random.Generator(np.random.PCG64(_SeedWords(w))) for w in seed_words(entropy))
-    return map(np.random.default_rng, seeds)
+    entropy = [int(s) for s in seeds]
+    if entropy and max(entropy) >= 1 << 128:
+        return map(np.random.default_rng, seeds)
+    words = seed_words(entropy)
+    if len(entropy) < VECTOR_SEEDING_MIN:
+        return map(PCG64Stream, words.tolist())
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
+
+    ISeedSequence.register(_SeedWords)
+    return (Generator(PCG64(_SeedWords(w))) for w in words)

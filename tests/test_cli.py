@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -381,6 +382,33 @@ def test_closed_stdout_ends_quietly_with_exit_1():
     finally:
         os.close(write_end)
     assert (done.returncode, done.stderr) == (EXIT_INPUT_ERROR, b"")
+
+
+def test_few_seeds_never_load_numpy_random():
+    # The field point and stacks of fewer than VECTOR_SEEDING_MIN seeds draw
+    # from seeding.PCG64Stream; only a longer stack loads numpy.random.
+    src = str(Path(semid.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    script = textwrap.dedent("""
+        import contextlib, io, sys
+        import numpy
+        if "numpy.random" in sys.modules:
+            sys.exit(9)  # numpy 1.x loads it with numpy itself
+        from semid.cli import main
+        runs = [["identify", "5:4456:113", "--max-set-size", "5"],
+                ["identify", "5:4456:113", "--max-set-size", "5", "--no-verify"],
+                ["identify", "3:9:4", "--seeds", "7"], ["sample", "3:9:4"],
+                ["identify", "3:9:4", "--seeds", "8"]]
+        for argv in runs:
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main(argv)
+            print(code, "numpy.random" in sys.modules)
+    """)
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=30)
+    if done.returncode == 9:
+        pytest.skip("import numpy loads numpy.random")
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.splitlines() == ["3 False", "3 False", "0 False", "0 False", "0 True"]
 
 
 def test_output_file_option(tmp_path, capsys):

@@ -355,6 +355,33 @@ def test_tsid_skips_only_edges_the_graph_decides_infinite_to_one(screened, monke
     assert graphs >= 50 and skipped >= 60
 
 
+def test_certify_walks_the_literal_test_once_per_edge(monkeypatch):
+    # The TSID rounds and the screen of the uncertified edges share one walk
+    # of the literal test's record per edge, and an edge is infinite-to-one
+    # exactly when its tail is a sibling of its head and the test fires.
+    real_record = identify.infinite_to_one_record
+    walks = []
+    monkeypatch.setattr(identify, "infinite_to_one_record", lambda g, v, w: walks.append((v, w)) or real_record(g, v, w))
+    rng = random.Random(43)
+    kinds = set()
+    screened = 0
+    for i in range(200):
+        g = random_mixed_graph(rng, rng.randint(3, 7), acyclic=i % 2 == 0)
+        walks.clear()
+        report = certify(g, verify=False)
+        assert len(walks) == len(set(walks)), g
+        for edge, cert in report.certificates.items():
+            if cert.status == IDENTIFIABLE:
+                continue
+            assert edge in walks, (g, edge)
+            decided = g.has_bidirected(*edge) and real_record(g, *edge) is not None
+            assert (cert.status == INFINITE_TO_ONE) == decided, (g, edge)
+            kinds.add((cert.status, "note" in (cert.witness or {})))
+            screened += 1
+    assert kinds == {(UNKNOWN, False), (UNKNOWN, True), (INFINITE_TO_ONE, False)}
+    assert screened >= 300
+
+
 def test_htc_identify_iv():
     state = htc_identify(IV_GRAPH)
     assert state.solved_edges == {(1, 2), (2, 3)}

@@ -2,11 +2,11 @@
 
 ``sample_parameters`` and ``covariance`` take a list of seeds or a stack of
 parameters; every slice must match what the 2-D call returns for that seed
-alone.  A single seed is seeded by ``default_rng`` and a long stack by the
-vectorized SeedSequence hash, so the slice tests compare the two.  The
-reference implementations below are the per-seed rejection loop, the
-per-entry Jacobian row loop, and the Jacobian from 0/1 basis matrices that
-the closed-form columns replaced.
+alone.  A single seed draws from ``seeding.PCG64Stream`` and a long stack
+from numpy Generators seeded by the vectorized SeedSequence hash, so the
+slice tests compare the two.  The reference implementations below are the
+per-seed rejection loop, the per-entry Jacobian row loop, and the Jacobian
+from 0/1 basis matrices that the closed-form columns replaced.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from semid import (
     seeding,
 )
 from semid.identify import _verification_seeds
+from semid.modp import P, POINT_SEED
 from semid.oracle import _free_parameters, n_free_parameters, numeric_rank, sigma_jacobian
 
 from conftest import random_mixed_graph
@@ -248,14 +249,61 @@ def test_vectorized_seeding_equals_single_seed_draws(monkeypatch, name):
     original = seeding.seed_words
     monkeypatch.setattr(seeding, "seed_words", lambda seeds: hashed.append(len(seeds)) or original(seeds))
     in_range = WORD_BOUNDARY_SEEDS[:-1] + _verification_seeds(0, 100) + [139]
-    for seeds, vectorized in ((in_range, True), (WORD_BOUNDARY_SEEDS, False),
-                              (in_range[:seeding.VECTOR_SEEDING_MIN - 1], False),
-                              (in_range[:seeding.VECTOR_SEEDING_MIN], True)):
+    for seeds, numpy_generator in ((in_range, True), (WORD_BOUNDARY_SEEDS, True),
+                                   (in_range[:seeding.VECTOR_SEEDING_MIN - 1], False),
+                                   (in_range[:seeding.VECTOR_SEEDING_MIN], True)):
         hashed.clear()
         _assert_slices_match(g, seeds)
-        assert hashed == ([len(seeds)] if vectorized else [])
+        # Seeds below 2**128 are hashed by seed_words, the stack in one call
+        # and every seed alone in its own; a stack with a larger seed is not.
+        hashable = [s for s in seeds if s < 2**128]
+        assert hashed == [len(seeds)] * (hashable == seeds) + [1] * len(hashable)
+        assert isinstance(next(seeding.generators(seeds)), np.random.Generator) == numpy_generator
     stack = sample_parameters(g, np.array(in_range[7:-1], dtype=np.uint64))
     assert stack.lam.tobytes() == sample_parameters(g, in_range[7:-1]).lam.tobytes()
+
+
+def _stream_and_generator(seed: int) -> tuple[seeding.PCG64Stream, np.random.Generator]:
+    return seeding.PCG64Stream(seeding.seed_words([seed])[0].tolist()), np.random.default_rng(seed)
+
+
+def test_pcg64_stream_equals_numpy():
+    # Raw outputs, and doubles filled in two pieces as the cyclic rejection
+    # loop fills a row, at the word-boundary seeds and the verification seeds.
+    for seed in WORD_BOUNDARY_SEEDS[:-1] + [2**128 - 1] + _verification_seeds(0, 20):
+        stream, rng = _stream_and_generator(seed)
+        assert stream.random_raw(40) == rng.bit_generator.random_raw(40).tolist()
+        got, want = np.empty(57), np.empty(57)
+        for piece in (slice(0, 14), slice(14, None)):
+            stream.random(got[piece])
+            rng.random(out=want[piece])
+        assert got.tobytes() == want.tobytes()
+
+
+def test_pcg64_stream_integers_equal_numpy():
+    for count in (0, 1, 2, 3, 59, 60, 2000):
+        stream, rng = _stream_and_generator(POINT_SEED)
+        assert stream.integers(1, P, count) == rng.integers(1, P, count).tolist()
+    # Lemire's threshold is 2**31 - 1 of 2**32 on [0, 2**31 + 1), so about
+    # half the 32-bit values are rejected, and 40 on P's range.  An odd
+    # count leaves a high half for the next call, and doubles drawn between
+    # do not use it.  A range of one value draws nothing, and 2**32 values
+    # take every 32-bit value.
+    for seed in range(4):
+        stream, rng = _stream_and_generator(seed)
+        for low, high, count in ((0, 2**31 + 1, 1001), (7, 8, 3), (-5, 2**32 - 5, 9), (1, P, 11)):
+            assert stream.integers(low, high, count) == rng.integers(low, high, count).tolist()
+            got = np.empty(3)
+            stream.random(got)
+            assert got.tobytes() == rng.random(3).tobytes()
+    stream, _ = _stream_and_generator(0)
+    fresh, _ = _stream_and_generator(0)
+    stream.integers(0, 2**31 + 1, 1000)
+    outputs = 0
+    while fresh.state != stream.state:
+        fresh.random_raw(1)
+        outputs += 1
+    assert outputs > 900  # about 2000 32-bit halves for 1000 values
 
 
 def test_vectorized_seeding_falls_back_for_seeds_default_rng_rejects():
