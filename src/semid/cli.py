@@ -387,9 +387,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"degenerate sample: {exc}", file=sys.stderr)
         return EXIT_REPLAY_FAILED
     except MemoryError as exc:
-        # The TSID search's minor tables grow with |S|.
+        # The TSID search's minor tables grow with |S|, a replay stack with the seed count.
         detail = str(exc) or "MemoryError"
-        print(f"out of memory: {detail}; a smaller --max-set-size bounds the TSID search", file=sys.stderr)
+        hint = "; a smaller --max-set-size bounds the TSID search" if "max_set_size" in args else ""
+        if "seeds" in args:
+            hint += " and fewer --seeds the replay"
+        print(f"out of memory: {detail}{hint}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except BrokenPipeError:
         # The reader closed stdout (say, `| head`).  The text it did not read

@@ -100,9 +100,10 @@ def sample_parameters(g: MixedGraph, seed: int | Sequence[int]) -> Parameters:
 
     ``seed`` may also be a sequence of seeds; ``lam`` and ``omega`` then have
     shape (seeds, n, n), and slice i is the point drawn for seeds[i] alone.
-    Every seed draws from the stream of ``np.random.default_rng(seed)``; a
-    stack derives all its generators' seed words in one vectorized
-    ``SeedSequence`` pass (``seeding.generators``).
+    Every seed draws from the stream of ``np.random.default_rng(seed)``;
+    every list of seeds below 2**128, a single seed included, derives all
+    its generators' seed words in one vectorized ``SeedSequence`` pass
+    (``seeding.generators``).
 
     Raises:
         DegenerateSampleError: the rejection budget ran out (for the first
@@ -197,38 +198,29 @@ def _path_sum_inverse(lam: NDArray) -> NDArray | None:
 
     Applies when the support of ``lam``, united over a stack, is acyclic:
     then lam^k = 0 for every k above the longest path length L, and the
-    product is the finite sum of lam^k over k <= L.  A Kahn pass, before any
-    product, finds the cycles and L, and the squaring stops once the
-    product covers L.  Returns None on a cyclic support (a self-loop
-    included) and when the result is not finite, as on a NaN or infinite
-    entry.
+    product is the finite sum of lam^k over k <= L.  The support, squared
+    as a bool matrix where nothing cancels, first vanishes at its 2^j-th
+    power with 2^j > L; the float product then takes j - 1 squarings.  A
+    support power with 2^j >= n that has not vanished holds a cycle, since
+    L < n on an acyclic support.  Returns None on a cyclic support (a
+    self-loop included) and when the result is not finite, as on a NaN or
+    infinite entry.
     """
     n = lam.shape[-1]
     support = lam != 0  # NaN counts as an edge
     if lam.ndim > 2:
         support = support.any(axis=tuple(range(lam.ndim - 2)))
-    tails, heads = np.nonzero(support)
-    children: list[list[int]] = [[] for _ in range(n)]
-    indegree = [0] * n
-    for t, h in zip(tails.tolist(), heads.tolist()):
-        children[t].append(h)
-        indegree[h] += 1
-    depth = [0] * n  # edges on the longest path into each vertex
-    ready = [v for v in range(n) if not indegree[v]]
-    for v in ready:  # grows while it is read
-        for h in children[v]:
-            depth[h] = max(depth[h], depth[v] + 1)
-            indegree[h] -= 1
-            if not indegree[h]:
-                ready.append(h)
-    if len(ready) < n:
-        return None
-    power, covered = lam, 2
-    inverse = lam + np.eye(n)  # the sum of lam^k over k < covered
-    while covered <= max(depth, default=0):
+    squarings = 0  # support holds the walks of length 2^squarings
+    while support.any():
+        if 1 << squarings >= n:
+            return None
+        support = support @ support
+        squarings += 1
+    power = lam
+    inverse = lam + np.eye(n)  # the sum of lam^k over k < 2
+    for _ in range(squarings - 1):
         power = power @ power
         inverse += inverse @ power
-        covered *= 2
     return inverse if np.isfinite(inverse).all() else None
 
 

@@ -13,7 +13,7 @@ import random
 import numpy as np
 import pytest
 
-from semid import DegenerateSampleError, Parameters, covariance, oracle, sample_parameters
+from semid import DegenerateSampleError, MixedGraph, Parameters, covariance, oracle, sample_parameters
 
 from test_golden import SAMPLE_GRAPHS, SAMPLE_SEEDS
 from test_stacked_sampling import _seeded_graphs, _shuffled_acyclic
@@ -49,9 +49,16 @@ def _squaring_until_zero(lam: np.ndarray) -> np.ndarray | None:
 def _graphs(acyclic: bool) -> list:
     graphs = [g for g in SAMPLE_GRAPHS.values() if g.is_acyclic() == acyclic]
     graphs += [g for g in _seeded_graphs(40, 2, 20) if g.is_acyclic() == acyclic]
+    rng = random.Random(77)
     if acyclic:
-        rng = random.Random(77)
         graphs += [_shuffled_acyclic(rng, n) for n in range(2, 21)]
+    # Paths of n - 1 edges and n-cycles, relabeled: the support power 2^j
+    # of a path vanishes only once 2^j >= n, and that of a cycle never.
+    for n in [*range(2, 18), 31, 32, 33]:
+        order = list(range(1, n + 1))
+        rng.shuffle(order)
+        edges = list(zip(order, order[1:] + order[:1]))
+        graphs.append(MixedGraph(n, edges[:-1] if acyclic else edges))
     return graphs
 
 
