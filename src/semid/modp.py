@@ -50,9 +50,9 @@ FILTER_BLOCK = 4096
 def field_point(g: MixedGraph) -> tuple[NDArray, NDArray]:
     """Sigma and lambda mod P at the graph's fixed point.
 
-    Each directed edge, bidirected edge and vertex gets one draw in 1..P-1
-    from ``POINT_SEED``, the values of
-    ``np.random.default_rng(POINT_SEED).integers(1, P, e + b + n)`` drawn by
+    Each directed edge, bidirected edge and vertex gets one value in
+    1..P-1 from ``POINT_SEED``: x % (P - 1) + 1 for x the raw 64-bit outputs
+    of ``np.random.default_rng(POINT_SEED).bit_generator``, drawn by
     ``seeding.PCG64Stream``, in the order of ``oracle._sampling_layout``: the
     coefficient lambda[u, w] of u -> w, the error covariance omega[u, w] =
     omega[w, u] of u <-> w, and the diagonal of omega.  With R =
@@ -66,7 +66,7 @@ def field_point(g: MixedGraph) -> tuple[NDArray, NDArray]:
     n = g.n
     tails, heads, ends_a, ends_b, _ = _cached(g, _sampling_layout)
     e, b = len(tails), len(ends_a)
-    draws = PCG64Stream(_POINT_WORDS).integers(1, P, e + b + n)
+    draws = [x % (P - 1) + 1 for x in PCG64Stream(_POINT_WORDS).random_raw(e + b + n)]
     lam = np.zeros((n, n), dtype=np.int64)
     omega = np.zeros((n, n), dtype=np.int64)
     lam[tails, heads] = draws[:e]

@@ -8,10 +8,11 @@ hashing in Python objects.  In a stack of at least ``VECTOR_SEEDING_MIN``
 seeds each seed gets a ``Generator(PCG64(...))`` seeded with its words; in a
 shorter one a ``PCG64Stream``, the same PCG64 stream in Python integers, so
 a command that draws only a few seeds never loads ``numpy.random``.
-``modp.field_point`` draws its fixed point from a ``PCG64Stream`` too.
-``default_rng(seed)`` is ``Generator(PCG64(SeedSequence(seed)))``, and NEP
-19 fixes the SeedSequence and PCG64 algorithms, so the streams are the
-same; ``tests/test_stacked_sampling.py`` compares them byte for byte.
+``modp.field_point`` takes its fixed point from the raw 64-bit outputs of
+a ``PCG64Stream``.  ``default_rng(seed)`` is
+``Generator(PCG64(SeedSequence(seed)))``, and NEP 19 fixes the SeedSequence
+and PCG64 algorithms, so the streams are the same;
+``tests/test_stacked_sampling.py`` compares them byte for byte.
 """
 
 from __future__ import annotations
@@ -93,7 +94,6 @@ def seed_words(entropy: Sequence[int]) -> NDArray:
 # PCG64 is the XSL-RR output of a 128-bit LCG with this multiplier (O'Neill
 # 2014), as numpy's PCG64 runs it.
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
 _MASK128 = (1 << 128) - 1
 
@@ -101,19 +101,18 @@ _MASK128 = (1 << 128) - 1
 class PCG64Stream:
     """numpy's ``PCG64`` seeded with four known seed words, in Python integers.
 
-    ``random`` gives the doubles of ``Generator.random`` and ``integers`` the
-    values of ``Generator.integers(low, high, size)`` for high - low <= 2**32,
-    bit for bit, and the two interleave as they do on one Generator.
+    ``random_raw`` gives the raw 64-bit outputs of ``PCG64.random_raw`` and
+    ``random`` the doubles of ``Generator.random``, bit for bit, each taking
+    one output per value, so the two interleave as on one Generator.
     """
 
-    __slots__ = ("state", "inc", "half")
+    __slots__ = ("state", "inc")
 
     def __init__(self, words: Sequence[int]):
         # pcg64_set_seed: words 0-1 are the initial state, 2-3 the stream.
         w0, w1, w2, w3 = words
         self.inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
         self.state = ((self.inc + (w0 << 64 | w1)) * _PCG_MULT + self.inc) & _MASK128
-        self.half = None  # the high half of an output that integers split, not yet used
 
     def random_raw(self, count: int) -> list[int]:
         """The next ``count`` 64-bit outputs, as ``PCG64.random_raw`` gives them."""
@@ -130,32 +129,6 @@ class PCG64Stream:
     def random(self, out: NDArray) -> None:
         """Fill the 1-D float64 array ``out`` as ``Generator.random(out=out)`` does."""
         out[:] = [(x >> 11) * 2.0**-53 for x in self.random_raw(len(out))]
-
-    def integers(self, low: int, high: int, size: int) -> list[int]:
-        """``Generator.integers(low, high, size)`` for 0 < high - low <= 2**32, as a list.
-
-        numpy draws such a range by Lemire's method (Lemire 2019) from 32-bit
-        values, the low half of each 64-bit output first: x * span >> 32,
-        drawing x again while x * span mod 2**32 < 2**32 mod span.  A range
-        of one value draws nothing.
-        """
-        span = high - low
-        if span == 1:
-            return [low] * size
-        threshold = (1 << 32) % span
-        out = []
-        for _ in range(size):
-            while True:
-                if self.half is None:
-                    x = self.random_raw(1)[0]
-                    self.half, x = x >> 32, x & _MASK32
-                else:
-                    x, self.half = self.half, None
-                m = x * span
-                if m & _MASK32 >= threshold:
-                    break
-            out.append(low + (m >> 32))
-        return out
 
 
 class _SeedWords:

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from semid import GraphId, MixedGraph, certify, decode_id, eid_tsid_identify, modp, oracle, tsid_identify
+from semid import GraphId, MixedGraph, certify, decode_id, eid_tsid_identify, modp, oracle, seeding, tsid_identify
 from semid.flow import build_flow_graph, build_restricted_flow_graph
 from semid.identify import IDENTIFIABLE, INFINITE_TO_ONE, _tsep_probe, _tsep_sweep
 
@@ -119,7 +119,7 @@ def test_matmul_sums_a_long_contraction_in_blocks(length):
 
 # SHA-256 of sigma and lambda of field_point over every benchmark pool graph,
 # pools in the order corpus_n5, random_n7, acyclic_verify.
-POOL_FIELD_POINT_DIGEST = "e66cadc2f24e17943bccd09d421c98c29babcbf1c7b831408229e7e68f4fdcd4"
+POOL_FIELD_POINT_DIGEST = "6bf5870bb9f292f368f65c059d7827f0328a66ca4797793d3c5dabd57bef55ed"
 
 
 def test_field_points_of_the_benchmark_pools_unchanged(monkeypatch):
@@ -134,6 +134,26 @@ def test_field_points_of_the_benchmark_pools_unchanged(monkeypatch):
             digest.update(sigma.tobytes())
             digest.update(lam.tobytes())
     assert digest.hexdigest() == POOL_FIELD_POINT_DIGEST
+    # The coefficients are numpy's raw PCG64 outputs of POINT_SEED mod P - 1, plus 1.
+    g = decode_id(GraphId.parse(workloads.WORKLOADS["acyclic_verify"].pool()[0]))
+    tails, heads = oracle._sampling_layout(g)[:2]
+    raw = np.random.default_rng(modp.POINT_SEED).bit_generator.random_raw(len(tails))
+    assert modp.field_point(g)[1][tails, heads].tolist() == (raw % (P - 1) + 1).tolist()
+
+
+def test_report_does_not_depend_on_the_field_point(monkeypatch):
+    # The star screen and the full-rank proof are one-sided, so another
+    # point may change which pairs are swept but no certificate or rank.
+    def reports():
+        rng = random.Random(23)
+        return [
+            certify(random_mixed_graph(rng, rng.randint(4, 8), acyclic=i % 2 == 1), verify=False).to_json()
+            for i in range(60)
+        ]
+
+    shipped = reports()
+    monkeypatch.setattr(modp, "_POINT_WORDS", seeding.seed_words([4242])[0].tolist())
+    assert reports() == shipped
 
 
 def test_field_point_solves_the_covariance_equation():

@@ -28,7 +28,6 @@ from semid import (
     seeding,
 )
 from semid.identify import _verification_seeds
-from semid.modp import P, POINT_SEED
 from semid.oracle import _free_parameters, n_free_parameters, numeric_rank, sigma_jacobian
 
 from conftest import random_mixed_graph
@@ -263,47 +262,17 @@ def test_vectorized_seeding_equals_single_seed_draws(monkeypatch, name):
     assert stack.lam.tobytes() == sample_parameters(g, in_range[7:-1]).lam.tobytes()
 
 
-def _stream_and_generator(seed: int) -> tuple[seeding.PCG64Stream, np.random.Generator]:
-    return seeding.PCG64Stream(seeding.seed_words([seed])[0].tolist()), np.random.default_rng(seed)
-
-
 def test_pcg64_stream_equals_numpy():
     # Raw outputs, and doubles filled in two pieces as the cyclic rejection
     # loop fills a row, at the word-boundary seeds and the verification seeds.
     for seed in WORD_BOUNDARY_SEEDS[:-1] + [2**128 - 1] + _verification_seeds(0, 20):
-        stream, rng = _stream_and_generator(seed)
+        stream, rng = seeding.PCG64Stream(seeding.seed_words([seed])[0].tolist()), np.random.default_rng(seed)
         assert stream.random_raw(40) == rng.bit_generator.random_raw(40).tolist()
         got, want = np.empty(57), np.empty(57)
         for piece in (slice(0, 14), slice(14, None)):
             stream.random(got[piece])
             rng.random(out=want[piece])
         assert got.tobytes() == want.tobytes()
-
-
-def test_pcg64_stream_integers_equal_numpy():
-    for count in (0, 1, 2, 3, 59, 60, 2000):
-        stream, rng = _stream_and_generator(POINT_SEED)
-        assert stream.integers(1, P, count) == rng.integers(1, P, count).tolist()
-    # Lemire's threshold is 2**31 - 1 of 2**32 on [0, 2**31 + 1), so about
-    # half the 32-bit values are rejected, and 40 on P's range.  An odd
-    # count leaves a high half for the next call, and doubles drawn between
-    # do not use it.  A range of one value draws nothing, and 2**32 values
-    # take every 32-bit value.
-    for seed in range(4):
-        stream, rng = _stream_and_generator(seed)
-        for low, high, count in ((0, 2**31 + 1, 1001), (7, 8, 3), (-5, 2**32 - 5, 9), (1, P, 11)):
-            assert stream.integers(low, high, count) == rng.integers(low, high, count).tolist()
-            got = np.empty(3)
-            stream.random(got)
-            assert got.tobytes() == rng.random(3).tobytes()
-    stream, _ = _stream_and_generator(0)
-    fresh, _ = _stream_and_generator(0)
-    stream.integers(0, 2**31 + 1, 1000)
-    outputs = 0
-    while fresh.state != stream.state:
-        fresh.random_raw(1)
-        outputs += 1
-    assert outputs > 900  # about 2000 32-bit halves for 1000 values
 
 
 def test_vectorized_seeding_falls_back_for_seeds_default_rng_rejects():
