@@ -9,8 +9,9 @@ graph is built, so no invalid graph exists.  Each graph computes its
 neighbourhoods, descendants, ancestors, trek and half-trek reach and
 acyclicity in one pass, as vertex bitmasks (``_reach_masks``), and
 memoizes them on the instance itself, so they are computed once per graph
-and freed with it.  The frozenset queries are views of those masks.
-Equality, hashing and repr ignore the memo.
+and freed with it.  The frozenset queries build their answer from those
+masks on each call; the solvers read the masks themselves.  Equality,
+hashing and repr ignore the memo.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ class MixedGraph:
     ``bidirected`` is not an iterable of pairs, ``n`` or an endpoint is not
     an integer (a bool is not), ``n`` is negative, an edge is a self-loop or
     an endpoint lies outside 1..n.  Integer endpoints of any type, such as
-    ``np.int64``, are stored as ``int``.
+    ``np.int64``, are stored as ``int``.  Each frozenset query builds its
+    answer from the memoized ``_reach_masks`` on every call.
 
     Attributes:
         n: Number of vertices.
@@ -74,30 +76,25 @@ class MixedGraph:
 
     def parents(self, v: int) -> frozenset[int]:
         """pa(v): tails of directed edges with head v."""
-        _check_vertex(self, v)
-        return _cached(self, _members, "pa")[v]
+        return _reach_set(self, "pa", v)
 
     def children(self, v: int) -> frozenset[int]:
-        _check_vertex(self, v)
-        return _cached(self, _members, "ch")[v]
+        return _reach_set(self, "ch", v)
 
     def siblings(self, v: int) -> frozenset[int]:
         """sib(v): vertices joined to v by a bidirected edge."""
-        _check_vertex(self, v)
-        return _cached(self, _members, "sib")[v]
+        return _reach_set(self, "sib", v)
 
     def descendants(self, v: int) -> frozenset[int]:
         """des(v): heads of non-empty directed paths from v.
 
         v is its own descendant exactly when v lies on a directed cycle.
         """
-        _check_vertex(self, v)
-        return _cached(self, _members, "des")[v]
+        return _reach_set(self, "des", v)
 
     def trek_reachable(self, v: int) -> frozenset[int]:
         """tr(v): endpoints of non-empty treks starting at v."""
-        _check_vertex(self, v)
-        return _cached(self, _members, "tr")[v]
+        return _reach_set(self, "tr", v)
 
     def half_trek_reachable(self, v: int) -> frozenset[int]:
         """htr(v): endpoints of non-empty half-treks starting at v.
@@ -105,8 +102,7 @@ class MixedGraph:
         Equals des(v) together with every vertex reachable by a (possibly
         empty) directed path from a sibling of v.
         """
-        _check_vertex(self, v)
-        return _cached(self, _members, "htr")[v]
+        return _reach_set(self, "htr", v)
 
     def is_acyclic(self) -> bool:
         return _cached(self, _reach_masks).acyclic
@@ -258,9 +254,10 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-def _members(g: MixedGraph, field: str) -> list[frozenset[int]]:
-    """The ``_reach_masks`` field of that name as one frozenset per vertex."""
-    return [frozenset(_bits(m)) for m in getattr(_cached(g, _reach_masks), field)]
+def _reach_set(g: MixedGraph, field: str, v: int) -> frozenset[int]:
+    """The ``_reach_masks`` field of that name at vertex v, as a frozenset."""
+    _check_vertex(g, v)
+    return frozenset(_bits(getattr(_cached(g, _reach_masks), field)[v]))
 
 
 @dataclass(frozen=True)

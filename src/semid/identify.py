@@ -164,7 +164,7 @@ class SolverState:
         return SolverState(dict(self.certificates))
 
     def solved_parents(self, g: MixedGraph, v: int) -> list[int]:
-        return sorted(w for w in g.parents(v) if (w, v) in self.certificates)
+        return [w for w in _bits(_cached(g, _reach_masks).pa[v]) if (w, v) in self.certificates]
 
 
 def half_trek_system_exists(
@@ -363,10 +363,11 @@ def tsep_accepts(
     S, T = _vertex_list(g, S), _vertex_list(g, T)
     if (w0, v) not in g.directed:
         raise ValueError(f"edge {w0}->{v} not in graph")
-    des_v = g.descendants(v)
-    if len(S) != len(T) + 1 or v in T or w0 in T or v in des_v or des_v.intersection(T):
+    des_v = _cached(g, _reach_masks).des[v]
+    below = des_v | 1 << v  # v and des(v)
+    if len(S) != len(T) + 1 or w0 in T or des_v >> v & 1 or below & sum(1 << t for t in T):
         return False
-    if strict and (v in S or des_v.intersection(S)):
+    if strict and below & sum(1 << s for s in S):
         return False
     return bool(_tsep_probe(g, v, w0, solved_siblings)(_tsep_sweep(g, S, T)))
 
@@ -383,8 +384,9 @@ def _tsep_probe(g: MixedGraph, v: int, w0: int, solved: Iterable[int]) -> Callab
 
     It needs no network: primed node p' of the flow graph is n + p.
     """
-    tails = [v, *g.siblings(v), *(g.n + p for p in g.parents(v) - {w0, *solved})]
-    need, star = 1 << (g.n + w0), sum(1 << x for x in tails)
+    masks = _cached(g, _reach_masks)
+    unstripped = masks.pa[v] & ~sum(1 << p for p in {w0, *solved})
+    need, star = 1 << (g.n + w0), 1 << v | masks.sib[v] | unstripped << g.n
     return lambda reach: reach & need and not reach & star
 
 
@@ -430,11 +432,12 @@ def tsid_identify(g: MixedGraph, state: SolverState | None = None, max_set_size:
     if max_set_size < 1:
         raise ValueError(f"max_set_size must be >= 1, got {max_set_size}")
     state = state.copy() if state else SolverState()
+    masks = _cached(g, _reach_masks)
     changed = True
     while changed:
         changed = False
         for v, w0 in sorted((v, w) for (w, v) in g.directed):
-            if (w0, v) in state.certificates or v in g.descendants(v) or _decided_infinite_to_one(g, (w0, v)):
+            if (w0, v) in state.certificates or masks.des[v] >> v & 1 or _decided_infinite_to_one(g, (w0, v)):
                 continue  # solved, or no pair can pass: v on a cycle, or the edge infinite-to-one
             solved_sibs = tuple(s for s in state.solved_parents(g, v) if s != w0)
             pair = _cached(g, _tsid_search, v, w0, solved_sibs, max_set_size)

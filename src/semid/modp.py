@@ -30,7 +30,7 @@ from typing import Iterator
 import numpy as np
 from numpy.typing import NDArray
 
-from .graph import DirectedEdge, MixedGraph, _cached
+from .graph import DirectedEdge, MixedGraph, _cached, _reach_masks
 from .oracle import _sampling_layout
 from .seeding import PCG64Stream, seed_words
 
@@ -132,7 +132,8 @@ def star_vanishing_pairs(
     [sigma[:, T candidates] | star], so a search that accepts a pair builds
     no level after it.  The pairs left out fail the sweep for certain.
     """
-    t_candidates = [t for t in g.vertices if t not in (v, w0) and t not in g.descendants(v)]
+    des_v = _cached(g, _reach_masks).des[v]
+    t_candidates = [t for t in g.vertices if t not in (v, w0) and not des_v >> t & 1]
     sigma, lam = _cached(g, field_point)
     a = sigma[:, [c - 1 for c in t_candidates] + [v - 1]]
     for w in [w0, *solved]:

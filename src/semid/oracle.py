@@ -86,6 +86,11 @@ def _sampling_layout(g: MixedGraph) -> tuple[NDArray, NDArray, NDArray, NDArray,
     return ends[:e, 0], ends[:e, 1], ends[e:, 0], ends[e:, 1], g.is_acyclic()
 
 
+def _unit_doubles(words: NDArray) -> NDArray:
+    """The doubles in [0, 1) that ``Generator.random`` makes of these 64-bit words, one each."""
+    return (words >> 11) * 2.0**-53
+
+
 def sample_parameters(g: MixedGraph, seed: int | Sequence[int]) -> Parameters:
     """Draw a generic parameter point for the graph, deterministically in seed.
 
@@ -100,10 +105,11 @@ def sample_parameters(g: MixedGraph, seed: int | Sequence[int]) -> Parameters:
 
     ``seed`` may also be a sequence of seeds; ``lam`` and ``omega`` then have
     shape (seeds, n, n), and slice i is the point drawn for seeds[i] alone.
-    Every seed draws from the stream of ``np.random.default_rng(seed)``;
-    every list of seeds below 2**128, a single seed included, derives all
-    its generators' seed words in one vectorized ``SeedSequence`` pass
-    (``seeding.generators``).
+    Every seed reads the raw PCG64 words of ``np.random.default_rng(seed)``
+    (``seeding.generators``), one per value, made doubles as
+    ``Generator.random`` makes them (``_unit_doubles``).  Every list of seeds
+    below 2**128, a single seed included, derives all its seed words in one
+    vectorized ``SeedSequence`` pass.
 
     Raises:
         DegenerateSampleError: the rejection budget ran out (for the first
@@ -128,25 +134,26 @@ def sample_parameters(g: MixedGraph, seed: int | Sequence[int]) -> Parameters:
         # The bytes of Generator.uniform(low, high), which draws u the same way.
         return low + (high - low) * u
 
-    # Row i holds seed i's stream in draw order: the coefficient draws, one
+    # Row i holds seed i's words in draw order: the coefficient draws, one
     # draw per bidirected edge, one pad per vertex.
-    draws = np.empty((len(seeds), n_coef + n_off + n))
+    words = np.empty((len(seeds), n_coef + n_off + n), dtype=np.uint64)
     if not acyclic:
         trial = np.eye(n)  # I - lambda of the current attempt
     for i, (s, rng) in enumerate(zip(seeds, generators(seeds))):
         if acyclic:
-            rng.random(out=draws[i])
+            words[i] = rng.random_raw(words.shape[1])
             continue
         for _ in range(MAX_REJECTIONS):
-            rng.random(out=draws[i, :n_coef])
-            trial[tails, heads] = -coefficients(draws[i, :n_coef])
+            words[i, :n_coef] = rng.random_raw(n_coef)
+            trial[tails, heads] = -coefficients(_unit_doubles(words[i, :n_coef]))
             if abs(np.linalg.det(trial)) > REJECTION_TOLERANCE:
                 break
         else:
             raise DegenerateSampleError(
                 f"no invertible I - lambda found in {MAX_REJECTIONS} draws (seed {s})"
             )
-        rng.random(out=draws[i, n_coef:])
+        words[i, n_coef:] = rng.random_raw(words.shape[1] - n_coef)
+    draws = _unit_doubles(words)
     off = uniform(-OMEGA_OFFDIAG, OMEGA_OFFDIAG, draws[:, n_coef:n_coef + n_off])
     pads = uniform(DIAG_PAD_MIN, DIAG_PAD_MAX, draws[:, n_coef + n_off:])
 
@@ -183,8 +190,9 @@ def covariance(p: Parameters) -> NDArray:
         del inverse
     else:
         m_t = np.swapaxes(np.eye(p.n) - p.lam, -1, -2)
-        if not np.all(np.abs(np.linalg.det(m_t)) > SINGULAR_TOL):
-            raise DegenerateSampleError("I - lambda is numerically singular")
+        with np.errstate(invalid="ignore"):  # a NaN det fails the check, silently
+            if not np.all(np.abs(np.linalg.det(m_t)) > SINGULAR_TOL):
+                raise DegenerateSampleError("I - lambda is numerically singular")
         half = np.linalg.solve(m_t, p.omega)
         sigma = np.swapaxes(np.linalg.solve(m_t, np.swapaxes(half, -1, -2)), -1, -2)
         del m_t, half  # bounds peak memory: only sigma and the result remain

@@ -1,17 +1,17 @@
-"""numpy's ``default_rng(seed)`` streams, seeded many at a time and drawn in Python integers.
+"""numpy's ``default_rng(seed)`` streams as raw PCG64 words, seeded many at a time.
 
-``generators(seeds)`` yields, for every seed, a generator with the stream of
-``np.random.default_rng(seed)``.  It computes every seed's
-``SeedSequence(seed).generate_state(4, np.uint64)`` in one pass of uint32
-array arithmetic (``seed_words``), which skips the per-seed SeedSequence
-hashing in Python objects.  In a stack of at least ``VECTOR_SEEDING_MIN``
-seeds each seed gets a ``Generator(PCG64(...))`` seeded with its words; in a
-shorter one a ``PCG64Stream``, the same PCG64 stream in Python integers, so
-a command that draws only a few seeds never loads ``numpy.random``.
-``modp.field_point`` takes its fixed point from the raw 64-bit outputs of
-a ``PCG64Stream``.  ``default_rng(seed)`` is
-``Generator(PCG64(SeedSequence(seed)))``, and NEP 19 fixes the SeedSequence
-and PCG64 algorithms, so the streams are the same;
+``generators(seeds)`` yields, for every seed, a source of the raw 64-bit
+words of ``np.random.default_rng(seed).bit_generator``; its
+``random_raw(count)`` gives the next ``count`` of them.  It computes every
+seed's ``SeedSequence(seed).generate_state(4, np.uint64)`` in one pass of
+uint32 array arithmetic (``seed_words``), which skips the per-seed
+SeedSequence hashing in Python objects.  In a stack of at least
+``VECTOR_SEEDING_MIN`` seeds each seed gets a bare numpy ``PCG64`` seeded
+with its words; in a shorter one a ``PCG64Stream``, the same PCG64 stream
+in Python integers, so a command that draws only a few seeds never loads
+``numpy.random``.  ``oracle.sample_parameters`` and ``modp.field_point``
+read their values from these words.  NEP 19 fixes the SeedSequence and
+PCG64 algorithms, so the words are those of ``default_rng(seed)``;
 ``tests/test_stacked_sampling.py`` compares them byte for byte.
 """
 
@@ -22,15 +22,15 @@ from typing import Iterator, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-# Stacks of at least this many seeds draw from numpy Generators, which load
+# Stacks of at least this many seeds draw from numpy's PCG64, which loads
 # numpy.random (6 MB and 9-18 ms on numpy 2, once per process); shorter
-# stacks and single seeds draw from PCG64Stream.  Both give the same
-# streams.  sample_parameters on 20 acyclic_verify pool graphs (2-vCPU
-# x86-64, Python 3.11.7, numpy 2.4.6, medians of 9 passes) took, per call,
-# by PCG64Stream and by Generator: 108 and 71 us at 1 seed, 210 and 95 us
-# at 3 (the default of ``semid identify``), 406 and 113 us at 8, 4,231 and
-# 581 us at 100.  Below 8 seeds the stream's extra cost stays under the
-# load it saves a command that certifies one graph.
+# ones from PCG64Stream, with the same words.  sample_parameters on 20
+# acyclic_verify pool graphs (2-vCPU x86-64, Python 3.11.7, numpy 2.4.6;
+# median of 5 processes' medians of 21 passes) took, per call, by the
+# stream and by PCG64: 107 and 77 us at 1 seed, 191 and 98 us at 3 (the
+# default of ``semid identify``), 364 and 118 us at 8, 3,783 and 629 us at
+# 100.  Below 8 seeds the stream's extra cost stays under the load it
+# saves a command that certifies one graph.
 VECTOR_SEEDING_MIN = 8
 
 
@@ -99,12 +99,7 @@ _MASK128 = (1 << 128) - 1
 
 
 class PCG64Stream:
-    """numpy's ``PCG64`` seeded with four known seed words, in Python integers.
-
-    ``random_raw`` gives the raw 64-bit outputs of ``PCG64.random_raw`` and
-    ``random`` the doubles of ``Generator.random``, bit for bit, each taking
-    one output per value, so the two interleave as on one Generator.
-    """
+    """numpy's ``PCG64`` seeded with four known seed words, in Python integers."""
 
     __slots__ = ("state", "inc")
 
@@ -126,17 +121,12 @@ class PCG64Stream:
         self.state = state
         return out
 
-    def random(self, out: NDArray) -> None:
-        """Fill the 1-D float64 array ``out`` as ``Generator.random(out=out)`` does."""
-        out[:] = [(x >> 11) * 2.0**-53 for x in self.random_raw(len(out))]
-
 
 class _SeedWords:
     """A seed sequence whose four 64-bit PCG64 seed words are already known.
 
     ``generators`` registers it as an ``ISeedSequence`` where it builds
-    numpy Generators, so that importing this module loads no
-    ``numpy.random``.
+    numpy PCG64s, so that importing this module loads no ``numpy.random``.
     """
 
     def __init__(self, words: NDArray):
@@ -148,22 +138,22 @@ class _SeedWords:
         return self.words
 
 
-def generators(seeds: list) -> Iterator[PCG64Stream | np.random.Generator]:
-    """The stream of ``np.random.default_rng(s)`` for every seed, in order; each seed an integer >= 0.
+def generators(seeds: list) -> Iterator[PCG64Stream | np.random.PCG64]:
+    """The raw words of ``np.random.default_rng(s)`` for every seed, in order; each seed an integer >= 0.
 
     Seeds all below 2**128 are hashed in one ``seed_words`` pass: a stack of
-    at least VECTOR_SEEDING_MIN of them gets numpy Generators, a shorter
-    one PCG64Streams.  A list with a larger seed takes ``default_rng`` per
-    seed.
+    at least VECTOR_SEEDING_MIN of them gets numpy PCG64s, a shorter one
+    PCG64Streams.  A list with a larger seed takes ``PCG64(s)`` per seed,
+    which hashes s as ``default_rng(s)`` does.
     """
     entropy = [int(s) for s in seeds]
-    if entropy and max(entropy) >= 1 << 128:
-        return map(np.random.default_rng, seeds)
-    words = seed_words(entropy)
-    if len(entropy) < VECTOR_SEEDING_MIN:
-        return map(PCG64Stream, words.tolist())
-    from numpy.random import PCG64, Generator
+    beyond = bool(entropy) and max(entropy) >= 1 << 128
+    if not beyond and len(entropy) < VECTOR_SEEDING_MIN:
+        return map(PCG64Stream, seed_words(entropy).tolist())
+    from numpy.random import PCG64
     from numpy.random.bit_generator import ISeedSequence
 
+    if beyond:
+        return map(PCG64, seeds)
     ISeedSequence.register(_SeedWords)
-    return (Generator(PCG64(_SeedWords(w))) for w in words)
+    return (PCG64(_SeedWords(w)) for w in seed_words(entropy))

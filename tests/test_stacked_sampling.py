@@ -3,8 +3,8 @@
 ``sample_parameters`` and ``covariance`` take a list of seeds or a stack of
 parameters; every slice must match what the 2-D call returns for that seed
 alone.  A single seed draws from ``seeding.PCG64Stream`` and a long stack
-from numpy Generators seeded by the vectorized SeedSequence hash, so the
-slice tests compare the two.  The reference implementations below are the
+from numpy PCG64s seeded by the vectorized SeedSequence hash, so the slice
+tests compare the two.  The reference implementations below are the
 per-seed rejection loop, the per-entry Jacobian row loop, and the Jacobian
 from 0/1 basis matrices that the closed-form columns replaced.
 """
@@ -248,31 +248,38 @@ def test_vectorized_seeding_equals_single_seed_draws(monkeypatch, name):
     original = seeding.seed_words
     monkeypatch.setattr(seeding, "seed_words", lambda seeds: hashed.append(len(seeds)) or original(seeds))
     in_range = WORD_BOUNDARY_SEEDS[:-1] + _verification_seeds(0, 100) + [139]
-    for seeds, numpy_generator in ((in_range, True), (WORD_BOUNDARY_SEEDS, True),
-                                   (in_range[:seeding.VECTOR_SEEDING_MIN - 1], False),
-                                   (in_range[:seeding.VECTOR_SEEDING_MIN], True)):
+    for seeds, numpy_pcg64 in ((in_range, True), (WORD_BOUNDARY_SEEDS, True),
+                               (in_range[:seeding.VECTOR_SEEDING_MIN - 1], False),
+                               (in_range[:seeding.VECTOR_SEEDING_MIN], True)):
         hashed.clear()
         _assert_slices_match(g, seeds)
         # Seeds below 2**128 are hashed by seed_words, the stack in one call
         # and every seed alone in its own; a stack with a larger seed is not.
         hashable = [s for s in seeds if s < 2**128]
         assert hashed == [len(seeds)] * (hashable == seeds) + [1] * len(hashable)
-        assert isinstance(next(seeding.generators(seeds)), np.random.Generator) == numpy_generator
+        assert isinstance(next(seeding.generators(seeds)), np.random.PCG64) == numpy_pcg64
     stack = sample_parameters(g, np.array(in_range[7:-1], dtype=np.uint64))
     assert stack.lam.tobytes() == sample_parameters(g, in_range[7:-1]).lam.tobytes()
 
 
 def test_pcg64_stream_equals_numpy():
-    # Raw outputs, and doubles filled in two pieces as the cyclic rejection
-    # loop fills a row, at the word-boundary seeds and the verification seeds.
+    # Raw outputs, and the doubles of both word sources of seeding.generators
+    # filled in two pieces as the cyclic rejection loop fills a row, at the
+    # word-boundary seeds and the verification seeds.
+    pieces = (slice(0, 14), slice(14, 57))
     for seed in WORD_BOUNDARY_SEEDS[:-1] + [2**128 - 1] + _verification_seeds(0, 20):
-        stream, rng = seeding.PCG64Stream(seeding.seed_words([seed])[0].tolist()), np.random.default_rng(seed)
-        assert stream.random_raw(40) == rng.bit_generator.random_raw(40).tolist()
-        got, want = np.empty(57), np.empty(57)
-        for piece in (slice(0, 14), slice(14, None)):
-            stream.random(got[piece])
+        words = seeding.seed_words([seed])[0].tolist()
+        raw = np.random.default_rng(seed).bit_generator.random_raw(40).tolist()
+        assert seeding.PCG64Stream(words).random_raw(40) == raw
+        rng, want = np.random.default_rng(seed), np.empty(57)
+        for piece in pieces:
             rng.random(out=want[piece])
-        assert got.tobytes() == want.tobytes()
+        # A stack of VECTOR_SEEDING_MIN seeds draws from np.random.PCG64(seeding._SeedWords(...)).
+        for source in (seeding.PCG64Stream(words), next(seeding.generators([seed] * seeding.VECTOR_SEEDING_MIN))):
+            got = np.empty(57, dtype=np.uint64)
+            for piece in pieces:
+                got[piece] = source.random_raw(piece.stop - piece.start)
+            assert oracle._unit_doubles(got).tobytes() == want.tobytes()
 
 
 def test_vectorized_seeding_falls_back_for_seeds_default_rng_rejects():

@@ -5,16 +5,29 @@
 ``certify`` takes an unproved Jacobian rank at the point of verification
 seed 0.  The references below are the two-round loop the early stop
 replaced, ``covariance`` of a fresh draw of the stack, and both the
-one-seed draw and slice 0 of the verification stack.
+one-seed draw and slice 0 of the verification stack.  ``certify`` also
+reads every reach set from the graph's bitmasks, so no verdict calls a
+frozenset query.
 """
 
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 import pytest
 
-from semid import certify, covariance, identify, oracle, sample_parameters, verify_certificates
+from semid import (
+    GraphId,
+    MixedGraph,
+    certify,
+    covariance,
+    decode_id,
+    identify,
+    oracle,
+    sample_parameters,
+    verify_certificates,
+)
 from semid.identify import SolverState, eid_identify, eid_tsid_identify, tsid_identify
 
 from conftest import random_mixed_graph
@@ -134,3 +147,25 @@ def test_unproved_rank_is_taken_at_the_seed_point(monkeypatch, verify):
         assert p.omega.tobytes() == alone.omega.tobytes() == stack.omega[0].tobytes()
         reached.add(g.is_acyclic())
     assert reached == {True, False}
+
+
+def test_certify_reads_reach_sets_from_the_masks(monkeypatch):
+    """No verdict on the three benchmark pools calls a frozenset query of MixedGraph.
+
+    The solvers and the star screen read ``graph._reach_masks``; a query
+    builds a fresh frozenset on every call.
+    """
+    def refuse(self, v):
+        raise AssertionError("the verdict path called a frozenset query")
+
+    for name in ("parents", "children", "siblings", "descendants", "trek_reachable", "half_trek_reachable"):
+        monkeypatch.setattr(MixedGraph, name, refuse)
+    root = Path(__file__).resolve().parents[1]
+    monkeypatch.chdir(root)  # the corpus path of the workloads is relative
+    monkeypatch.syspath_prepend(str(root / "perfbench"))
+    import workloads
+    for workload in workloads.WORKLOADS.values():
+        flags = dict(zip(workload.flags[::2], workload.flags[1::2]))
+        max_set_size = int(flags.get("--max-set-size", 0)) or None  # None: exhaustive
+        for code in workload.pool():
+            certify(decode_id(GraphId.parse(code)), max_set_size=max_set_size, verify=False)
