@@ -16,7 +16,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .graph import DirectedEdge, MixedGraph, Trek, _cached, infinite_to_one_record
-from .seeding import generators
+from .seeding import raw_words, seed_words
 
 # Singular values below RANK_RTOL times the largest one count as zero.
 RANK_RTOL = 1e-8
@@ -106,10 +106,12 @@ def sample_parameters(g: MixedGraph, seed: int | Sequence[int]) -> Parameters:
     ``seed`` may also be a sequence of seeds; ``lam`` and ``omega`` then have
     shape (seeds, n, n), and slice i is the point drawn for seeds[i] alone.
     Every seed reads the raw PCG64 words of ``np.random.default_rng(seed)``
-    (``seeding.generators``), one per value, made doubles as
-    ``Generator.random`` makes them (``_unit_doubles``).  Every list of seeds
-    below 2**128, a single seed included, derives all its seed words in one
-    vectorized ``SeedSequence`` pass.
+    (``seeding.raw_words``), one per value, made doubles as
+    ``Generator.random`` makes them (``_unit_doubles``).  Every list of
+    seeds, a single seed included, derives all its seed words in one
+    vectorized ``SeedSequence`` pass (``seeding.seed_words``).  On a cyclic
+    graph the draws run in rounds, each one stacked determinant for the
+    seeds still rejected.
 
     Raises:
         DegenerateSampleError: the rejection budget ran out (for the first
@@ -136,23 +138,31 @@ def sample_parameters(g: MixedGraph, seed: int | Sequence[int]) -> Parameters:
 
     # Row i holds seed i's words in draw order: the coefficient draws, one
     # draw per bidirected edge, one pad per vertex.
-    words = np.empty((len(seeds), n_coef + n_off + n), dtype=np.uint64)
-    if not acyclic:
-        trial = np.eye(n)  # I - lambda of the current attempt
-    for i, (s, rng) in enumerate(zip(seeds, generators(seeds))):
-        if acyclic:
-            words[i] = rng.random_raw(words.shape[1])
-            continue
-        for _ in range(MAX_REJECTIONS):
-            words[i, :n_coef] = rng.random_raw(n_coef)
-            trial[tails, heads] = -coefficients(_unit_doubles(words[i, :n_coef]))
-            if abs(np.linalg.det(trial)) > REJECTION_TOLERANCE:
+    seeded = seed_words(seeds)
+    width = n_coef + n_off + n
+    if acyclic:
+        words = raw_words(seeded, 0, width)
+    else:
+        # Round r draws lambda once more for every seed still rejected, whose
+        # stream then stands at word r * n_coef; a kept seed reads the rest
+        # of its row from where its last draw ended.
+        words = np.empty((len(seeds), width), dtype=np.uint64)
+        pending = np.arange(len(seeds))
+        for attempt in range(MAX_REJECTIONS):
+            drawn = raw_words(seeded[pending], attempt * n_coef, n_coef)
+            trial = np.tile(np.eye(n), (len(pending), 1, 1))  # I - lambda of this attempt
+            trial[:, tails, heads] = -coefficients(_unit_doubles(drawn))
+            kept = np.abs(np.linalg.det(trial)) > REJECTION_TOLERANCE
+            done = pending[kept]
+            words[done, :n_coef] = drawn[kept]
+            words[done, n_coef:] = raw_words(seeded[done], (attempt + 1) * n_coef, width - n_coef)
+            pending = pending[~kept]
+            if not pending.size:
                 break
         else:
             raise DegenerateSampleError(
-                f"no invertible I - lambda found in {MAX_REJECTIONS} draws (seed {s})"
+                f"no invertible I - lambda found in {MAX_REJECTIONS} draws (seed {seeds[pending[0]]})"
             )
-        words[i, n_coef:] = rng.random_raw(words.shape[1] - n_coef)
     draws = _unit_doubles(words)
     off = uniform(-OMEGA_OFFDIAG, OMEGA_OFFDIAG, draws[:, n_coef:n_coef + n_off])
     pads = uniform(DIAG_PAD_MIN, DIAG_PAD_MAX, draws[:, n_coef + n_off:])
@@ -184,9 +194,12 @@ def covariance(p: Parameters) -> NDArray:
         DegenerateSampleError: on a cyclic or non-finite lambda, some
             |det(I - lambda)| is not above SINGULAR_TOL (NaN included).
     """
+    # At most three stack-sized arrays besides lam and omega are live at
+    # once; the result reuses the buffer of the first product.
     inverse = _path_sum_inverse(p.lam)
     if inverse is not None:
-        sigma = np.swapaxes(inverse, -1, -2) @ p.omega @ inverse
+        half = np.swapaxes(inverse, -1, -2) @ p.omega
+        sigma = half @ inverse
         del inverse
     else:
         m_t = np.swapaxes(np.eye(p.n) - p.lam, -1, -2)
@@ -195,8 +208,8 @@ def covariance(p: Parameters) -> NDArray:
                 raise DegenerateSampleError("I - lambda is numerically singular")
         half = np.linalg.solve(m_t, p.omega)
         sigma = np.swapaxes(np.linalg.solve(m_t, np.swapaxes(half, -1, -2)), -1, -2)
-        del m_t, half  # bounds peak memory: only sigma and the result remain
-    out = sigma + np.swapaxes(sigma, -1, -2)
+        del m_t
+    out = np.add(sigma, np.swapaxes(sigma, -1, -2), out=half)
     out /= 2
     return out
 
@@ -226,9 +239,14 @@ def _path_sum_inverse(lam: NDArray) -> NDArray | None:
         squarings += 1
     power = lam
     inverse = lam + np.eye(n)  # the sum of lam^k over k < 2
+    spare = None  # a buffer free for the next product
     for _ in range(squarings - 1):
-        power = power @ power
-        inverse += inverse @ power
+        # power = power @ power; inverse += inverse @ power, in three buffers
+        squared = np.matmul(power, power, out=spare)
+        spare, power = (None if power is lam else power), squared
+        spare = np.matmul(inverse, power, out=spare)
+        inverse += spare
+    del power, spare  # before the finiteness check's bool array
     return inverse if np.isfinite(inverse).all() else None
 
 

@@ -385,8 +385,9 @@ def test_closed_stdout_ends_quietly_with_exit_1():
 
 
 def test_few_seeds_never_load_numpy_random():
-    # The field point and stacks of fewer than VECTOR_SEEDING_MIN seeds draw
-    # from seeding.PCG64Stream; only a longer stack loads numpy.random.
+    # Every draw comes from seeding's PCG64 words: a PCG64Stream for the
+    # field point and fewer than VECTOR_SEEDING_MIN seeds, the uint64 kernel
+    # for more, a seed of 2**128 included.  None loads numpy.random.
     src = str(Path(semid.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     script = textwrap.dedent("""
@@ -398,7 +399,9 @@ def test_few_seeds_never_load_numpy_random():
         runs = [["identify", "5:4456:113", "--max-set-size", "5"],
                 ["identify", "5:4456:113", "--max-set-size", "5", "--no-verify"],
                 ["identify", "3:9:4", "--seeds", "7"], ["sample", "3:9:4"],
-                ["identify", "3:9:4", "--seeds", "8"]]
+                ["identify", "3:9:4", "--seeds", "8"], ["verify", "3:9:4"],
+                ["identify", "4:1907:2", "--seeds", "8"],
+                ["sample", "3:9:4", "--seed", str(2**128)]]
         for argv in runs:
             with contextlib.redirect_stdout(io.StringIO()):
                 code = main(argv)
@@ -408,7 +411,8 @@ def test_few_seeds_never_load_numpy_random():
     if done.returncode == 9:
         pytest.skip("import numpy loads numpy.random")
     assert (done.returncode, done.stderr) == (0, "")
-    assert done.stdout.splitlines() == ["3 False", "3 False", "0 False", "0 False", "0 True"]
+    assert done.stdout.splitlines() == ["3 False", "3 False", "0 False", "0 False", "0 False", "0 False",
+                                        "3 False", "0 False"]
 
 
 def test_output_file_option(tmp_path, capsys):

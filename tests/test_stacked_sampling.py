@@ -3,10 +3,11 @@
 ``sample_parameters`` and ``covariance`` take a list of seeds or a stack of
 parameters; every slice must match what the 2-D call returns for that seed
 alone.  A single seed draws from ``seeding.PCG64Stream`` and a long stack
-from numpy PCG64s seeded by the vectorized SeedSequence hash, so the slice
-tests compare the two.  The reference implementations below are the
-per-seed rejection loop, the per-entry Jacobian row loop, and the Jacobian
-from 0/1 basis matrices that the closed-form columns replaced.
+from the uint64 jump-ahead kernel, both seeded by the vectorized
+SeedSequence hash, so the slice tests compare the two.  The reference
+implementations below are the per-seed rejection loop, the per-entry
+Jacobian row loop, and the Jacobian from 0/1 basis matrices that the
+closed-form columns replaced.
 """
 
 from __future__ import annotations
@@ -192,14 +193,20 @@ def test_acyclic_draws_equal_the_rejection_loop():
     assert seen_non_triangular
 
 
-def test_cyclic_draws_equal_the_rejection_loop():
-    for name in ("rejecting_cyclic", "inconclusive_cyclic"):
-        g = SAMPLE_GRAPHS[name]
-        for seed in SAMPLE_SEEDS:
-            oracle = _rejection_loop_sample(g, seed)
-            got = sample_parameters(g, seed)
-            assert got.lam.tobytes() == oracle.lam.tobytes()
-            assert got.omega.tobytes() == oracle.omega.tobytes()
+def test_cyclic_draws_equal_the_rejection_loop(monkeypatch):
+    # At a tolerance of 0.5 seeds reject lambda zero to four times, so each
+    # round of a stack draws for fewer seeds than the one before.
+    seeds = SAMPLE_SEEDS + _verification_seeds(0, 40)
+    for tolerance in (oracle.REJECTION_TOLERANCE, 0.5):
+        monkeypatch.setattr(oracle, "REJECTION_TOLERANCE", tolerance)
+        for name in ("rejecting_cyclic", "inconclusive_cyclic"):
+            g = SAMPLE_GRAPHS[name]
+            stack = sample_parameters(g, seeds)
+            for i, seed in enumerate(seeds):
+                reference = _rejection_loop_sample(g, seed)
+                for got in (sample_parameters(g, seed), Parameters(stack.lam[i], stack.omega[i])):
+                    assert got.lam.tobytes() == reference.lam.tobytes()
+                    assert got.omega.tobytes() == reference.omega.tobytes()
 
 
 def test_jacobian_equals_the_row_loop():
@@ -229,56 +236,82 @@ def test_jacobian_matches_the_basis_sandwich():
 
 
 # Seeds at the 32-bit word boundaries of SeedSequence's entropy; 2**128 has
-# five words and takes default_rng.
+# five words, whose fifth is mixed into every pool lane.
 WORD_BOUNDARY_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96 + 5, 2**128]
 
 
 def test_seed_words_equal_seed_sequence():
-    seeds = WORD_BOUNDARY_SEEDS[:-1] + [2**128 - 1] + _verification_seeds(0, 100)
+    seeds = WORD_BOUNDARY_SEEDS + [2**128 - 1, 2**160 + 7, 2**256 - 1] + _verification_seeds(0, 100)
     words = seeding.seed_words(seeds)
     assert words.shape == (len(seeds), 4) and words.dtype == np.uint64
     for s, w in zip(seeds, words):
         assert w.tobytes() == np.random.SeedSequence(s).generate_state(4, np.uint64).tobytes()
 
 
+def test_stack_kernel_equals_numpy():
+    seeds = WORD_BOUNDARY_SEEDS + [2**128 - 1] + _verification_seeds(0, 99)
+    want = {s: np.random.default_rng(s).bit_generator.random_raw(40 + 83) for s in seeds}
+    for stack in (seeds[:8], seeds[8:]):
+        seeded = seeding.seed_words(stack)
+        for start in (0, 1, 7, 40):
+            for count in (1, 5, 83):
+                got = seeding._stack_words(seeded, start, count)
+                assert got.shape == (len(stack), count) and got.dtype == np.uint64
+                for s, row in zip(stack, got):
+                    assert row.tobytes() == want[s][start:start + count].tobytes()
+
+
 @pytest.mark.parametrize("name", ["htc_fail", "rejecting_cyclic"])
 def test_vectorized_seeding_equals_single_seed_draws(monkeypatch, name):
     g = SAMPLE_GRAPHS[name]
-    hashed = []
-    original = seeding.seed_words
-    monkeypatch.setattr(seeding, "seed_words", lambda seeds: hashed.append(len(seeds)) or original(seeds))
+    if name == "rejecting_cyclic":
+        # Seeds then reject lambda zero to four times, so later rounds draw
+        # for fewer seeds, by the kernel and by the stream.
+        monkeypatch.setattr(oracle, "REJECTION_TOLERANCE", 0.5)
+    hashed, draws, kernel_rows = [], [], []
+    seed_words, raw_words, stack_words = seeding.seed_words, seeding.raw_words, seeding._stack_words
+    monkeypatch.setattr(oracle, "seed_words", lambda seeds: hashed.append(len(seeds)) or seed_words(seeds))
+    monkeypatch.setattr(oracle, "raw_words", lambda w, start, count: draws.append((len(w), count)) or raw_words(w, start, count))
+    monkeypatch.setattr(seeding, "_stack_words", lambda w, start, count: kernel_rows.append(len(w)) or stack_words(w, start, count))
     in_range = WORD_BOUNDARY_SEEDS[:-1] + _verification_seeds(0, 100) + [139]
-    for seeds, numpy_pcg64 in ((in_range, True), (WORD_BOUNDARY_SEEDS, True),
-                               (in_range[:seeding.VECTOR_SEEDING_MIN - 1], False),
-                               (in_range[:seeding.VECTOR_SEEDING_MIN], True)):
-        hashed.clear()
+    small = seeding.VECTOR_SEEDING_MIN
+    for seeds in (in_range, WORD_BOUNDARY_SEEDS, in_range[:small - 1], in_range[:small]):
+        for log in (hashed, draws, kernel_rows):
+            log.clear()
         _assert_slices_match(g, seeds)
-        # Seeds below 2**128 are hashed by seed_words, the stack in one call
-        # and every seed alone in its own; a stack with a larger seed is not.
-        hashable = [s for s in seeds if s < 2**128]
-        assert hashed == [len(seeds)] * (hashable == seeds) + [1] * len(hashable)
-        assert isinstance(next(seeding.generators(seeds)), np.random.PCG64) == numpy_pcg64
+        # The stack is hashed in one seed_words call, then every seed alone.
+        assert hashed == [len(seeds)] + [1] * len(seeds)
+        # A draw for VECTOR_SEEDING_MIN seeds or more runs the kernel, any
+        # other a PCG64Stream per seed; the stack's first draw is for all.
+        assert draws[0][0] == len(seeds)
+        assert kernel_rows == [k for k, _ in draws if k >= small]
+    if name == "rejecting_cyclic":
+        draws.clear()
+        sample_parameters(g, in_range)
+        rounds = [k for k, count in draws if count == draws[0][1]]
+        assert rounds[0] > rounds[1] >= small > rounds[-1] > 0
     stack = sample_parameters(g, np.array(in_range[7:-1], dtype=np.uint64))
     assert stack.lam.tobytes() == sample_parameters(g, in_range[7:-1]).lam.tobytes()
 
 
 def test_pcg64_stream_equals_numpy():
-    # Raw outputs, and the doubles of both word sources of seeding.generators
-    # filled in two pieces as the cyclic rejection loop fills a row, at the
-    # word-boundary seeds and the verification seeds.
+    # Raw outputs from word 0 and from a later start word, and the doubles
+    # of both word sources filled in two pieces as a rejection round fills
+    # a row, at the word-boundary seeds and the verification seeds.
     pieces = (slice(0, 14), slice(14, 57))
-    for seed in WORD_BOUNDARY_SEEDS[:-1] + [2**128 - 1] + _verification_seeds(0, 20):
-        words = seeding.seed_words([seed])[0].tolist()
+    for seed in WORD_BOUNDARY_SEEDS + [2**128 - 1] + _verification_seeds(0, 20):
+        seeded = seeding.seed_words([seed])
+        words = seeded[0].tolist()
         raw = np.random.default_rng(seed).bit_generator.random_raw(40).tolist()
         assert seeding.PCG64Stream(words).random_raw(40) == raw
+        assert seeding.PCG64Stream(words, 7).random_raw(33) == raw[7:]
         rng, want = np.random.default_rng(seed), np.empty(57)
         for piece in pieces:
             rng.random(out=want[piece])
-        # A stack of VECTOR_SEEDING_MIN seeds draws from np.random.PCG64(seeding._SeedWords(...)).
-        for source in (seeding.PCG64Stream(words), next(seeding.generators([seed] * seeding.VECTOR_SEEDING_MIN))):
-            got = np.empty(57, dtype=np.uint64)
-            for piece in pieces:
-                got[piece] = source.random_raw(piece.stop - piece.start)
+        stacked = np.repeat(seeded, seeding.VECTOR_SEEDING_MIN, axis=0)
+        for source in (seeded, stacked):
+            got = np.concatenate([seeding.raw_words(source, piece.start, piece.stop - piece.start)[0]
+                                  for piece in pieces])
             assert oracle._unit_doubles(got).tobytes() == want.tobytes()
 
 
