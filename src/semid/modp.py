@@ -32,14 +32,14 @@ from numpy.typing import NDArray
 
 from .graph import DirectedEdge, MixedGraph, _cached, _reach_masks
 from .oracle import _sampling_layout
-from .seeding import PCG64Stream, seed_words
+from .seeding import raw_words, seed_words
 
 # A prime below 2**31, so a product of two residues fits in int64.
 P = 2147483629
 # Seed of the point at which field_point evaluates the covariance, and its
-# PCG64 seed words.
+# PCG64 seed words as a one-row seed_words array.
 POINT_SEED = 1702
-_POINT_WORDS = seed_words([POINT_SEED])[0].tolist()
+_POINT_WORDS = seed_words([POINT_SEED])
 # Entries of a level table that the star screen computes as one chunk of
 # rows, which bounds its temporaries.  On the n=12 and n=13 scaling graphs
 # (README) 4096 runs as fast as 16384 with 1-3 MB less peak RSS, and about
@@ -53,20 +53,20 @@ def field_point(g: MixedGraph) -> tuple[NDArray, NDArray]:
     Each directed edge, bidirected edge and vertex gets one value in
     1..P-1 from ``POINT_SEED``: x % (P - 1) + 1 for x the raw 64-bit outputs
     of ``np.random.default_rng(POINT_SEED).bit_generator``, drawn by
-    ``seeding.PCG64Stream``, in the order of ``oracle._sampling_layout``: the
-    coefficient lambda[u, w] of u -> w, the error covariance omega[u, w] =
-    omega[w, u] of u <-> w, and the diagonal of omega.  With R =
-    D (I - lambda)^-1 from ``_reduce`` on [I - lambda | I], sigma =
-    R^T omega R mod P is the covariance (as in ``oracle.covariance``) at
-    (lambda, D omega D).  That point has the support of (lambda, omega), so
-    a minor that is nonzero there is still not the zero polynomial.  When
-    I - lambda is singular mod P, sigma is 0: every minor vanishes and
-    proves nothing.  Memoize it with ``graph._cached``.
+    ``seeding.raw_words`` as every sample is, in the order of
+    ``oracle._sampling_layout``: the coefficient lambda[u, w] of u -> w, the
+    error covariance omega[u, w] = omega[w, u] of u <-> w, and the diagonal
+    of omega.  With R = D (I - lambda)^-1 from ``_reduce`` on
+    [I - lambda | I], sigma = R^T omega R mod P is the covariance (as in
+    ``oracle.covariance``) at (lambda, D omega D).  That point has the
+    support of (lambda, omega), so a minor that is nonzero there is still
+    not the zero polynomial.  When I - lambda is singular mod P, sigma is 0:
+    every minor vanishes and proves nothing.  Memoize it with ``graph._cached``.
     """
     n = g.n
     tails, heads, ends_a, ends_b, _ = _cached(g, _sampling_layout)
     e, b = len(tails), len(ends_a)
-    draws = [x % (P - 1) + 1 for x in PCG64Stream(_POINT_WORDS).random_raw(e + b + n)]
+    draws = [x % (P - 1) + 1 for x in raw_words(_POINT_WORDS, 0, e + b + n)[0].tolist()]
     lam = np.zeros((n, n), dtype=np.int64)
     omega = np.zeros((n, n), dtype=np.int64)
     lam[tails, heads] = draws[:e]

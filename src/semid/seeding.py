@@ -8,13 +8,13 @@ raw 64-bit words ``start .. start + count - 1`` of
 array arithmetic per entropy length, which skips the per-seed SeedSequence
 hashing in Python objects.  A call for at least ``VECTOR_SEEDING_MIN``
 seeds runs one numpy uint64 kernel for the whole stack, which jumps each
-seed's 128-bit LCG ahead in closed form; a shorter one runs a
-``PCG64Stream`` per seed, the same stream in Python integers.  Neither
-loads ``numpy.random``.  ``oracle.sample_parameters`` and
-``modp.field_point`` read their values from these words.  NEP 19 fixes the
-SeedSequence and PCG64 algorithms, so the words are those of
-``default_rng(seed)``; ``tests/test_stacked_sampling.py`` compares them
-byte for byte.
+seed's 128-bit LCG ahead in closed form; a shorter one runs
+``_stream_words`` per seed, the same stream in Python integers.  Neither
+loads ``numpy.random``.  Other modules read words through ``raw_words``
+alone: ``oracle.sample_parameters`` and ``modp.field_point`` take every
+value from it.  NEP 19 fixes the SeedSequence and PCG64 algorithms, so
+the words are those of ``default_rng(seed)``;
+``tests/test_stacked_sampling.py`` compares them byte for byte.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from typing import Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-# Calls for at least this many seeds run the uint64 kernel, shorter ones a
-# PCG64Stream per seed, with the same words.  The kernel costs about 70 us
+# Calls for at least this many seeds run the uint64 kernel, shorter ones
+# _stream_words per seed, with the same words.  The kernel costs about 70 us
 # whatever the stack (some sixty numpy calls), the stream about 0.4 us per
 # word and seed.  sample_parameters on 20 acyclic_verify pool graphs
 # (2-vCPU x86-64, Python 3.11.7, numpy 2.4.6, one BLAS thread; median of 41
@@ -155,27 +155,18 @@ def _seed_state(words: Sequence[int]) -> tuple[int, int]:
     return (inc + (w0 << 64 | w1)) & _MASK128, inc
 
 
-class PCG64Stream:
-    """numpy's ``PCG64`` seeded with four known seed words, from word ``start`` on, in Python integers."""
-
-    __slots__ = ("state", "inc")
-
-    def __init__(self, words: Sequence[int], start: int = 0):
-        base, self.inc = _seed_state(words)
-        jump_a, jump_g = _lcg_jump(start + 1)
-        self.state = (jump_a * base + jump_g * self.inc) & _MASK128
-
-    def random_raw(self, count: int) -> list[int]:
-        """The next ``count`` 64-bit outputs, as ``PCG64.random_raw`` gives them."""
-        state, inc = self.state, self.inc
-        out = []
-        for _ in range(count):
-            state = (state * _PCG_MULT + inc) & _MASK128
-            x = (state >> 64 ^ state) & _MASK64
-            rot = state >> 122
-            out.append((x >> rot | x << 64 - rot) & _MASK64)
-        self.state = state
-        return out
+def _stream_words(words: Sequence[int], start: int, count: int) -> list[int]:
+    """Words start .. start + count - 1 of numpy's ``PCG64`` seeded with four seed words, in Python integers."""
+    base, inc = _seed_state(words)
+    jump_a, jump_g = _lcg_jump(start + 1)
+    state = (jump_a * base + jump_g * inc) & _MASK128
+    out = []
+    for _ in range(count):
+        state = (state * _PCG_MULT + inc) & _MASK128
+        x = (state >> 64 ^ state) & _MASK64
+        rot = state >> 122
+        out.append((x >> rot | x << 64 - rot) & _MASK64)
+    return out
 
 
 # Operands of the uint64 kernel.  numpy 1.x promotes uint64 mixed with a
@@ -262,5 +253,5 @@ def raw_words(seeded: NDArray, start: int, count: int) -> NDArray:
     """Words start .. start + count - 1 of the PCG64 stream of every row of ``seed_words``, as an (N, count) uint64 array."""
     if len(seeded) >= VECTOR_SEEDING_MIN:
         return _stack_words(seeded, start, count)
-    rows = [PCG64Stream(w, start).random_raw(count) for w in seeded.tolist()]
+    rows = [_stream_words(w, start, count) for w in seeded.tolist()]
     return np.array(rows, dtype=np.uint64).reshape(len(rows), count)

@@ -273,6 +273,17 @@ def test_corpus_malformed_line(tmp_path, capsys):
     assert "3:9:4" in out
 
 
+def test_corpus_skips_negative_and_non_integer_ids(tmp_path, capsys):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("-1:0:0\n5:x:1\n")
+    code, _, err = run(capsys, "corpus", corpus)
+    assert code == 1
+    assert err.splitlines() == [
+        f"{corpus}:1: skipped: negative component in graph id -1:0:0",
+        f"{corpus}:2: skipped: graph id components must be integers: '5:x:1'",
+    ]
+
+
 def test_corpus_empty(tmp_path, capsys):
     corpus = tmp_path / "corpus.txt"
     corpus.write_text("# nothing here\n")
@@ -385,9 +396,10 @@ def test_closed_stdout_ends_quietly_with_exit_1():
 
 
 def test_few_seeds_never_load_numpy_random():
-    # Every draw comes from seeding's PCG64 words: a PCG64Stream for the
-    # field point and fewer than VECTOR_SEEDING_MIN seeds, the uint64 kernel
-    # for more, a seed of 2**128 included.  None loads numpy.random.
+    # Every draw goes through seeding.raw_words: the Python-integer stream
+    # for the field point and fewer than VECTOR_SEEDING_MIN seeds, the
+    # uint64 kernel for more, a seed of 2**128 included.  None loads
+    # numpy.random.
     src = str(Path(semid.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     script = textwrap.dedent("""

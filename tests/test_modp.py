@@ -152,7 +152,7 @@ def test_report_does_not_depend_on_the_field_point(monkeypatch):
         ]
 
     shipped = reports()
-    monkeypatch.setattr(modp, "_POINT_WORDS", seeding.seed_words([4242])[0].tolist())
+    monkeypatch.setattr(modp, "_POINT_WORDS", seeding.seed_words([4242]))
     assert reports() == shipped
 
 

@@ -2,12 +2,12 @@
 
 ``sample_parameters`` and ``covariance`` take a list of seeds or a stack of
 parameters; every slice must match what the 2-D call returns for that seed
-alone.  A single seed draws from ``seeding.PCG64Stream`` and a long stack
-from the uint64 jump-ahead kernel, both seeded by the vectorized
-SeedSequence hash, so the slice tests compare the two.  The reference
-implementations below are the per-seed rejection loop, the per-entry
-Jacobian row loop, and the Jacobian from 0/1 basis matrices that the
-closed-form columns replaced.
+alone.  Every draw goes through ``seeding.raw_words``: a single seed reads
+the stream in Python integers and a long stack the uint64 jump-ahead
+kernel, both seeded by the vectorized SeedSequence hash, so the slice tests
+compare the two.  The reference implementations below are the per-seed
+rejection loop, the per-entry Jacobian row loop, and the Jacobian from 0/1
+basis matrices that the closed-form columns replaced.
 """
 
 from __future__ import annotations
@@ -282,7 +282,8 @@ def test_vectorized_seeding_equals_single_seed_draws(monkeypatch, name):
         # The stack is hashed in one seed_words call, then every seed alone.
         assert hashed == [len(seeds)] + [1] * len(seeds)
         # A draw for VECTOR_SEEDING_MIN seeds or more runs the kernel, any
-        # other a PCG64Stream per seed; the stack's first draw is for all.
+        # other the Python-integer stream per seed; the stack's first draw
+        # is for all.
         assert draws[0][0] == len(seeds)
         assert kernel_rows == [k for k, _ in draws if k >= small]
     if name == "rejecting_cyclic":
@@ -294,17 +295,40 @@ def test_vectorized_seeding_equals_single_seed_draws(monkeypatch, name):
     assert stack.lam.tobytes() == sample_parameters(g, in_range[7:-1]).lam.tobytes()
 
 
+def test_each_rejection_round_draws_once(monkeypatch):
+    # Round r makes one raw_words call, for whole rows from word r * n_coef
+    # on, for the seeds that each take more than r rounds alone.
+    g = SAMPLE_GRAPHS["rejecting_cyclic"]
+    monkeypatch.setattr(oracle, "REJECTION_TOLERANCE", 0.5)
+    draws = []
+    raw_words = seeding.raw_words
+    monkeypatch.setattr(oracle, "raw_words", lambda w, start, count: draws.append((len(w), start, count)) or raw_words(w, start, count))
+    seeds = _verification_seeds(0, 40)
+    rounds = []
+    for seed in seeds:
+        draws.clear()
+        sample_parameters(g, seed)
+        rounds.append(len(draws))
+    draws.clear()
+    sample_parameters(g, seeds)
+    n_coef = 2 * len(g.directed)
+    width = n_coef + len(g.bidirected) + g.n
+    assert max(rounds) > 2
+    assert draws == [(sum(r > a for r in rounds), a * n_coef, width) for a in range(max(rounds))]
+
+
 def test_pcg64_stream_equals_numpy():
     # Raw outputs from word 0 and from a later start word, and the doubles
-    # of both word sources filled in two pieces as a rejection round fills
-    # a row, at the word-boundary seeds and the verification seeds.
+    # of both word sources read in two pieces, the second from a later
+    # start word as a rejection round reads it, at the word-boundary seeds
+    # and the verification seeds.
     pieces = (slice(0, 14), slice(14, 57))
     for seed in WORD_BOUNDARY_SEEDS + [2**128 - 1] + _verification_seeds(0, 20):
         seeded = seeding.seed_words([seed])
         words = seeded[0].tolist()
         raw = np.random.default_rng(seed).bit_generator.random_raw(40).tolist()
-        assert seeding.PCG64Stream(words).random_raw(40) == raw
-        assert seeding.PCG64Stream(words, 7).random_raw(33) == raw[7:]
+        assert seeding._stream_words(words, 0, 40) == raw
+        assert seeding._stream_words(words, 7, 33) == raw[7:]
         rng, want = np.random.default_rng(seed), np.empty(57)
         for piece in pieces:
             rng.random(out=want[piece])
